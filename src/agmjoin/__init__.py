@@ -9,7 +9,7 @@ The package is organized bottom-up:
 * ``simplex`` / ``bounds`` — exact-rational covering LPs, the
   fractional-cover size bound, and the group-decomposition audit.
 * ``engine`` — the recursive join with nprr / leapfrog /
-  fixed-sequence partitioning plus the two triangle specializations.
+  fixed-sequence partitioning.
 * ``plans`` — classical two-way join plans and the bound-driven
   join-project evaluator, for comparison runs.
 * ``rewrite`` — conjunctive queries with simple functional
@@ -36,12 +36,8 @@ from .engine import (
     fixed_sequence_strategy,
     generic_join,
     leapfrog_strategy,
-    nprr_choose,
     nprr_strategy,
-    nprr_subquery,
     run_join,
-    triangle_delay,
-    triangle_two_choices,
 )
 from .errors import (
     AgmJoinError,

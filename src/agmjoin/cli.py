@@ -179,29 +179,24 @@ def _run_algo(kind: str, payload, q: JoinQuery, budget: float | None,
         return CellResult("ok", output=run.output, rows=len(run.output),
                           probes=meter.probes, advances=meter.advances, emits=meter.emits,
                           recursions=meter.recursions, total_ops=meter.total_ops)
+    if kind == "oracle" and guard_oracle and _oracle_candidates(q) > _ORACLE_CANDIDATE_CAP:
+        return CellResult("skipped")
+    t0 = time.monotonic()  # the meterless engines are timed after the fact
     if kind == "oracle":
-        if guard_oracle and _oracle_candidates(q) > _ORACLE_CANDIDATE_CAP:
-            return CellResult("skipped")
-        t0 = time.monotonic()
         out = oracle_join(q)
-        status = "timeout" if budget is not None and time.monotonic() - t0 > budget else "ok"
-        return CellResult(status, output=out, rows=len(out), emits=len(out))
-    if kind == "pairwise":
-        tree = _left_deep(payload, len(q.relations))
-        t0 = time.monotonic()
-        out, trace = execute_plan(tree, q.relations)
-        status = "timeout" if budget is not None and time.monotonic() - t0 > budget else "ok"
-        return CellResult(status, output=out, rows=len(out), emits=len(out),
-                          intermediate_max=trace.intermediate_max, total_ops=trace.total_work)
-    if kind == "agm":
-        t0 = time.monotonic()
+        inter = work = None
+    elif kind == "pairwise":
+        out, trace = execute_plan(_left_deep(payload, len(q.relations)), q.relations)
+        inter, work = trace.intermediate_max, trace.total_work
+    elif kind == "agm":
         out, records = agm_join_project_traced(q)
-        status = "timeout" if budget is not None and time.monotonic() - t0 > budget else "ok"
         inter = max((r.size for r in records), default=0)
         work = sum(r.left_size + r.right_size + r.size for r in records)
-        return CellResult(status, output=out, rows=len(out), emits=len(out),
-                          intermediate_max=inter, total_ops=work)
-    raise AssertionError(kind)
+    else:
+        raise AssertionError(kind)
+    status = "timeout" if budget is not None and time.monotonic() - t0 > budget else "ok"
+    return CellResult(status, output=out, rows=len(out), emits=len(out),
+                      intermediate_max=inter, total_ops=work)
 
 
 def _bind_full(nq: ConjunctiveQuery, data: Mapping[str, Iterable[tuple[int, ...]]]

@@ -4,17 +4,18 @@ The shared recursion splits the attribute set V of a subproblem into I
 and the rest J, joins the I-projections of the relations touching I
 into a list L of partial tuples, then extends each one over J against
 the relations narrowed by that partial tuple.  Narrowing is a trie
-prefix descent; relations are never copied.  Three ways of picking I
-are provided:
+prefix descent; relations are never copied.  A strategy is one of two
+things:
 
-* ``leapfrog`` peels the first attribute in the global order, so every
-  level is one sorted k-way intersection of trie child lists.
 * ``nprr`` picks the edge J with the heaviest cover weight, recurses on
   I = V minus J, and finishes each group with a two-choices step: scan
   the J-relation when it is no bigger than the estimated join of the
   remaining relations, otherwise join those and probe into J.
 * ``fixed-sequence`` consumes caller-given attribute blocks in order,
-  peeling single attributes inside a block.
+  peeling single attributes inside a block, so every level inside a
+  block is one sorted k-way intersection of trie child lists.
+  ``leapfrog`` is the one-block case: the whole attribute set in the
+  global order.
 
 Cover weights travel with the recursion: restricting to the edges that
 meet a subproblem keeps a cover feasible, and the two-choices rescale
@@ -32,15 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .bounds import FractionalCover, is_cover, min_cover_lp
-from .errors import (
-    InfeasibleCoverError,
-    InvalidPartitionError,
-    MalformedCoverError,
-    SchemaError,
-)
+from .errors import InfeasibleCoverError, InvalidPartitionError
 from .relational import Attribute, JoinQuery, Relation, Row
 from .trie import CostMeter, TrieIndex, build_trie, intersect, iter_leaves
 
@@ -63,7 +59,7 @@ def nprr_strategy() -> PartitionStrategy:
 
 
 def leapfrog_strategy() -> PartitionStrategy:
-    """Peel one attribute per level in the global order."""
+    """Peel one attribute per level in the global order (one block of all attributes)."""
     return PartitionStrategy("leapfrog")
 
 
@@ -188,7 +184,16 @@ def _audit_split(ctx, views, attrs, weights, i_attrs) -> None:
         )
 
 
-def _recurse(ctx: _Ctx, views: list[_View], attrs: tuple[Attribute, ...], mode) -> list[Row]:
+def _recurse(
+    ctx: _Ctx,
+    views: list[_View],
+    attrs: tuple[Attribute, ...],
+    blocks: tuple[tuple[Attribute, ...], ...] | None,
+    weights: Sequence[Fraction] | Mapping[int, Fraction],
+) -> list[Row]:
+    """Join ``views`` over ``attrs``; ``blocks`` is None for nprr, else the
+    remaining block sequence.  ``weights[e]`` is the cover weight of the
+    edge of every view in scope."""
     meter = ctx.meter
     meter.recursions += 1
     meter.check_deadline()
@@ -196,31 +201,23 @@ def _recurse(ctx: _Ctx, views: list[_View], attrs: tuple[Attribute, ...], mode) 
     if len(attrs) == 1:
         return [(v,) for v in intersect([w.node.keys for w in views], meter)]
 
-    kind, weights = mode[0], mode[-1]
-    if kind == "leapfrog":
-        i_attrs: tuple[Attribute, ...] = attrs[:1]
-        i_mode = j_mode = mode
-    elif kind == "fixed-sequence":
-        blocks = mode[1]
-        if len(blocks) == 1:
-            i_attrs = attrs[:1]
-            j_blocks: tuple[tuple[Attribute, ...], ...] = (attrs[1:],)
-        else:
-            i_attrs = blocks[0]
-            if not i_attrs or not set(i_attrs) < set(attrs):
-                raise InvalidPartitionError(
-                    f"block {i_attrs} is not a proper nonempty subset of {attrs}"
-                )
-            j_blocks = blocks[1:]
-        i_mode = ("fixed-sequence", (i_attrs,), weights)
-        j_mode = ("fixed-sequence", j_blocks, weights)
-    else:  # nprr
+    if blocks is None:
         j_edge = max((v.edge for v in views), key=lambda e: (weights[e], -e))
         jset = ctx.edge_sets[j_edge]
         i_attrs = tuple(a for a in attrs if a not in jset)
         if not i_attrs:
             return _nprr_tail(ctx, views, attrs, j_edge, weights)
-        i_mode = j_mode = mode  # weight dicts are filtered below
+        i_blocks = j_blocks = None
+    elif len(blocks) == 1:
+        i_attrs = attrs[:1]
+        i_blocks, j_blocks = (i_attrs,), (attrs[1:],)
+    else:
+        i_attrs = blocks[0]
+        if not i_attrs or not set(i_attrs) < set(attrs):
+            raise InvalidPartitionError(
+                f"block {i_attrs} is not a proper nonempty subset of {attrs}"
+            )
+        i_blocks, j_blocks = (i_attrs,), blocks[1:]
 
     i_set = set(i_attrs)
     j_attrs = tuple(a for a in attrs if a not in i_set)
@@ -242,11 +239,7 @@ def _recurse(ctx: _Ctx, views: list[_View], attrs: tuple[Attribute, ...], mode) 
         if fj:
             extenders.append((v, [ipos[a] for a in fi]))
 
-    if kind == "nprr":
-        i_mode = ("nprr", {v.edge: weights[v.edge] for v in iviews})
-        j_mode = ("nprr", {v.edge: weights[v.edge] for v, _ in extenders})
-
-    groups = _recurse(ctx, iviews, i_attrs, i_mode)
+    groups = _recurse(ctx, iviews, i_attrs, i_blocks, weights)
 
     picks = []  # rebuild output rows over attrs from the (I-part, J-part) pair
     jpos = {a: k for k, a in enumerate(j_attrs)}
@@ -268,7 +261,7 @@ def _recurse(ctx: _Ctx, views: list[_View], attrs: tuple[Attribute, ...], mode) 
             jviews.append(v)
         if not alive:
             continue
-        for r in _recurse(ctx, jviews, j_attrs, j_mode):
+        for r in _recurse(ctx, jviews, j_attrs, j_blocks, weights):
             parts = (t, r)
             out.append(tuple(parts[s][i] for s, i in picks))
     return out
@@ -279,7 +272,7 @@ def _nprr_tail(
     views: list[_View],
     attrs: tuple[Attribute, ...],
     j_edge: int,
-    weights: dict[int, Fraction],
+    weights: Sequence[Fraction] | Mapping[int, Fraction],
 ) -> list[Row]:
     """Two-choices solver for a subproblem lying entirely inside edge J.
 
@@ -342,7 +335,7 @@ def _nprr_tail(
         return out
 
     rescaled = {v.edge: weights[v.edge] * rescale for v in others}
-    for t in _recurse(ctx, others, attrs, ("nprr", rescaled)):
+    for t in _recurse(ctx, others, attrs, None, rescaled):
         node = vj.node
         for val in t:
             meter.probes += 1
@@ -351,57 +344,6 @@ def _nprr_tail(
                 break
         else:
             out.append(t)
-    return out
-
-
-def _resolve(q: JoinQuery, cover, meter) -> tuple[FractionalCover, CostMeter]:
-    if cover is None:
-        # Empty relations would put log2(0) in the LP objective; any
-        # positive stand-in keeps the cover valid (the join is empty
-        # regardless), and 1 zeroes the term out.
-        sizes = tuple(max(1, s) for s in q.sizes)
-        cover = min_cover_lp(q.hypergraph, sizes).cover
-    elif not isinstance(cover, FractionalCover):
-        cover = FractionalCover(tuple(cover))
-    if not is_cover(q.hypergraph, cover):
-        raise InfeasibleCoverError(f"weights {cover.weights} do not cover the query")
-    return cover, meter if meter is not None else CostMeter()
-
-
-def generic_join(
-    q: JoinQuery,
-    strat: PartitionStrategy | None = None,
-    cover: FractionalCover | None = None,
-    meter: CostMeter | None = None,
-    *,
-    audit: bool = False,
-) -> Relation:
-    """Join all relations of ``q`` exactly, metering the work done.
-
-    The base case (one attribute) is a k-way intersection; otherwise
-    the strategy picks I, the I-projections are joined recursively into
-    groups, and each group tuple is extended over the rest.  The cover
-    defaults to the tightest one from the size-bound linear program.
-    """
-    strat = strat if strat is not None else nprr_strategy()
-    cover, meter = _resolve(q, cover, meter)
-    ctx = _Ctx(q, meter, audit=audit)
-    attrs = q.attrs
-    weights = {e: cover[e] for e in range(len(q.relations))}
-    if strat.kind == "fixed-sequence":
-        flat = [a for b in strat.sequence for a in b]
-        if sorted(flat) != list(attrs) or any(not b for b in strat.sequence):
-            raise InvalidPartitionError(
-                f"blocks {strat.sequence} do not partition the attributes {attrs}"
-            )
-        mode = ("fixed-sequence", strat.sequence, weights)
-    elif strat.kind == "leapfrog":
-        mode = ("leapfrog", weights)
-    else:
-        mode = ("nprr", weights)
-    rows = _recurse(ctx, ctx.initial_views(), attrs, mode)
-    out = Relation(attrs, tuple(rows))
-    meter.emits += len(out)
     return out
 
 
@@ -414,137 +356,52 @@ def run_join(
     *,
     audit: bool = False,
 ) -> JoinRun:
-    """``generic_join`` plus the run record used by benchmarks."""
+    """Join all relations of ``q`` exactly, metering the work done.
+
+    The base case (one attribute) is a k-way intersection; otherwise
+    the strategy picks I, the I-projections are joined recursively into
+    groups, and each group tuple is extended over the rest.  The cover
+    defaults to the tightest one from the size-bound linear program.
+    Returns the output with the meter, strategy and cover that produced it.
+    """
     strat = strat if strat is not None else nprr_strategy()
-    cover, meter = _resolve(q, cover, meter)
+    if cover is None:
+        # Empty relations would put log2(0) in the LP objective; any
+        # positive stand-in keeps the cover valid (the join is empty
+        # regardless), and 1 zeroes the term out.
+        sizes = tuple(max(1, s) for s in q.sizes)
+        cover = min_cover_lp(q.hypergraph, sizes).cover
+    elif not isinstance(cover, FractionalCover):
+        cover = FractionalCover(tuple(cover))
+    if not is_cover(q.hypergraph, cover):
+        raise InfeasibleCoverError(f"weights {cover.weights} do not cover the query")
+    meter = meter if meter is not None else CostMeter()
     if time_budget is not None:
         meter.start_deadline(time_budget)
-    out = generic_join(q, strat, cover, meter, audit=audit)
+
+    attrs = q.attrs
+    blocks = None  # nprr
+    if strat.kind != "nprr":
+        blocks = strat.sequence if strat.kind == "fixed-sequence" else (attrs,)
+        flat = [a for b in blocks for a in b]
+        if sorted(flat) != list(attrs) or any(not b for b in blocks):
+            raise InvalidPartitionError(
+                f"blocks {blocks} do not partition the attributes {attrs}"
+            )
+    ctx = _Ctx(q, meter, audit=audit)
+    rows = _recurse(ctx, ctx.initial_views(), attrs, blocks, cover.weights)
+    out = Relation(attrs, tuple(rows))
+    meter.emits += len(out)
     return JoinRun(out, meter, strat, cover)
 
 
-def nprr_choose(q: JoinQuery, cover: FractionalCover) -> tuple[int, tuple[Attribute, ...]]:
-    """Pick the split edge: heaviest cover weight, ties to the lowest index.
-
-    Returns the edge index J and the complementary attribute set
-    I = V - J (empty when that edge spans every attribute, in which
-    case the group solver handles the whole query).
-    """
-    if len(cover.weights) != len(q.relations):
-        raise MalformedCoverError(
-            f"{len(cover.weights)} weights for {len(q.relations)} edges"
-        )
-    weights = {e: cover[e] for e in range(len(q.relations))}
-    j = max(weights, key=lambda e: (weights[e], -e))
-    jset = set(q.hypergraph.edges[j])
-    return j, tuple(a for a in q.attrs if a not in jset)
-
-
-def nprr_subquery(
+def generic_join(
     q: JoinQuery,
-    j_edge: int,
-    x: FractionalCover,
+    strat: PartitionStrategy | None = None,
+    cover: FractionalCover | None = None,
     meter: CostMeter | None = None,
+    *,
+    audit: bool = False,
 ) -> Relation:
-    """Solve a subproblem contained in edge ``j_edge`` by two choices.
-
-    ``q`` is the already-narrowed query (every attribute inside the
-    chosen edge); ``x`` is its cover.  With x_J >= 1 the J relation is
-    scanned and filtered; below 1, scanning competes against joining
-    the other relations with weights rescaled by 1/(1 - x_J) and
-    probing into J, and the cheaper estimate wins.
-    """
-    if not 0 <= j_edge < len(q.relations):
-        raise InvalidPartitionError(f"no edge {j_edge} in the query")
-    if not set(q.attrs) <= set(q.hypergraph.edges[j_edge]):
-        raise InvalidPartitionError("subproblem attributes must lie inside the chosen edge")
-    x, meter = _resolve(q, x, meter)
-    ctx = _Ctx(q, meter)
-    weights = {e: x[e] for e in range(len(q.relations))}
-    rows = _nprr_tail(ctx, ctx.initial_views(), q.attrs, j_edge, weights)
-    out = Relation(q.attrs, tuple(rows))
-    meter.emits += len(out)
-    return out
-
-
-def _triangle_schemas(r: Relation, s: Relation, t: Relation):
-    if not (r.arity == s.arity == t.arity == 2):
-        raise SchemaError("triangle solvers need three binary relations")
-    a, b = r.schema
-    b2, c = s.schema
-    a2, c2 = t.schema
-    if not (a == a2 and b == b2 and c == c2 and len({a, b, c}) == 3):
-        raise SchemaError(
-            f"schemas {r.schema}, {s.schema}, {t.schema} do not form a triangle"
-        )
-    return a, b, c
-
-
-def triangle_two_choices(
-    r: Relation, s: Relation, t: Relation, meter: CostMeter | None = None
-) -> Relation:
-    """Triangle join choosing per-vertex between scanning S and probing it.
-
-    For each a shared by R and T, a is heavy when the number of (b, c)
-    candidate pairs reaches |S|; then S is scanned and each tuple is
-    checked against the candidates, otherwise the candidate pairs are
-    enumerated and probed into S.  Either way the work per a is about
-    min(|R narrowed to a| * |T narrowed to a|, |S|).
-    """
-    a_attr, b_attr, c_attr = _triangle_schemas(r, s, t)
-    meter = meter if meter is not None else CostMeter()
-    ixr, ixs, ixt = build_trie(r), build_trie(s), build_trie(t)
-    out: list[Row] = []
-    n_s = len(s)
-    for a in intersect([ixr.root.keys, ixt.root.keys], meter):
-        meter.check_deadline()
-        meter.probes += 2
-        nr = ixr.root.child(a)
-        nt = ixt.root.child(a)
-        if nr.size * nt.size >= n_s:
-            for b, c in s.rows:
-                meter.probes += 1  # scan read
-                if nr.child(b) is not None and nt.child(c) is not None:
-                    out.append((a, b, c))
-                meter.probes += 2
-        else:
-            for b in nr.keys:
-                ns = ixs.root.child(b)
-                meter.probes += 1
-                if ns is None:
-                    continue
-                for c in nt.keys:
-                    meter.probes += 1
-                    if ns.child(c) is not None:
-                        out.append((a, b, c))
-    rel = Relation((a_attr, b_attr, c_attr), tuple(out))
-    meter.emits += len(rel)
-    return rel
-
-
-def triangle_delay(
-    r: Relation, s: Relation, t: Relation, meter: CostMeter | None = None
-) -> Relation:
-    """Triangle join by nested intersections, one attribute at a time.
-
-    Candidate a values are shared by R and T; under each a, candidate b
-    values are shared by the narrowed R and S; under each (a, b) the c
-    values are shared by the narrowed S and T.
-    """
-    a_attr, b_attr, c_attr = _triangle_schemas(r, s, t)
-    meter = meter if meter is not None else CostMeter()
-    ixr, ixs, ixt = build_trie(r), build_trie(s), build_trie(t)
-    out: list[Row] = []
-    for a in intersect([ixr.root.keys, ixt.root.keys], meter):
-        meter.check_deadline()
-        meter.probes += 2
-        nr = ixr.root.child(a)
-        nt = ixt.root.child(a)
-        for b in intersect([nr.keys, ixs.root.keys], meter):
-            meter.probes += 1
-            ns = ixs.root.child(b)
-            for c in intersect([ns.keys, nt.keys], meter):
-                out.append((a, b, c))
-    rel = Relation((a_attr, b_attr, c_attr), tuple(out))
-    meter.emits += len(rel)
-    return rel
+    """The output of ``run_join`` without its run record."""
+    return run_join(q, strat, cover, meter, audit=audit).output

@@ -8,8 +8,6 @@ from agmjoin import (
     FractionalCover,
     InfeasibleCoverError,
     InvalidPartitionError,
-    MalformedCoverError,
-    SchemaError,
     TimeBudgetExceeded,
     cover,
     fixed_sequence_strategy,
@@ -20,14 +18,10 @@ from agmjoin import (
     leapfrog_strategy,
     make_attrs,
     min_cover_lp,
-    nprr_choose,
     nprr_strategy,
-    nprr_subquery,
     oracle_join,
     relation,
     run_join,
-    triangle_delay,
-    triangle_two_choices,
 )
 from conftest import random_feasible_cover, random_instance
 
@@ -65,6 +59,9 @@ def test_every_strategy_matches_the_oracle(seed):
         run = run_join(q, strat, audit=True)
         assert run.output == want, (seed, strat.kind)
         assert run.meter.emits == len(run.output)
+    # leapfrog is the one-block sequence, down to every counted operation
+    one_block = run_join(q, fixed_sequence_strategy([q.attrs])).meter
+    assert run_join(q, leapfrog_strategy()).meter == one_block
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -137,33 +134,6 @@ def test_time_budget_fires_on_a_grinding_instance():
         run_join(q, time_budget=1e-4)
 
 
-def test_nprr_choose_takes_the_heaviest_edge():
-    q = triangle_query([(0, 1)], [(1, 2)], [(0, 2)])
-    j, rest = nprr_choose(q, cover("1/4", 1, "1/4"))
-    assert j == 1
-    assert rest == (A,)  # attrs minus S's {B, C}
-
-
-def test_nprr_choose_breaks_ties_toward_the_lowest_index():
-    q = triangle_query([(0, 1)], [(1, 2)], [(0, 2)])
-    j, rest = nprr_choose(q, cover("1/2", "1/2", "1/2"))
-    assert j == 0
-    assert rest == (C,)
-
-
-def test_nprr_choose_wrong_weight_count():
-    q = triangle_query([(0, 1)], [(1, 2)], [(0, 2)])
-    with pytest.raises(MalformedCoverError):
-        nprr_choose(q, cover(1, 1))
-
-
-def test_nprr_choose_spanning_edge_leaves_nothing_over():
-    q = join_query([relation([A, B], [(0, 1)]), relation([A], [(0,)])])
-    j, rest = nprr_choose(q, cover(1, 1))
-    assert j == 0
-    assert rest == ()
-
-
 def subquery_fixture():
     """All attributes live inside edge 0; edge 1 filters on B."""
     r = relation([A, B], [(i, j) for i in range(6) for j in range(6)])
@@ -174,66 +144,46 @@ def subquery_fixture():
 def test_nprr_subquery_scan_branch_matches_oracle():
     q = subquery_fixture()
     want = oracle_join(q)
-    out = nprr_subquery(q, 0, cover(1, 0))
+    out = run_join(q, nprr_strategy(), cover=cover(1, 0)).output
     assert out == want
 
 
 def test_nprr_subquery_probe_branch_matches_oracle():
-    # Two relations over the same pair of attributes, so the small one
-    # can carry the whole cover and x_J may drop below 1.  With the big
-    # relation as J, log2(36) beats the rescaled estimate for the
-    # 3-row side and the solver joins the others and probes into J.
+    # Two relations over the same pair of attributes, so x_J may drop
+    # below 1.  Under equal weights the 36-row edge 0 wins the tie as J;
+    # log2(36) beats the rescaled estimate for the 3-row side, so the
+    # solver joins the others and probes into J.
     r = relation([A, B], [(i, j) for i in range(6) for j in range(6)])
     s = relation([A, B], [(0, 2), (4, 4), (7, 7)])
     q = join_query([r, s])
     want = oracle_join(q)
     meter = CostMeter()
-    out = nprr_subquery(q, 0, cover("1/2", 1), meter)
+    out = run_join(q, nprr_strategy(), cover=cover("1/2", "1/2"), meter=meter).output
     assert out == want
     assert set(out.rows) == {(0, 2), (4, 4)}
     # probing never reads all 36 leaves of J the way a scan would
     assert meter.probes < len(r)
 
 
-def test_nprr_subquery_validates_the_partition():
-    q = subquery_fixture()
-    with pytest.raises(InvalidPartitionError):
-        nprr_subquery(q, 5, cover(1, 0))
-    q2 = triangle_query([(0, 1)], [(1, 2)], [(0, 2)])
-    with pytest.raises(InvalidPartitionError):
-        nprr_subquery(q2, 0, cover("1/2", "1/2", "1/2"))
-
-
 @pytest.mark.parametrize("seed", range(15))
 def test_triangle_specializations_match_the_oracle(seed):
+    """On a triangle nprr is the per-vertex scan-or-probe solver and
+    leapfrog the nested-intersection one; dense small domains."""
     rng = random.Random(seed)
     mk = lambda: [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(0, 18))]
     q = triangle_query(mk(), mk(), mk())
     want = oracle_join(q)
-    r, s, t = q.relations
-    assert triangle_two_choices(r, s, t) == want
-    assert triangle_delay(r, s, t) == want
+    for strat in (nprr_strategy(), leapfrog_strategy()):
+        assert run_join(q, strat).output == want
 
 
 def test_triangle_specializations_on_the_skew_family():
+    """Both triangle solvers on the family that is quadratic for pairwise plans."""
     q = gen_triangle_bad(16).query
-    r, s, t = q.relations
     want = oracle_join(q)
     assert len(want) == 3 * 16 + 1
-    assert triangle_two_choices(r, s, t) == want
-    assert triangle_delay(r, s, t) == want
-
-
-def test_triangle_solvers_reject_non_triangle_schemas():
-    r = relation([A, B], [(0, 1)])
-    s = relation([B, C], [(1, 2)])
-    bad = relation([A, D], [(0, 3)])
-    with pytest.raises(SchemaError):
-        triangle_two_choices(r, s, bad)
-    with pytest.raises(SchemaError):
-        triangle_delay(r, s, bad)
-    with pytest.raises(SchemaError):
-        triangle_two_choices(r, s, relation([A, B, C], [(0, 1, 2)]))
+    for strat in (nprr_strategy(), leapfrog_strategy()):
+        assert run_join(q, strat).output == want
 
 
 @pytest.mark.parametrize("seed", range(20))
