@@ -120,7 +120,10 @@ def min_cover_lp(h: Hypergraph, sizes: Sequence[int]) -> BoundReport:
 
     Solved by exact rational simplex; among optimal vertices the
     lexicographically smallest weight vector (edge-list order) is
-    returned, which makes the report deterministic.
+    returned, which makes the report deterministic.  One phase 1 finds
+    a feasible basis; phase 2 minimizes the log-size objective; then
+    each weight in turn is minimized from the basis the previous pass
+    ended in, over the columns that can still be non-zero at an optimum.
     """
     if len(sizes) != len(h.edges):
         raise MalformedCoverError(f"{len(sizes)} sizes for {len(h.edges)} edges")

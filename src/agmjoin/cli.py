@@ -285,14 +285,17 @@ def _parse_sizes(spec: str, symbols: Iterable[str]) -> dict[str, int]:
     try:
         if "=" not in spec:
             n = int(spec)
-            return {s: n for s in symbols}
-        out = {}
-        for part in spec.split(","):
-            k, _, v = part.partition("=")
-            out[k.strip()] = int(v)
-        return out
+            out = {s: n for s in symbols}
+        else:
+            out = {}
+            for part in spec.split(","):
+                k, _, v = part.partition("=")
+                out[k.strip()] = int(v)
     except ValueError:
         raise QueryFormatError(f"bad --sizes {spec!r}: expected N or R=N,S=M,...") from None
+    if any(n < 1 for n in out.values()):
+        raise QueryFormatError(f"bad --sizes {spec!r}: every size must be at least 1")
+    return out
 
 
 def cmd_bound(args) -> int:

@@ -4,6 +4,13 @@ Everything is a ``fractions.Fraction``: feasibility and optimality are
 decided exactly, never by epsilon.  Bland's rule keeps the pivoting
 finite.  The cover programs this package solves have a handful of
 variables, so a dense tableau is the right tool.
+
+``minimize`` and ``lexmin_minimize`` share one phase 1.  The lex-least
+optimum is refined on that one tableau: phase 2 on the cost vector,
+then one warm-started phase-2 pass per coordinate, each over the
+previous stage's optimal face (the columns whose reduced cost is zero).
+No row is ever appended, so the 45-digit cost coefficients stay in the
+objective row and never enter the constraint rows.
 """
 
 from __future__ import annotations
@@ -45,14 +52,16 @@ class LinearProgram:
 
 def _pivot(rows: list[list[Fraction]], obj: list[Fraction], basis: list[int], r: int, col: int) -> None:
     piv = rows[r][col]
-    rows[r] = [v / piv for v in rows[r]]
+    if piv != 1:
+        rows[r] = [v / piv if v else v for v in rows[r]]
+    prow = rows[r]
     for i, row in enumerate(rows):
         if i != r and row[col]:
             f = row[col]
-            rows[i] = [v - f * w for v, w in zip(row, rows[r])]
+            rows[i] = [v - f * w if w else v for v, w in zip(row, prow)]
     if obj[col]:
         f = obj[col]
-        obj[:] = [v - f * w for v, w in zip(obj, rows[r])]
+        obj[:] = [v - f * w if w else v for v, w in zip(obj, prow)]
     basis[r] = col
 
 
@@ -75,8 +84,23 @@ def _run_simplex(rows: list[list[Fraction]], obj: list[Fraction], basis: list[in
         _pivot(rows, obj, basis, leave, enter)
 
 
-def minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
-    """Solve the program, returning (optimal value, a basic optimal point)."""
+def _price(rows: list[list[Fraction]], basis: list[int], cost: Sequence[Fraction]) -> list[Fraction]:
+    """The objective row of ``cost`` (one entry per column) for this basis."""
+    obj = list(cost) + [Fraction(0)]
+    for i, row in enumerate(rows):
+        cb = cost[basis[i]]
+        if cb:
+            obj = [v - cb * w if w else v for v, w in zip(obj, row)]
+    return obj
+
+
+def _solve(lp: LinearProgram) -> tuple[list[list[Fraction]], list[int], list[Fraction]]:
+    """Phase 1, then phase 2 on ``c``: an optimal tableau (rows, basis, objective row).
+
+    Columns are the n variables, then one surplus per >= row, then the
+    right-hand side; every row has one basic column.  Rows that phase 1
+    proves redundant are dropped.
+    """
     n = len(lp.c)
     nge = len(lp.ge_rows)
     rows: list[list[Fraction]] = []
@@ -121,15 +145,16 @@ def minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
     basis = [basis[i] for i in live]
 
     # phase 2: the real objective, artificial columns gone
-    cost = list(lp.c) + [zero] * nge
-    obj = cost + [zero]
-    for i, row in enumerate(rows):
-        cb = cost[basis[i]]
-        if cb:
-            obj = [v - cb * w for v, w in zip(obj, row)]
+    obj = _price(rows, basis, tuple(lp.c) + (zero,) * nge)
     _run_simplex(rows, obj, basis, width)
+    return rows, basis, obj
 
-    x = [zero] * (width)
+
+def minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
+    """Solve the program, returning (optimal value, a basic optimal point)."""
+    n = len(lp.c)
+    rows, basis, obj = _solve(lp)
+    x = [Fraction(0)] * (n + len(lp.ge_rows))
     for i, row in enumerate(rows):
         x[basis[i]] = row[-1]
     return -obj[-1], tuple(x[:n])
@@ -138,19 +163,31 @@ def minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
 def lexmin_minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
     """Optimal value plus the lexicographically smallest optimal point.
 
-    Refines coordinate by coordinate: pin the optimal value, minimize
-    x0, pin it, minimize x1, and so on.  The final point is the unique
-    lex-least optimum, which is always a vertex.
+    One phase 1, then phase 2 on ``c``; then, for each coordinate i in
+    turn, phase 2 on the objective x_i, warm-started from the basis the
+    previous stage ended in.  Between stages every column with a
+    strictly positive reduced cost is deleted: by complementary
+    slackness that variable is 0 on every optimum of the stage, and the
+    remaining columns span exactly the stage's optimal face.  The final
+    basic point is the unique lex-least optimum.
     """
     n = len(lp.c)
     zero = Fraction(0)
-    value, _ = minimize(lp)
-    cur = lp.with_eq(lp.c, value)
-    pins: list[Fraction] = []
+    rows, basis, obj = _solve(lp)
+    value = -obj[-1]
+    cols = list(range(n + len(lp.ge_rows)))  # the variable behind each column
     for i in range(n):
-        e = tuple(Fraction(1) if j == i else zero for j in range(n))
-        cur_lp = LinearProgram(e, cur.ge_rows, cur.eq_rows)
-        vi, _ = minimize(cur_lp)
-        pins.append(vi)
-        cur = cur.with_eq(e, vi)
-    return value, tuple(pins)
+        # reduced costs are >= 0 here; a positive one pins its variable to 0
+        keep = [j for j in range(len(cols)) if obj[j] == 0]
+        if len(keep) < len(cols):
+            at = {j: k for k, j in enumerate(keep)}
+            rows = [[row[j] for j in keep] + [row[-1]] for row in rows]
+            basis = [at[j] for j in basis]
+            cols = [cols[j] for j in keep]
+        obj = _price(rows, basis, [Fraction(1) if v == i else zero for v in cols])
+        _run_simplex(rows, obj, basis, len(cols))
+    x = [zero] * n
+    for r, j in enumerate(basis):
+        if cols[j] < n:
+            x[cols[j]] = rows[r][-1]
+    return value, tuple(x)

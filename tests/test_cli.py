@@ -261,6 +261,23 @@ def test_run_arity_mismatch_exits_3(tmp_path, triangle_dir, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("algo,code", [("agm-plan", 3), ("pairwise:0-1-2", 3), ("nprr", 0)])
+def test_run_value_beyond_63_bits(tmp_path, capsys, algo, code):
+    """The numpy plans refuse a value >= 2^63 with exit 3; the trie engines answer."""
+    inst = gen_dir(tmp_path, "--family", "triangle-bad", "--m", "3")
+    big = 2**63
+    for name in ("R0", "R1", "R2"):
+        with open(inst / f"{name}.rel", "a", encoding="utf-8") as f:
+            f.write(f"{big},{big}\n")
+    got, out, err = run_cli(capsys, str(inst / "query.txt"), str(inst), "--algo", algo)
+    assert got == code
+    if code:
+        assert "63 bits" in err
+        assert "Traceback" not in err
+    else:
+        assert f"{big},{big},{big}\n" in out
+
+
 def test_run_pairwise_must_cover_all_atoms(triangle_dir, capsys):
     code, _, err = run_cli(capsys, str(triangle_dir / "query.txt"), str(triangle_dir),
                            "--algo", "pairwise:0-1")
@@ -327,6 +344,12 @@ def test_bound_missing_size_exits_3(triangle_dir, capsys):
 
 def test_bound_bad_sizes_exit_2(triangle_dir, capsys):
     assert main(["bound", str(triangle_dir / "query.txt"), "--sizes", "lots"]) == 2
+
+
+@pytest.mark.parametrize("sizes", ["R0=0,R1=4,R2=4", "-3", "0"])
+def test_bound_non_positive_sizes_exit_2(triangle_dir, capsys, sizes):
+    assert main(["bound", str(triangle_dir / "query.txt"), "--sizes", sizes]) == 2
+    assert "at least 1" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- bench

@@ -1,0 +1,174 @@
+"""The exact simplex: typed failures, equality rows, and the lex-least optimum.
+
+``lexmin_minimize`` below is the previous implementation, kept as the
+reference: it re-solves the program from scratch once per coordinate,
+each time pinning one more optimal value as an equality row.  It is
+slow but plainly correct, and the one-tableau refinement in
+``agmjoin.simplex`` must return exactly what it returns.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from agmjoin import simplex
+from agmjoin.bounds import log2_fraction
+from agmjoin.simplex import (
+    InfeasibleProgramError,
+    LinearProgram,
+    UnboundedProgramError,
+    Vector,
+    minimize,
+)
+
+F = Fraction
+
+
+def lexmin_minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
+    """Optimal value plus the lexicographically smallest optimal point.
+
+    Refines coordinate by coordinate: pin the optimal value, minimize
+    x0, pin it, minimize x1, and so on.  The final point is the unique
+    lex-least optimum, which is always a vertex.
+    """
+    n = len(lp.c)
+    zero = Fraction(0)
+    value, _ = minimize(lp)
+    cur = lp.with_eq(lp.c, value)
+    pins: list[Fraction] = []
+    for i in range(n):
+        e = tuple(Fraction(1) if j == i else zero for j in range(n))
+        cur_lp = LinearProgram(e, cur.ge_rows, cur.eq_rows)
+        vi, _ = minimize(cur_lp)
+        pins.append(vi)
+        cur = cur.with_eq(e, vi)
+    return value, tuple(pins)
+
+
+def _vec(*vs) -> Vector:
+    return tuple(F(v) for v in vs)
+
+
+def _cover_lp(nv: int, edges, sizes) -> LinearProgram:
+    """The program min_cover_lp solves: every vertex gathers weight >= 1."""
+    c = tuple(log2_fraction(n) for n in sizes)
+    ge = tuple((tuple(F(v in e) for e in edges), F(1)) for v in range(nv))
+    return LinearProgram(c, ge)
+
+
+# ------------------------------------------------------------ minimize
+
+
+def test_minimize_raises_on_an_infeasible_program():
+    # x0 >= 2 and -x0 >= -1
+    lp = LinearProgram(_vec(1), ((_vec(1), F(2)), (_vec(-1), F(-1))))
+    with pytest.raises(InfeasibleProgramError):
+        minimize(lp)
+    with pytest.raises(InfeasibleProgramError):
+        simplex.lexmin_minimize(lp)
+
+
+def test_minimize_raises_on_an_unbounded_program():
+    lp = LinearProgram(_vec(-1, 0), ((_vec(1, 1), F(1)),))
+    with pytest.raises(UnboundedProgramError):
+        minimize(lp)
+    with pytest.raises(UnboundedProgramError):
+        simplex.lexmin_minimize(lp)
+
+
+def test_minimize_solves_equality_rows():
+    # x0 + 2 x1 == 4, x0 - x1 == 1  ->  x = (2, 1)
+    lp = LinearProgram(_vec(1, 1), eq_rows=((_vec(1, 2), F(4)), (_vec(1, -1), F(1))))
+    assert minimize(lp) == (F(3), _vec(2, 1))
+
+
+def test_minimize_flips_a_negative_right_hand_side():
+    # -x0 - x1 == -3, x0 >= 1, minimize 2 x0 + x1  ->  x = (1, 2)
+    lp = LinearProgram(_vec(2, 1), ((_vec(1, 0), F(1)),), ((_vec(-1, -1), F(-3)),))
+    assert minimize(lp) == (F(4), _vec(1, 2))
+
+
+def test_minimize_drops_a_redundant_equality_row():
+    lp = LinearProgram(_vec(1, 2), eq_rows=((_vec(1, 1), F(2)), (_vec(2, 2), F(4))))
+    assert minimize(lp) == (F(2), _vec(2, 0))
+
+
+def test_minimize_rejects_a_row_of_the_wrong_width():
+    with pytest.raises(ValueError):
+        LinearProgram(_vec(1, 1), ((_vec(1), F(1)),))
+
+
+# ----------------------------------------------------- lex-least optimum
+
+
+def test_lexmin_breaks_a_zero_cost_tie_lexicographically():
+    # the triangle with every size 1: every cover is optimal (value 0);
+    # x0 = 0 forces x1 = 1 (for B) and then x2 = 1 (for A)
+    lp = _cover_lp(3, [(0, 1), (1, 2), (0, 2)], [1, 1, 1])
+    assert simplex.lexmin_minimize(lp) == (F(0), _vec(0, 1, 1))
+
+
+def test_lexmin_picks_the_least_of_two_optimal_vertices():
+    # equal sizes on the 4-cycle: (1,0,1,0) and (0,1,0,1) both cost 2 log N
+    lp = _cover_lp(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [8, 8, 8, 8])
+    assert simplex.lexmin_minimize(lp) == (F(6), _vec(0, 1, 0, 1))
+
+
+def test_lexmin_keeps_the_minimize_value():
+    lp = _cover_lp(3, [(0, 1), (1, 2), (0, 2)], [12345, 17, 10**12 + 7])
+    value, x = simplex.lexmin_minimize(lp)
+    assert value == minimize(lp)[0]
+    assert value == sum(ci * xi for ci, xi in zip(lp.c, x))
+
+
+SIZES = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 8, 16, 17, 100, 1000, 2**20, 12345, 10**12 + 7, 2**41 + 3]),
+    st.integers(1, 64),
+    st.integers(2**40, 2**50),
+)
+
+
+@st.composite
+def cover_programs(draw):
+    nv = draw(st.integers(1, 6))
+    ne = draw(st.integers(1, 8))
+    vertex_sets = st.sets(st.integers(0, nv - 1), min_size=1)
+    edges = draw(st.lists(vertex_sets, min_size=ne, max_size=ne))
+    for v in range(nv):  # every vertex in some edge, or there is no cover
+        if not any(v in e for e in edges):
+            edges[draw(st.integers(0, ne - 1))].add(v)
+    sizes = draw(st.lists(SIZES, min_size=ne, max_size=ne))
+    return _cover_lp(nv, edges, sizes)
+
+
+@given(cover_programs())
+def test_lexmin_matches_the_reference_on_cover_programs(lp):
+    assert simplex.lexmin_minimize(lp) == lexmin_minimize(lp)
+
+
+SMALL = st.integers(-3, 3).map(F)
+
+
+@st.composite
+def general_programs(draw):
+    n = draw(st.integers(1, 4))
+    row = st.tuples(st.tuples(*[SMALL] * n), SMALL)
+    c = draw(st.tuples(*[SMALL] * n))
+    ge = draw(st.lists(row, min_size=0, max_size=3))
+    eq = draw(st.lists(row, min_size=0, max_size=2))
+    return LinearProgram(c, tuple(ge), tuple(eq))
+
+
+def _outcome(solve, lp):
+    try:
+        return solve(lp)
+    except (InfeasibleProgramError, UnboundedProgramError) as e:
+        return type(e)
+
+
+@given(general_programs())
+def test_lexmin_matches_the_reference_on_general_programs(lp):
+    """Negative costs and right-hand sides, equality rows, both failures."""
+    assert _outcome(simplex.lexmin_minimize, lp) == _outcome(lexmin_minimize, lp)
