@@ -4,8 +4,9 @@ The package is organized bottom-up:
 
 * ``relational`` — attributes, relations, hypergraphs, and the slow
   reference operations every fast path is checked against.
-* ``trie`` — sorted trie indexes and the metered intersection/probe
-  primitives all engines share.
+* ``trie`` — sorted trie indexes, the operation-count meter, and the
+  two metered steps of the ``engine`` recursion: a descent along a trie
+  path and a k-way intersection of sorted child lists.
 * ``simplex`` / ``bounds`` — exact-rational covering LPs, the
   fractional-cover size bound, and the group-decomposition audit.
 * ``engine`` — the recursive join with nprr / leapfrog /
@@ -105,11 +106,9 @@ from .trie import (
     CostMeter,
     TrieIndex,
     build_trie,
-    children,
-    count_prefix,
+    descend,
     intersect,
     iter_leaves,
-    probe,
     walk,
 )
 

@@ -92,6 +92,14 @@ def _check_shape(h: Hypergraph, x: FractionalCover) -> None:
         raise MalformedCoverError(f"{len(x)} weights for {len(h.edges)} edges")
 
 
+def _check_sizes(h: Hypergraph, sizes: Sequence[int]) -> None:
+    # Sizes enter through log2; callers clamp empty relations to 1.
+    if len(sizes) != len(h.edges):
+        raise MalformedCoverError(f"{len(sizes)} sizes for {len(h.edges)} edges")
+    if any(n < 1 for n in sizes):
+        raise MalformedCoverError(f"sizes {tuple(sizes)} must all be at least 1")
+
+
 def is_cover(h: Hypergraph, x: FractionalCover) -> bool:
     """Exact test: x >= 0 and every vertex gathers total weight >= 1."""
     _check_shape(h, x)
@@ -107,8 +115,7 @@ def is_cover(h: Hypergraph, x: FractionalCover) -> bool:
 def agm_bound(h: Hypergraph, sizes: Sequence[int], x: FractionalCover) -> BoundReport:
     """Evaluate the bound certified by a given cover (log-space product)."""
     _check_shape(h, x)
-    if len(sizes) != len(h.edges):
-        raise MalformedCoverError(f"{len(sizes)} sizes for {len(h.edges)} edges")
+    _check_sizes(h, sizes)
     if not is_cover(h, x):
         raise InfeasibleCoverError(f"weights {x.weights} do not cover {h.vertices}")
     log2b = sum((x[i] * log2_fraction(n) for i, n in enumerate(sizes)), Fraction(0))
@@ -125,8 +132,7 @@ def min_cover_lp(h: Hypergraph, sizes: Sequence[int]) -> BoundReport:
     each weight in turn is minimized from the basis the previous pass
     ended in, over the columns that can still be non-zero at an optimum.
     """
-    if len(sizes) != len(h.edges):
-        raise MalformedCoverError(f"{len(sizes)} sizes for {len(h.edges)} edges")
+    _check_sizes(h, sizes)
     m = len(h.edges)
     c = tuple(log2_fraction(n) for n in sizes)
     zero = Fraction(0)

@@ -214,14 +214,12 @@ def _bind_full(nq: ConjunctiveQuery, data: Mapping[str, Iterable[tuple[int, ...]
     return join_query(rels), tuple(names)
 
 
-def _print_stats(dest, res: CellResult, algo: str) -> None:
-    vals = {
-        "algorithm": algo, "rows": res.rows, "probes": res.probes,
-        "advances": res.advances, "emits": res.emits, "recursions": res.recursions,
-        "intermediate_max": res.intermediate_max, "total_ops": res.total_ops,
-    }
-    print(",".join(STATS_COLUMNS), file=dest)
-    print(",".join("" if vals[c] is None else str(vals[c]) for c in STATS_COLUMNS), file=dest)
+def _csv(columns: Sequence[str], rows: Iterable[Mapping]) -> str:
+    """A header line, then one line per row; a None field prints empty."""
+    lines = [",".join(columns)]
+    for r in rows:
+        lines.append(",".join("" if r[c] is None else str(r[c]) for c in columns))
+    return "\n".join(lines) + "\n"
 
 
 def _budget(args, default: float | None) -> float | None:
@@ -271,8 +269,7 @@ def cmd_run(args) -> int:
     finally:
         if out is not sys.stdout:
             out.close()
-    res.rows = shown
-    _print_stats(sys.stderr, res, args.algo)
+    sys.stderr.write(_csv(STATS_COLUMNS, [{**vars(res), "algorithm": args.algo, "rows": shown}]))
     return 0
 
 
@@ -408,16 +405,10 @@ class BenchReport:
     fits: list[dict]
 
     def cells_csv(self) -> str:
-        lines = [",".join(BENCH_COLUMNS)]
-        for r in self.rows:
-            lines.append(",".join("" if r[c] is None else str(r[c]) for c in BENCH_COLUMNS))
-        return "\n".join(lines) + "\n"
+        return _csv(BENCH_COLUMNS, self.rows)
 
     def fits_csv(self) -> str:
-        lines = [",".join(FIT_COLUMNS)]
-        for f in self.fits:
-            lines.append(",".join(str(f[c]) for c in FIT_COLUMNS))
-        return "\n".join(lines) + "\n"
+        return _csv(FIT_COLUMNS, self.fits)
 
 
 def _suite_instance(suite: str, v: int, n: int, seed: int) -> InstanceBundle:
@@ -439,12 +430,8 @@ def run_bench(suite: str, algos: Sequence[str], ns: Sequence[int], seed: int = 0
         bundle = _suite_instance(suite, v, n, seed)
         for name, kind, payload in parsed:
             res = _run_algo(kind, payload, bundle.query, budget, guard_oracle=True)
-            rows.append({
-                "generator": suite, "param": v, "algorithm": name,
-                "probes": res.probes, "advances": res.advances, "emits": res.emits,
-                "intermediate_max": res.intermediate_max, "total_ops": res.total_ops,
-                "status": res.status,
-            })
+            cell = {**vars(res), "generator": suite, "param": v, "algorithm": name}
+            rows.append({c: cell[c] for c in BENCH_COLUMNS})
             if res.status == "ok" and res.total_ops is not None:
                 series[name].append((v, res.total_ops))
     fits = []

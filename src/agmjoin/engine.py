@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 from .bounds import FractionalCover, is_cover, min_cover_lp
 from .errors import InfeasibleCoverError, InvalidPartitionError
 from .relational import Attribute, JoinQuery, Relation, Row
-from .trie import CostMeter, TrieIndex, build_trie, intersect, iter_leaves
+from .trie import CostMeter, TrieIndex, TrieNode, build_trie, descend, intersect, iter_leaves
 
 
 @dataclass(frozen=True)
@@ -82,21 +82,20 @@ class JoinRun:
 class _View:
     """A relation narrowed by a bound prefix, positioned inside a trie.
 
-    ``remaining`` is the unconsumed tail of the trie order; its first
-    ``len(edge-attrs ∩ subproblem-attrs)`` entries are the attributes
-    this view contributes to the current subproblem, and enumerating
-    prefixes at that depth realizes the projection.
+    ``node`` is reached from the root by ``path``, the values bound to
+    the first ``len(path)`` attributes of ``trie.order``.  The next
+    ``len(edge-attrs ∩ subproblem-attrs)`` attributes of that order are
+    the ones this view contributes to the current subproblem, and
+    enumerating prefixes at that depth realizes the projection.
     """
 
-    __slots__ = ("edge", "trie", "node", "depth", "path", "remaining")
+    __slots__ = ("edge", "trie", "node", "path")
 
-    def __init__(self, edge, trie, node, depth, path, remaining):
+    def __init__(self, edge, trie, node, path):
         self.edge = edge
         self.trie = trie
         self.node = node
-        self.depth = depth
         self.path = path
-        self.remaining = remaining
 
 
 class _Ctx:
@@ -122,40 +121,26 @@ class _Ctx:
         out = []
         for e, r in enumerate(self.q.relations):
             trie = self.trie_for(e, r.schema)
-            out.append(_View(e, trie, trie.root, 0, (), trie.order))
+            out.append(_View(e, trie, trie.root, ()))
         return out
 
 
 def _ensure_front(ctx: _Ctx, v: _View, front: tuple[Attribute, ...]) -> _View:
-    """Reorder ``v`` so ``front`` leads its remaining attributes.
+    """Reorder ``v`` so ``front`` leads its unbound attributes.
 
     Rebuilding under a new order and re-seating the already-bound path
     is index preparation, kept out of the operation counts like the
     initial build; the per-tuple descents that narrow a view stay
     metered.
     """
-    if v.remaining[: len(front)] == front:
+    bound, rest = v.trie.order[: len(v.path)], v.trie.order[len(v.path) :]
+    if rest[: len(front)] == front:
         return v
     fs = set(front)
-    order = v.trie.order[: v.depth] + front + tuple(a for a in v.remaining if a not in fs)
-    trie = ctx.trie_for(v.edge, order)
-    node = trie.root
-    for val in v.path:
-        node = node.child(val)
-        assert node is not None
-    return _View(v.edge, trie, node, v.depth, v.path, trie.order[v.depth :])
-
-
-def _descend(ctx: _Ctx, v: _View, vals: Sequence[int]) -> _View | None:
-    """Narrow a view by binding the next len(vals) attributes."""
-    node = v.node
-    for val in vals:
-        ctx.meter.probes += 1
-        node = node.child(val)
-        if node is None:
-            return None
-    k = len(vals)
-    return _View(v.edge, v.trie, node, v.depth + k, v.path + tuple(vals), v.remaining[k:])
+    trie = ctx.trie_for(v.edge, bound + front + tuple(a for a in rest if a not in fs))
+    node = descend(trie.root, v.path)
+    assert node is not None
+    return _View(v.edge, trie, node, v.path)
 
 
 def _active(ctx: _Ctx, v: _View, attrs: Sequence[Attribute]) -> list[Attribute]:
@@ -213,10 +198,6 @@ def _recurse(
         i_blocks, j_blocks = (i_attrs,), (attrs[1:],)
     else:
         i_attrs = blocks[0]
-        if not i_attrs or not set(i_attrs) < set(attrs):
-            raise InvalidPartitionError(
-                f"block {i_attrs} is not a proper nonempty subset of {attrs}"
-            )
         i_blocks, j_blocks = (i_attrs,), blocks[1:]
 
     i_set = set(i_attrs)
@@ -253,11 +234,12 @@ def _recurse(
         alive = True
         for v, idxs in extenders:
             if idxs:
-                vd = _descend(ctx, v, [t[i] for i in idxs])
-                if vd is None:
+                vals = tuple(t[i] for i in idxs)
+                node = descend(v.node, vals, meter)
+                if node is None:
                     alive = False
                     break
-                v = vd
+                v = _View(v.edge, v.trie, node, v.path + vals)
             jviews.append(v)
         if not alive:
             continue
@@ -285,7 +267,6 @@ def _nprr_tail(
     others = [v for v in views if v.edge != j_edge]
     x_j = weights[j_edge]
     k = len(attrs)
-    pos = {a: i for i, a in enumerate(attrs)}
 
     scan = True
     if others and x_j < 1:
@@ -294,55 +275,47 @@ def _nprr_tail(
             return []
         log_q = 0.0
         rescale = 1 / (1 - x_j)
-        empty = False
         for v in others:
             width = len(_active(ctx, v, attrs))
             factor = v.node.pcounts[width - 1]
             meter.probes += 1  # sizing lookup for the branch choice
             if factor == 0:
-                empty = True
-                break
+                return []
             log_q += float(weights[v.edge] * rescale) * math.log2(factor)
-        if empty:
-            return []
         scan = math.log2(p) <= log_q + 1e-9
 
-    probe_plans = []
-    for v in others:
-        act = _active(ctx, v, attrs)
-        probe_plans.append((v.node, [pos[a] for a in act]))
-
-    out: list[Row] = []
     if scan:
-        seen = 0
-        for t in iter_leaves(vj.node, k):
-            meter.probes += 1  # leaf read during the scan
-            seen += 1
-            if seen & 0x3FF == 0:
-                meter.check_deadline()
-            ok = True
-            for node, idxs in probe_plans:
-                for i in idxs:
-                    meter.probes += 1
-                    node = node.child(t[i])
-                    if node is None:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(t)
-        return out
-
+        pos = {a: i for i, a in enumerate(attrs)}
+        meter.probes += vj.node.pcounts[k - 1]  # one leaf read per scanned tuple
+        plans = [(v.node, [pos[a] for a in _active(ctx, v, attrs)]) for v in others]
+        return _filter(ctx, iter_leaves(vj.node, k), plans)
     rescaled = {v.edge: weights[v.edge] * rescale for v in others}
-    for t in _recurse(ctx, others, attrs, None, rescaled):
-        node = vj.node
-        for val in t:
-            meter.probes += 1
-            node = node.child(val)
-            if node is None:
+    return _filter(ctx, _recurse(ctx, others, attrs, None, rescaled), [(vj.node, range(k))])
+
+
+def _filter(ctx: _Ctx, rows: Iterable[Row], plans: list[tuple[TrieNode, Sequence[int]]]) -> list[Row]:
+    """Keep the rows whose values at each plan's positions descend from its node.
+
+    The child walk is written out here rather than calling ``descend``
+    per plan: this is the hottest loop of the two-choices step, and the
+    extra call per plan costs measurably.
+    """
+    meter = ctx.meter
+    out: list[Row] = []
+    for seen, t in enumerate(rows, 1):
+        if seen & 0x3FF == 0:
+            meter.check_deadline()
+        ok = True
+        for node, idxs in plans:
+            for i in idxs:
+                meter.probes += 1
+                node = node.child(t[i])
+                if node is None:
+                    ok = False
+                    break
+            if not ok:
                 break
-        else:
+        if ok:
             out.append(t)
     return out
 

@@ -7,8 +7,8 @@ an engine that needs a second attribute order builds a second trie.
 
 Cost model
 ----------
-``probes`` counts membership tests: one per trie level actually
-examined and one per direct pointer comparison inside ``intersect``.
+``probes`` counts membership tests: one per trie level ``descend``
+examines and one per direct pointer comparison inside ``intersect``.
 ``advances`` counts binary-search steps inside ``intersect``.  A search
 for the next candidate first gallops (doubling windows) from the
 current pointer and is metered at no more than the cost of a single
@@ -141,18 +141,16 @@ def build_trie(r: Relation, order: Sequence[Attribute] | None = None) -> TrieInd
     else:
         perm = tuple(r.schema.index(a) for a in order)
         rows = sorted(tuple(t[i] for i in perm) for t in r.rows)
-    if not rows:
-        root = TrieNode((), None if len(order) == 1 else (), 0, (0,) * len(order))
-        return TrieIndex(order, root)
     return TrieIndex(order, _build(rows, 0, len(order)))
 
 
-def walk(ix: TrieIndex, prefix: Sequence[int], meter: CostMeter | None = None) -> TrieNode | None:
-    """Descend ``prefix`` values from the root; None when the path is absent."""
-    if len(prefix) > ix.depth:
-        raise SchemaError(f"prefix {prefix} longer than trie depth {ix.depth}")
-    node: TrieNode | None = ix.root
-    for v in prefix:
+def descend(node: TrieNode, vals: Iterable[int], meter: CostMeter | None = None) -> TrieNode | None:
+    """Follow ``vals`` down from ``node``; None when the path is absent.
+
+    Metered at one probe per level examined, so a miss stops the count
+    at the level where the path ends.
+    """
+    for v in vals:
         if meter is not None:
             meter.probes += 1
         node = node.child(v)
@@ -161,27 +159,11 @@ def walk(ix: TrieIndex, prefix: Sequence[int], meter: CostMeter | None = None) -
     return node
 
 
-def children(ix: TrieIndex, prefix: Sequence[int], meter: CostMeter | None = None) -> tuple[int, ...]:
-    """Sorted values one level below ``prefix`` (empty when path absent)."""
-    if len(prefix) >= ix.depth + 1:
-        raise SchemaError("prefix already spans the whole trie")
-    node = walk(ix, prefix, meter)
-    return node.keys if node is not None else ()
-
-
-def probe(ix: TrieIndex, t: Sequence[int], meter: CostMeter | None = None) -> bool:
-    """Membership test for a tuple or tuple prefix laid out in trie order."""
-    return walk(ix, t, meter) is not None
-
-
-def count_prefix(ix: TrieIndex, prefix: Sequence[int], meter: CostMeter | None = None) -> int:
-    """Number of distinct next-level values under ``prefix``.
-
-    Equals ``len(children(ix, prefix))``; a full-length prefix has no
-    next level and counts 0.
-    """
-    node = walk(ix, prefix, meter)
-    return len(node.keys) if node is not None else 0
+def walk(ix: TrieIndex, prefix: Sequence[int], meter: CostMeter | None = None) -> TrieNode | None:
+    """Descend ``prefix`` values from the root; None when the path is absent."""
+    if len(prefix) > ix.depth:
+        raise SchemaError(f"prefix {prefix} longer than trie depth {ix.depth}")
+    return descend(ix.root, prefix, meter)
 
 
 def iter_leaves(node: TrieNode, depth: int) -> Iterable[Row]:

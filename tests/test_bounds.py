@@ -74,8 +74,14 @@ def test_agm_bound_infeasible_cover():
 def test_agm_bound_rejects_nonpositive_sizes():
     # Sizes enter through log2; callers clamp empty relations to 1
     # (the join is empty anyway), so a zero here is a usage error.
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedCoverError):
         agm_bound(TRIANGLE, (0, 16, 16), cover(1, 1, 0))
+
+
+@pytest.mark.parametrize("sizes", [(0, 4, 4), (4, -1, 4), (4, 4, 0)])
+def test_min_cover_lp_rejects_sizes_below_one(sizes):
+    with pytest.raises(MalformedCoverError):
+        min_cover_lp(TRIANGLE, sizes)
 
 
 def test_log2_fraction_exact_on_powers_of_two():

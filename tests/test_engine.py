@@ -12,6 +12,7 @@ from agmjoin import (
     cover,
     fixed_sequence_strategy,
     gen_clique_query,
+    gen_lw_bad,
     gen_triangle_bad,
     generic_join,
     join_query,
@@ -148,21 +149,25 @@ def test_nprr_subquery_scan_branch_matches_oracle():
     assert out == want
 
 
-def test_nprr_subquery_probe_branch_matches_oracle():
-    # Two relations over the same pair of attributes, so x_J may drop
-    # below 1.  Under equal weights the 36-row edge 0 wins the tie as J;
-    # log2(36) beats the rescaled estimate for the 3-row side, so the
-    # solver joins the others and probes into J.
+def probe_fixture():
+    """Two relations over the same pair of attributes, so x_J may drop
+    below 1.  Under equal weights the 36-row edge 0 wins the tie as J;
+    log2(36) beats the rescaled estimate for the 3-row side, so the
+    solver joins the others and probes into J."""
     r = relation([A, B], [(i, j) for i in range(6) for j in range(6)])
     s = relation([A, B], [(0, 2), (4, 4), (7, 7)])
-    q = join_query([r, s])
+    return join_query([r, s])
+
+
+def test_nprr_subquery_probe_branch_matches_oracle():
+    q = probe_fixture()
     want = oracle_join(q)
     meter = CostMeter()
     out = run_join(q, nprr_strategy(), cover=cover("1/2", "1/2"), meter=meter).output
     assert out == want
     assert set(out.rows) == {(0, 2), (4, 4)}
     # probing never reads all 36 leaves of J the way a scan would
-    assert meter.probes < len(r)
+    assert meter.probes < len(q.relations[0])
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -197,3 +202,47 @@ def test_work_is_within_a_constant_of_the_certificate(seed):
     for strat in (nprr_strategy(), leapfrog_strategy()):
         run = run_join(q, strat)
         assert run.meter.total_ops <= allowance, (seed, strat.kind, run.meter)
+
+
+def _pinned_runs():
+    yield "scan-branch", subquery_fixture(), nprr_strategy(), cover(1, 0)
+    yield "probe-branch", probe_fixture(), nprr_strategy(), cover("1/2", "1/2")
+    families = {
+        "triangle-bad-16": gen_triangle_bad(16),
+        "lw-bad-4-13": gen_lw_bad(4, 13),
+        "clique4-40": gen_clique_query(4, 40, 2),  # LP picks the perfect-matching cover
+    }
+    for name, bundle in families.items():
+        q = bundle.query
+        fixed = fixed_sequence_strategy([q.attrs[1::2], q.attrs[0::2]])
+        for strat in (nprr_strategy(), leapfrog_strategy(), fixed):
+            yield f"{name}/{strat.kind}", q, strat, None
+
+
+# (output size, probes, advances, emits, recursions), exactly.  A change
+# that only restructures the engine leaves every entry as it is; one
+# that changes the cost model updates them here, in the same change.
+PINNED_METERS = {
+    "scan-branch": (18, 72, 0, 18, 1),
+    "probe-branch": (2, 9, 0, 2, 2),
+    "triangle-bad-16/nprr": (49, 216, 16, 49, 67),
+    "triangle-bad-16/leapfrog": (49, 166, 48, 49, 69),
+    "triangle-bad-16/fixed-sequence": (49, 166, 48, 49, 69),
+    "lw-bad-4-13/nprr": (17, 171, 8, 17, 31),
+    "lw-bad-4-13/leapfrog": (17, 156, 32, 17, 43),
+    "lw-bad-4-13/fixed-sequence": (17, 178, 32, 17, 39),
+    "clique4-40/nprr": (0, 309, 0, 0, 4),
+    "clique4-40/leapfrog": (0, 103, 139, 0, 32),
+    "clique4-40/fixed-sequence": (0, 176, 274, 0, 44),
+}
+
+
+def test_meters_are_pinned():
+    got = {}
+    for name, q, strat, x in _pinned_runs():
+        run = run_join(q, strat, cover=x)
+        m = run.meter
+        got[name] = (len(run.output), m.probes, m.advances, m.emits, m.recursions)
+        if name == "clique4-40/nprr":
+            assert run.cover == cover(0, 0, 1, 1, 0, 0)
+    assert got == PINNED_METERS

@@ -7,6 +7,7 @@ import pytest
 from agmjoin import (
     Atom,
     ConjunctiveQuery,
+    MalformedCoverError,
     SchemaError,
     SimpleFD,
     chase,
@@ -18,6 +19,7 @@ from agmjoin import (
     normalize,
     project_to_head,
 )
+from agmjoin.formats import parse_query_text
 from agmjoin.rewrite import BaseView, ExtendView, FilterView, KeepView
 
 
@@ -290,6 +292,12 @@ def test_bound_repeated_symbol_query_with_and_without_the_key():
     sizes = {"R": N, "S": N}
     assert cq_bound(repeated_symbol_query(False), sizes).log2_bound == 2 * LOG_N
     assert cq_bound(repeated_symbol_query(True), sizes).log2_bound == LOG_N
+
+
+def test_cq_bound_rejects_an_empty_table_size():
+    q = parse_query_text("Q(A,B,C) :- R0(A,B), R1(B,C), R2(A,C).")
+    with pytest.raises(MalformedCoverError):
+        cq_bound(q, {"R0": 0, "R1": 4, "R2": 4})
 
 
 def test_bound_key_chain_with_and_without_keys():

@@ -10,12 +10,10 @@ from agmjoin import (
     SchemaError,
     TimeBudgetExceeded,
     build_trie,
-    children,
-    count_prefix,
+    descend,
     intersect,
     iter_leaves,
     make_attrs,
-    probe,
     relation,
     walk,
 )
@@ -53,36 +51,63 @@ def test_build_respects_alternative_order():
 
 def test_probe_hits_and_misses():
     ix = build_trie(relation([A, B], fig_r(4)))
-    assert probe(ix, (0, 3))
-    assert probe(ix, (3, 0))
-    assert not probe(ix, (3, 3))
-    assert probe(ix, (2,))  # prefixes are probeable
-    assert not probe(ix, (9,))
+    assert walk(ix, (0, 3)) is not None
+    assert walk(ix, (3, 0)) is not None
+    assert walk(ix, (3, 3)) is None
+    assert walk(ix, (2,)) is not None  # prefixes are probeable
+    assert walk(ix, (9,)) is None
     with pytest.raises(SchemaError):
-        probe(ix, (0, 0, 0))
+        walk(ix, (0, 0, 0))
 
 
 def test_probe_meters_one_per_level_examined():
     ix = build_trie(relation([A, B], fig_r(4)))
     m = CostMeter()
-    probe(ix, (0, 3), m)
+    walk(ix, (0, 3), m)
     assert m.probes == 2
     m = CostMeter()
-    probe(ix, (9, 9), m)  # dies at the first level
+    walk(ix, (9, 9), m)  # dies at the first level
     assert m.probes == 1
 
 
-def test_children_and_count_prefix():
+def test_descend_meters_one_probe_per_level_up_to_the_first_miss():
+    ix = build_trie(relation([A, B, C], [(0, 1, 2), (0, 1, 3), (4, 5, 6)]))
+    for vals, probes in (((), 0), ((0,), 1), ((0, 1, 3), 3), ((0, 9, 3), 2), ((7, 1, 2), 1)):
+        m = CostMeter()
+        descend(ix.root, vals, m)
+        assert m.probes == probes, vals
+    assert descend(ix.root, (0, 9, 3)) is None  # no meter: nothing counted, same answer
+
+
+def test_descend_from_an_inner_node():
+    ix = build_trie(relation([A, B, C], [(0, 1, 2), (0, 1, 3), (4, 5, 6)]))
+    inner = descend(ix.root, (0,))
+    m = CostMeter()
+    node = descend(inner, (1,), m)
+    assert m.probes == 1
+    assert node is walk(ix, (0, 1))
+    assert node.keys == (2, 3)
+    assert descend(inner, (1, 3)) is walk(ix, (0, 1, 3))
+    assert descend(inner, ()) is inner
+
+
+def test_descend_returns_none_on_an_absent_path():
+    ix = build_trie(relation([A, B], fig_r(3)))
+    assert descend(ix.root, (3, 3)) is None  # first level present, second absent
+    assert descend(ix.root, (8,)) is None
+    assert descend(descend(ix.root, (1,)), (1,)) is None
+    assert descend(descend(ix.root, (1, 0)), (0,)) is None  # below a leaf
+
+
+def test_children_and_child_counts():
     ix = build_trie(relation([A, B], fig_r(4)))
-    assert children(ix, ()) == (0, 1, 2, 3, 4)
-    assert children(ix, (0,)) == (0, 1, 2, 3, 4)
-    assert children(ix, (3,)) == (0,)
-    assert children(ix, (9,)) == ()
-    assert count_prefix(ix, ()) == 5
-    assert count_prefix(ix, (0,)) == 5
-    assert count_prefix(ix, (0, 0)) == 0  # full-length prefix: nothing below
-    with pytest.raises(SchemaError):
-        children(ix, (0, 0, 0))
+    assert walk(ix, ()).keys == (0, 1, 2, 3, 4)
+    assert walk(ix, (0,)).keys == (0, 1, 2, 3, 4)
+    assert walk(ix, (3,)).keys == (0,)
+    assert walk(ix, (9,)) is None
+    assert walk(ix, ()).pcounts[0] == 5
+    assert walk(ix, (0,)).pcounts[0] == 5
+    assert walk(ix, (0, 0)).keys == ()  # full-length prefix: nothing below
 
 
 @given(rows3, st.tuples(st.integers(0, 4)))
@@ -90,8 +115,9 @@ def test_children_match_projection_oracle(rows, prefix):
     r = relation([A, B, C], rows)
     ix = build_trie(r)
     want = tuple(sorted({t[1] for t in r.rows if t[0] == prefix[0]}))
-    assert children(ix, prefix) == want
-    assert count_prefix(ix, prefix) == len(want)
+    node = walk(ix, prefix)
+    assert (node.keys if node is not None else ()) == want
+    assert (node.pcounts[0] if node is not None else 0) == len(want)
 
 
 @given(rows3)
@@ -107,8 +133,8 @@ def test_pcounts_count_distinct_prefixes(rows):
 def test_empty_relation_trie():
     ix = build_trie(relation([A, B], []))
     assert len(ix) == 0
-    assert children(ix, ()) == ()
-    assert not probe(ix, (0, 0))
+    assert ix.root.keys == ()
+    assert walk(ix, (0, 0)) is None
     assert ix.root.pcounts == (0, 0)
 
 
