@@ -23,6 +23,18 @@ by 1/(1 - x_J) does too.  That is what ties the measured operation
 counts to the fractional-cover size bound instead of to intermediate
 result sizes.
 
+A run is planned once and then executed.  Everything but the groups
+and the scan-or-probe test follows from the query, the strategy and
+the cover, so ``_compile`` works it out once per subproblem: the split,
+each relation's trie order, the group-tuple positions each extender
+descends by, the output permutation, and the two-choices weights as
+floats.  ``_run`` executes a plan node on trie nodes and bound paths
+alone; it descends, intersects and filters, and meters exactly that.
+The exact ``Fraction`` weights and the ``Attribute`` objects exist only
+at compile time.  A sub-plan is compiled the first time the run reaches
+it, so a run builds a re-ordered trie only when a subproblem that needs
+it is entered.
+
 The outer loop over partial tuples reads only immutable tries, so it
 could run in parallel with per-worker meters merged by summation;
 execution here is single-threaded and deterministic.
@@ -33,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .bounds import FractionalCover, is_cover, min_cover_lp
@@ -79,23 +92,12 @@ class JoinRun:
     cover: FractionalCover
 
 
-class _View:
-    """A relation narrowed by a bound prefix, positioned inside a trie.
-
-    ``node`` is reached from the root by ``path``, the values bound to
-    the first ``len(path)`` attributes of ``trie.order``.  The next
-    ``len(edge-attrs ∩ subproblem-attrs)`` attributes of that order are
-    the ones this view contributes to the current subproblem, and
-    enumerating prefixes at that depth realizes the projection.
-    """
-
-    __slots__ = ("edge", "trie", "node", "path")
-
-    def __init__(self, edge, trie, node, path):
-        self.edge = edge
-        self.trie = trie
-        self.node = node
-        self.path = path
+# A slot is one relation inside a subproblem: (edge, trie, bound-path
+# length).  The first ``depth`` attributes of ``trie.order`` are bound by
+# the enclosing groups, and the subproblem's attributes of that edge come
+# next, in global order.
+_Slot = tuple[int, TrieIndex, int]
+_Weights = Sequence[Fraction] | Mapping[int, Fraction]
 
 
 class _Ctx:
@@ -115,83 +117,123 @@ class _Ctx:
         if got is None:
             got = build_trie(self.q.relations[edge], order)
             self.tries[(edge, order)] = got
+            self.meter.check_deadline()  # a build is long and unmetered
         return got
 
-    def initial_views(self) -> list[_View]:
-        out = []
-        for e, r in enumerate(self.q.relations):
-            trie = self.trie_for(e, r.schema)
-            out.append(_View(e, trie, trie.root, ()))
-        return out
+
+class _Base:
+    """One attribute left: a k-way intersection of the slots' child lists."""
+
+    __slots__ = ()
 
 
-def _ensure_front(ctx: _Ctx, v: _View, front: tuple[Attribute, ...]) -> _View:
-    """Reorder ``v`` so ``front`` leads its unbound attributes.
+_BASE = _Base()
 
-    Rebuilding under a new order and re-seating the already-bound path
-    is index preparation, kept out of the operation counts like the
-    initial build; the per-tuple descents that narrow a view stay
-    metered.
+
+class _Split:
+    """A subproblem split into I and J.
+
+    ``seats`` lists the slots whose trie must be swapped for one that
+    leads with their I then J attributes, as (slot, trie, re-seat): a
+    slot with a bound path re-seats by descending that path in the new
+    trie (index preparation, unmetered), one without starts at its root.
+    ``extenders`` are the slots meeting J, each with the getter of its
+    I values from a group tuple (None when it meets no I attribute).
+    ``perm`` maps a group tuple plus a J row to an output row, None when
+    that is plain concatenation.  The I and J sub-plans are compiled on
+    first use from ``i_args`` and ``j_args``.  ``active`` (each slot's
+    edge and its attributes here), ``attrs``, ``i_attrs`` and
+    ``weights`` are kept for the audit.
     """
-    bound, rest = v.trie.order[: len(v.path)], v.trie.order[len(v.path) :]
-    if rest[: len(front)] == front:
-        return v
-    fs = set(front)
-    trie = ctx.trie_for(v.edge, bound + front + tuple(a for a in rest if a not in fs))
-    node = descend(trie.root, v.path)
-    assert node is not None
-    return _View(v.edge, trie, node, v.path)
+
+    __slots__ = ("active", "attrs", "i_attrs", "weights", "seats", "i_slots", "extenders",
+                 "perm", "i_plan", "j_plan", "i_args", "j_args")
+
+    def __init__(self, ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
+                 i_attrs: tuple[Attribute, ...], i_blocks, j_blocks, weights: _Weights):
+        i_set = set(i_attrs)
+        j_attrs = tuple(a for a in attrs if a not in i_set)
+        ipos = {a: k for k, a in enumerate(i_attrs)}
+        active, seats, i_slots, i_sub, extenders, j_sub = [], [], [], [], [], []
+        for k, (edge, trie, depth) in enumerate(slots):
+            es = ctx.edge_sets[edge]
+            act = tuple(a for a in attrs if a in es)
+            active.append((edge, act))
+            fi = tuple(a for a in act if a in i_set)
+            fj = tuple(a for a in act if a not in i_set)
+            if fi:
+                front = fi + fj
+                rest = trie.order[depth:]
+                if rest[: len(front)] != front:
+                    order = trie.order[:depth] + front + tuple(a for a in rest if a not in front)
+                    trie = ctx.trie_for(edge, order)
+                    seats.append((k, trie, depth > 0))
+                i_slots.append(k)
+                i_sub.append((edge, trie, depth))
+            if fj:
+                extenders.append((k, _getter([ipos[a] for a in fi]) if fi else None))
+                j_sub.append((edge, trie, depth + len(fi)))
+        perm = [ipos[a] if a in i_set else len(i_attrs) + j_attrs.index(a) for a in attrs]
+        self.active, self.attrs, self.i_attrs, self.weights = active, attrs, i_attrs, weights
+        self.seats, self.i_slots, self.extenders = seats, i_slots, extenders
+        self.perm = None if perm == list(range(len(perm))) else itemgetter(*perm)
+        self.i_plan = self.j_plan = None
+        self.i_args = (i_sub, i_attrs, i_blocks, weights)
+        self.j_args = (j_sub, j_attrs, j_blocks, weights)
 
 
-def _active(ctx: _Ctx, v: _View, attrs: Sequence[Attribute]) -> list[Attribute]:
-    es = ctx.edge_sets[v.edge]
-    return [a for a in attrs if a in es]
+def _getter(idxs: list[int]):
+    """A function from a group tuple to its values at ``idxs``, as a tuple."""
+    if len(idxs) == 1:  # itemgetter of one index would return the bare value
+        return itemgetter(slice(idxs[0], idxs[0] + 1))
+    return itemgetter(*idxs)
 
 
-def _audit_split(ctx, views, attrs, weights, i_attrs) -> None:
-    """Debug-mode check of the per-level group inequality."""
-    from .bounds import decomposition_check
-    from .relational import Hypergraph
+class _Tail:
+    """The nprr two-choices step for a subproblem inside edge J.
 
-    edges = []
-    rels = []
-    ws = []
-    for v in views:
-        act = tuple(_active(ctx, v, attrs))
-        edges.append(act)
-        rels.append(Relation(act, tuple(iter_leaves(v.node, len(act)))))
-        ws.append(weights[v.edge])
-    sub = JoinQuery(Hypergraph(tuple(attrs), tuple(edges)), tuple(rels))
-    side = decomposition_check(sub, FractionalCover(tuple(ws)), i_attrs)
-    if not side.holds(1e-9):
-        raise AssertionError(
-            f"group inequality violated at I={i_attrs}: lhs={side.lhs} rhs={side.rhs}"
-        )
+    ``sizing`` is None when the scan is forced (no other relation, or
+    x_J = 1); otherwise it holds, per other slot, (slot, width, weight)
+    with the weight x_F / (1 - x_J) as a float, and ``log_p`` is
+    log2 |R_J| (None for an empty R_J).  ``scan`` holds each other
+    slot's positions in a J leaf; ``probe`` is the sub-plan joining the
+    other slots, compiled on first use from ``probe_args``.
+    """
+
+    __slots__ = ("j", "k", "log_p", "sizing", "scan", "others", "probe", "probe_args")
+
+    def __init__(self, ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
+                 j_edge: int, weights: _Weights):
+        self.j = next(k for k, s in enumerate(slots) if s[0] == j_edge)
+        self.k = len(attrs)
+        self.others = [k for k, s in enumerate(slots) if s[0] != j_edge]
+        pos = {a: i for i, a in enumerate(attrs)}
+        es = ctx.edge_sets
+        self.scan = [(k, [pos[a] for a in attrs if a in es[slots[k][0]]]) for k in self.others]
+        self.sizing = self.log_p = self.probe = self.probe_args = None
+        x_j = weights[j_edge]
+        if self.others and x_j < 1:
+            p = len(ctx.q.relations[j_edge])
+            self.log_p = math.log2(p) if p else None
+            rescale = 1 / (1 - x_j)
+            rescaled = {slots[k][0]: weights[slots[k][0]] * rescale for k in self.others}
+            self.sizing = [(k, len(pos), float(rescaled[slots[k][0]])) for k, pos in self.scan]
+            self.probe_args = ([slots[k] for k in self.others], attrs, None, rescaled)
 
 
-def _recurse(
-    ctx: _Ctx,
-    views: list[_View],
-    attrs: tuple[Attribute, ...],
-    blocks: tuple[tuple[Attribute, ...], ...] | None,
-    weights: Sequence[Fraction] | Mapping[int, Fraction],
-) -> list[Row]:
-    """Join ``views`` over ``attrs``; ``blocks`` is None for nprr, else the
-    remaining block sequence.  ``weights[e]`` is the cover weight of the
-    edge of every view in scope."""
-    meter = ctx.meter
-    meter.recursions += 1
-    meter.check_deadline()
-
+def _compile(ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
+             blocks: tuple[tuple[Attribute, ...], ...] | None, weights: _Weights):
+    """Plan the join of ``slots`` over ``attrs``; ``blocks`` is None for
+    nprr, else the remaining block sequence.  ``weights[e]`` is the cover
+    weight of every slot's edge."""
     if len(attrs) == 1:
-        return [(v,) for v in intersect([w.node.keys for w in views], meter)]
-
+        return _BASE
     if blocks is None:
-        j_edge = max((v.edge for v in views), key=lambda e: (weights[e], -e))
+        j_edge = max((s[0] for s in slots), key=lambda e: (weights[e], -e))
         jset = ctx.edge_sets[j_edge]
         i_attrs = tuple(a for a in attrs if a not in jset)
         if not i_attrs:
-            return _nprr_tail(ctx, views, attrs, j_edge, weights)
+            return _Tail(ctx, slots, attrs, j_edge, weights)
         i_blocks = j_blocks = None
     elif len(blocks) == 1:
         i_attrs = attrs[:1]
@@ -199,98 +241,114 @@ def _recurse(
     else:
         i_attrs = blocks[0]
         i_blocks, j_blocks = (i_attrs,), blocks[1:]
+    return _Split(ctx, slots, attrs, i_attrs, i_blocks, j_blocks, weights)
 
-    i_set = set(i_attrs)
-    j_attrs = tuple(a for a in attrs if a not in i_set)
+
+def _audit_split(plan: _Split, nodes: list[TrieNode]) -> None:
+    """Debug-mode check of the per-level group inequality."""
+    from .bounds import decomposition_check
+    from .relational import Hypergraph
+
+    edges = []
+    rels = []
+    ws = []
+    for (edge, act), node in zip(plan.active, nodes):
+        edges.append(act)
+        rels.append(Relation(act, tuple(iter_leaves(node, len(act)))))
+        ws.append(plan.weights[edge])
+    sub = JoinQuery(Hypergraph(plan.attrs, tuple(edges)), tuple(rels))
+    side = decomposition_check(sub, FractionalCover(tuple(ws)), plan.i_attrs)
+    if not side.holds(1e-9):
+        raise AssertionError(
+            f"group inequality violated at I={plan.i_attrs}: lhs={side.lhs} rhs={side.rhs}"
+        )
+
+
+def _run(ctx: _Ctx, plan, nodes: list[TrieNode], paths: list[Row]) -> list[Row]:
+    """Execute ``plan`` on the slots' current trie nodes; ``paths[k]`` is
+    the bound path that reached ``nodes[k]``."""
+    meter = ctx.meter
+    meter.recursions += 1
+    meter.check_deadline()
+
+    if plan is _BASE:
+        return [(v,) for v in intersect([n.keys for n in nodes], meter)]
+    if type(plan) is _Tail:
+        return _nprr_tail(ctx, plan, nodes, paths)
 
     if ctx.audit:
-        _audit_split(ctx, views, attrs, weights, i_attrs)
+        _audit_split(plan, nodes)
+    if plan.seats:
+        nodes = list(nodes)
+        for k, trie, reseat in plan.seats:
+            nodes[k] = descend(trie.root, paths[k]) if reseat else trie.root
 
-    # Arrange each view so its I attributes lead, then its J attributes.
-    iviews: list[_View] = []
-    extenders: list[tuple[_View, list[int]]] = []  # J-joining views + their I positions
-    ipos = {a: k for k, a in enumerate(i_attrs)}
-    for v in views:
-        act = _active(ctx, v, attrs)
-        fi = [a for a in act if a in i_set]
-        fj = [a for a in act if a not in i_set]
-        if fi:
-            v = _ensure_front(ctx, v, tuple(fi + fj))
-            iviews.append(v)
-        if fj:
-            extenders.append((v, [ipos[a] for a in fi]))
+    i_plan = plan.i_plan
+    if i_plan is None:
+        i_plan = plan.i_plan = _compile(ctx, *plan.i_args)
+    groups = _run(ctx, i_plan, [nodes[k] for k in plan.i_slots], [paths[k] for k in plan.i_slots])
 
-    groups = _recurse(ctx, iviews, i_attrs, i_blocks, weights)
-
-    picks = []  # rebuild output rows over attrs from the (I-part, J-part) pair
-    jpos = {a: k for k, a in enumerate(j_attrs)}
-    for a in attrs:
-        picks.append((0, ipos[a]) if a in i_set else (1, jpos[a]))
-
+    extenders = [(nodes[k], paths[k], get) for k, get in plan.extenders]
+    perm = plan.perm
+    j_plan = plan.j_plan
     out: list[Row] = []
     for t in groups:
         meter.check_deadline()
-        jviews: list[_View] = []
-        alive = True
-        for v, idxs in extenders:
-            if idxs:
-                vals = tuple(t[i] for i in idxs)
-                node = descend(v.node, vals, meter)
+        j_nodes = []
+        j_paths = []
+        for node, path, get in extenders:
+            if get is not None:
+                vals = get(t)
+                node = descend(node, vals, meter)
                 if node is None:
-                    alive = False
                     break
-                v = _View(v.edge, v.trie, node, v.path + vals)
-            jviews.append(v)
-        if not alive:
-            continue
-        for r in _recurse(ctx, jviews, j_attrs, j_blocks, weights):
-            parts = (t, r)
-            out.append(tuple(parts[s][i] for s, i in picks))
+                path = path + vals
+            j_nodes.append(node)
+            j_paths.append(path)
+        else:
+            if j_plan is None:
+                j_plan = plan.j_plan = _compile(ctx, *plan.j_args)
+            rows = _run(ctx, j_plan, j_nodes, j_paths)
+            if perm is None:
+                out += [t + r for r in rows]
+            else:
+                out += [perm(t + r) for r in rows]
     return out
 
 
-def _nprr_tail(
-    ctx: _Ctx,
-    views: list[_View],
-    attrs: tuple[Attribute, ...],
-    j_edge: int,
-    weights: Sequence[Fraction] | Mapping[int, Fraction],
-) -> list[Row]:
+def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[TrieNode], paths: list[Row]) -> list[Row]:
     """Two-choices solver for a subproblem lying entirely inside edge J.
 
-    Either scan the J view and filter each tuple against the others, or
+    Either scan the J slot and filter each tuple against the others, or
     join the others and probe each result into J — whichever side the
-    p-versus-q estimate says is smaller.
+    p-versus-q estimate says is smaller.  The scan side is sized by the
+    unnarrowed log2 |R_J|, precomputed once per plan node, while the
+    scan reads the narrowed J node.  The survey sizes it by the group's
+    |R_J[t_I]|; the whole-relation figure is kept because the pinned
+    operation counts depend on every branch choice.
     """
     meter = ctx.meter
-    vj = next(v for v in views if v.edge == j_edge)
-    others = [v for v in views if v.edge != j_edge]
-    x_j = weights[j_edge]
-    k = len(attrs)
-
-    scan = True
-    if others and x_j < 1:
-        p = len(ctx.q.relations[j_edge])
-        if p == 0:
+    nj = nodes[plan.j]
+    k = plan.k
+    if plan.sizing is not None:
+        if plan.log_p is None:  # R_J is empty
             return []
         log_q = 0.0
-        rescale = 1 / (1 - x_j)
-        for v in others:
-            width = len(_active(ctx, v, attrs))
-            factor = v.node.pcounts[width - 1]
+        for s, width, w in plan.sizing:
+            factor = nodes[s].pcounts[width - 1]
             meter.probes += 1  # sizing lookup for the branch choice
             if factor == 0:
                 return []
-            log_q += float(weights[v.edge] * rescale) * math.log2(factor)
-        scan = math.log2(p) <= log_q + 1e-9
-
-    if scan:
-        pos = {a: i for i, a in enumerate(attrs)}
-        meter.probes += vj.node.pcounts[k - 1]  # one leaf read per scanned tuple
-        plans = [(v.node, [pos[a] for a in _active(ctx, v, attrs)]) for v in others]
-        return _filter(ctx, iter_leaves(vj.node, k), plans)
-    rescaled = {v.edge: weights[v.edge] * rescale for v in others}
-    return _filter(ctx, _recurse(ctx, others, attrs, None, rescaled), [(vj.node, range(k))])
+            log_q += w * math.log2(factor)
+        if plan.log_p > log_q + 1e-9:
+            probe = plan.probe
+            if probe is None:
+                probe = plan.probe = _compile(ctx, *plan.probe_args)
+            others = plan.others
+            rows = _run(ctx, probe, [nodes[s] for s in others], [paths[s] for s in others])
+            return _filter(ctx, rows, [(nj, range(k))])
+    meter.probes += nj.pcounts[k - 1]  # one leaf read per scanned tuple
+    return _filter(ctx, iter_leaves(nj, k), [(nodes[s], pos) for s, pos in plan.scan])
 
 
 def _filter(ctx: _Ctx, rows: Iterable[Row], plans: list[tuple[TrieNode, Sequence[int]]]) -> list[Row]:
@@ -362,7 +420,9 @@ def run_join(
                 f"blocks {blocks} do not partition the attributes {attrs}"
             )
     ctx = _Ctx(q, meter, audit=audit)
-    rows = _recurse(ctx, ctx.initial_views(), attrs, blocks, cover.weights)
+    slots = [(e, ctx.trie_for(e, r.schema), 0) for e, r in enumerate(q.relations)]
+    plan = _compile(ctx, slots, attrs, blocks, cover.weights)
+    rows = _run(ctx, plan, [s[1].root for s in slots], [()] * len(slots))
     out = Relation(attrs, tuple(rows))
     meter.emits += len(out)
     return JoinRun(out, meter, strat, cover)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -246,3 +247,94 @@ def test_meters_are_pinned():
         if name == "clique4-40/nprr":
             assert run.cover == cover(0, 0, 1, 1, 0, 0)
     assert got == PINNED_METERS
+
+
+# build_trie calls per pinned run, the schema-order tries included.  A
+# re-ordered trie is built only when a subproblem that needs it is
+# entered, so a planner that builds ahead of the run, or twice, changes
+# these.
+PINNED_TRIE_BUILDS = {
+    "scan-branch": 2,
+    "probe-branch": 2,
+    "triangle-bad-16/nprr": 5,
+    "triangle-bad-16/leapfrog": 3,
+    "triangle-bad-16/fixed-sequence": 4,
+    "lw-bad-4-13/nprr": 4,
+    "lw-bad-4-13/leapfrog": 4,
+    "lw-bad-4-13/fixed-sequence": 8,
+    "clique4-40/nprr": 8,
+    "clique4-40/leapfrog": 6,
+    "clique4-40/fixed-sequence": 9,
+    "c01-42/fixed-sequence": 2,
+    "c01-81/nprr/random-cover": 6,
+}
+
+
+def _build_pinned_runs():
+    yield from _pinned_runs()
+    # Two c01 runs with a subproblem they never enter that would need a
+    # re-ordered trie: a J subproblem no group survives to, and the probe
+    # side of a tail that always scans.  Planning either ahead of the run
+    # builds one trie more.
+    q = random_instance(42, max_rows=30)
+    fixed = fixed_sequence_strategy(random_partition(q.attrs, random.Random(42)))
+    yield "c01-42/fixed-sequence", q, fixed, None
+    q = random_instance(81, max_rows=30)
+    x = random_feasible_cover(q, random.Random(81 * 31 + 1))
+    yield "c01-81/nprr/random-cover", q, nprr_strategy(), x
+
+
+def test_trie_builds_are_pinned(monkeypatch):
+    from agmjoin import engine
+
+    calls = []
+    build = engine.build_trie
+
+    def counted(r, order=None):
+        calls.append(order)
+        return build(r, order)
+
+    monkeypatch.setattr(engine, "build_trie", counted)
+    got = {}
+    for name, q, strat, x in _build_pinned_runs():
+        calls.clear()
+        run_join(q, strat, cover=x)
+        got[name] = len(calls)
+    assert got == PINNED_TRIE_BUILDS
+
+
+def test_audit_leaves_outputs_and_meters_alone():
+    for name, q, strat, x in _pinned_runs():
+        plain = run_join(q, strat, cover=x)
+        audited = run_join(q, strat, cover=x, audit=True)
+        assert audited.output == plain.output, name
+        assert audited.meter == plain.meter, name
+
+
+# sha256 over repr((output rows, probes, advances, emits, recursions)) of
+# every run in test_c01_instances_are_pinned, in loop order.
+C01_DIGEST = "c021e2d92af0e7c711fb28a28440a61529f930aace76373dccdbf700d6bf3f4a"
+
+
+def test_c01_instances_are_pinned():
+    """c01's 200 instances, each by nprr, leapfrog and a seeded fixed
+    sequence under the LP cover and a random feasible one."""
+    h = hashlib.sha256()
+    for seed in range(200):
+        q = random_instance(seed, max_rows=30)
+        covers = (None, random_feasible_cover(q, random.Random(seed * 31 + 1)))
+        fixed = fixed_sequence_strategy(random_partition(q.attrs, random.Random(seed)))
+        for x in covers:
+            for strat in (nprr_strategy(), leapfrog_strategy(), fixed):
+                run = run_join(q, strat, cover=x)
+                m = run.meter
+                h.update(repr((run.output.rows, m.probes, m.advances, m.emits, m.recursions)).encode())
+    assert h.hexdigest() == C01_DIGEST
+
+
+def test_time_budget_is_checked_after_each_trie_build():
+    q = gen_clique_query(3, 500, seed=1).query
+    m = CostMeter()
+    with pytest.raises(TimeBudgetExceeded):
+        run_join(q, meter=m, time_budget=0)
+    assert m.recursions == 0  # raised by the first build, before the recursion starts
