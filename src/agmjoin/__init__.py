@@ -59,6 +59,7 @@ from .instances import (
     gen_lw_query,
     gen_random,
     gen_triangle_bad,
+    is_simple,
 )
 from .plans import (
     JoinRecord,
@@ -68,10 +69,8 @@ from .plans import (
     agm_join_project_traced,
     all_join_plans,
     execute_plan,
-    is_simple,
     join,
     leaf,
-    triangle_plans,
 )
 from .relational import (
     Attribute,

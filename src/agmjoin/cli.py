@@ -16,8 +16,10 @@ Conventions, fixed so output is diffable:
   (``generator,algorithm,exponent,residual,points``).  The ``emits``
   column is the output cardinality for every algorithm, so agreement
   across algorithms can be checked directly from the CSV.
-* Exit codes: 0 success, 2 parse failure (files or flags), 3 schema
-  mismatch, 4 generator parameter error, 1 timeout.
+* Exit codes: 0 success; 2 parse failure (flags, or files that are
+  missing, unreadable or malformed); 3 schema mismatch, including a
+  table whose rows are wider or narrower than its atoms, or a plan that
+  cannot run; 4 generator parameter error; 1 timeout.
 * ``AGMJOIN_TIMEOUT`` (seconds) sets the default time budget; --timeout
   overrides it.  Budgeted trie-based runs stop cooperatively; plan and
   oracle cells are only marked as over budget after they finish, and
@@ -40,7 +42,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .engine import PartitionStrategy, leapfrog_strategy, nprr_strategy, run_join
 from .errors import (
@@ -51,7 +53,6 @@ from .errors import (
     TimeBudgetExceeded,
 )
 from .formats import (
-    format_query,
     format_relation,
     load_data_dir,
     read_query_file,
@@ -68,8 +69,9 @@ from .instances import (
     gen_triangle_bad,
 )
 from .bounds import min_cover_lp
-from .plans import PlanTree, agm_join_project_traced, execute_plan, join, leaf
-from .relational import JoinQuery, Relation, join_query, make_attrs, oracle_join, relation
+from .plans import PlanTrace, PlanTree, agm_join_project_traced, execute_plan, join, leaf
+from .relational import (JoinQuery, Relation, active_domains, join_query, make_attrs,
+                         oracle_join, relation)
 from .rewrite import Atom, ConjunctiveQuery, normalize, project_to_head
 from .trie import CostMeter
 
@@ -159,11 +161,7 @@ def _left_deep(refs: tuple[int, ...], m: int) -> PlanTree:
 
 
 def _oracle_candidates(q: JoinQuery) -> int:
-    total = 1
-    for a in q.attrs:
-        cols = [set(r.column(a)) for r in q.relations if a in r.schema]
-        total *= len(set.intersection(*cols)) if cols else 0
-    return total
+    return math.prod(len(dom) for dom in active_domains(q))
 
 
 def _run_algo(kind: str, payload, q: JoinQuery, budget: float | None,
@@ -183,20 +181,18 @@ def _run_algo(kind: str, payload, q: JoinQuery, budget: float | None,
         return CellResult("skipped")
     t0 = time.monotonic()  # the meterless engines are timed after the fact
     if kind == "oracle":
-        out = oracle_join(q)
-        inter = work = None
+        out, trace = oracle_join(q), None
     elif kind == "pairwise":
         out, trace = execute_plan(_left_deep(payload, len(q.relations)), q.relations)
-        inter, work = trace.intermediate_max, trace.total_work
     elif kind == "agm":
         out, records = agm_join_project_traced(q)
-        inter = max((r.size for r in records), default=0)
-        work = sum(r.left_size + r.right_size + r.size for r in records)
+        trace = PlanTrace.of(records)
     else:
         raise AssertionError(kind)
     status = "timeout" if budget is not None and time.monotonic() - t0 > budget else "ok"
     return CellResult(status, output=out, rows=len(out), emits=len(out),
-                      intermediate_max=inter, total_ops=work)
+                      intermediate_max=trace.intermediate_max if trace else None,
+                      total_ops=trace.total_work if trace else None)
 
 
 def _bind_full(nq: ConjunctiveQuery, data: Mapping[str, Iterable[tuple[int, ...]]]
@@ -204,13 +200,8 @@ def _bind_full(nq: ConjunctiveQuery, data: Mapping[str, Iterable[tuple[int, ...]
     """Attach file data to every body atom, over all variables."""
     names = sorted({v for a in nq.body for v in a.vars})
     attrs = dict(zip(names, make_attrs(*names)))
-    rels = []
-    for a in nq.body:
-        rows = nq.view_of(a.symbol).rows(data)
-        bad = next((t for t in rows if len(t) != len(a.vars)), None)
-        if bad is not None:
-            raise SchemaError(f"table {a.symbol!r} holds {len(bad)}-tuples, atom {a} wants {len(a.vars)}")
-        rels.append(relation(tuple(attrs[v] for v in a.vars), rows))
+    rels = [relation(tuple(attrs[v] for v in a.vars), nq.view_of(a.symbol).rows(data))
+            for a in nq.body]
     return join_query(rels), tuple(names)
 
 
@@ -220,6 +211,13 @@ def _csv(columns: Sequence[str], rows: Iterable[Mapping]) -> str:
     for r in rows:
         lines.append(",".join("" if r[c] is None else str(r[c]) for c in columns))
     return "\n".join(lines) + "\n"
+
+
+def _int_list(flag: str, spec: str) -> list[int]:
+    try:
+        return [int(s) for s in spec.split(",") if s]
+    except ValueError:
+        raise QueryFormatError(f"bad {flag} {spec!r}: expected a comma list of integers") from None
 
 
 def _budget(args, default: float | None) -> float | None:
@@ -259,7 +257,7 @@ def cmd_run(args) -> int:
     out = _open_out(args.out)
     try:
         if head.vars:
-            tuples = sorted({tuple(t[pos[v]] for v in head.vars) for t in res.output.rows})
+            tuples = {tuple(t[pos[v]] for v in head.vars) for t in res.output.rows}
             out.write(format_relation(head.symbol, head.vars, tuples))
             shown = len(tuples)
         else:
@@ -306,11 +304,7 @@ def cmd_bound(args) -> int:
         print("log2-bound: 0")
         print("bound: 1")
         return 0
-    try:
-        edge_sizes = tuple(sizes[r] for r in hj.roots)
-    except KeyError as e:
-        raise SchemaError(f"no size given for table {e.args[0]!r}") from None
-    rep = min_cover_lp(hj.hypergraph, edge_sizes)
+    rep = min_cover_lp(hj.hypergraph, hj.edge_sizes(sizes))
     for edge, root, w in zip(hj.hypergraph.edges, hj.roots, rep.cover.weights):
         attrs = ",".join(a.name for a in edge)
         print(f"cover {root}({attrs}): {w}")
@@ -351,7 +345,7 @@ def _build_bundle(args) -> InstanceBundle:
         return gen_chase_witness(args.N)
     if fam == "random":
         need("--n", "--m", "--sizes-list", "--domain")
-        sizes = [int(s) for s in args.sizes_list.split(",")]
+        sizes = _int_list("--sizes-list", args.sizes_list)
         return gen_random(args.seed, args.n, args.m, sizes if len(sizes) > 1 else sizes[0], args.domain)
     raise GeneratorParameterError(f"unknown family {fam!r}")
 
@@ -445,7 +439,7 @@ def run_bench(suite: str, algos: Sequence[str], ns: Sequence[int], seed: int = 0
 
 
 def cmd_bench(args) -> int:
-    ns = [int(s) for s in args.ns.split(",") if s]
+    ns = _int_list("--ns", args.ns)
     if len(set(ns)) < 4:
         raise QueryFormatError(f"--ns needs at least 4 distinct values, got {sorted(set(ns))}")
     algos = [a for a in args.algos.split(",") if a]
@@ -521,22 +515,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# (exception type, exit code), first match wins; files that cannot be
+# opened or decoded are parse failures like malformed ones.
+_EXIT_CODES = ((QueryFormatError, 2), (SchemaError, 3), (PlanError, 3),
+               (GeneratorParameterError, 4), (TimeBudgetExceeded, 1),
+               (OSError, 2), (UnicodeDecodeError, 2))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except QueryFormatError as e:
+    except tuple(t for t, _ in _EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (SchemaError, PlanError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except GeneratorParameterError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except TimeBudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return next(code for t, code in _EXIT_CODES if isinstance(e, t))
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import QueryFormatError
 from .rewrite import Atom, ConjunctiveQuery, SimpleFD

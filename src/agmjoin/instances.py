@@ -22,7 +22,7 @@ identical parameters is bit-identical.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .errors import GeneratorParameterError
@@ -57,6 +57,18 @@ def _simple_rows(arity: int, d: int) -> list[Row]:
         for v in range(1, d + 1):
             rows.append(tuple(v if k == pos else 0 for k in range(arity)))
     return rows
+
+
+def is_simple(r: Relation) -> bool:
+    """True when r is exactly all tuples with at most one non-zero value.
+
+    The domain is read off the relation itself: values range over
+    0..d where d is the largest value present.
+    """
+    if len(r) == 0:
+        return False
+    d = max(max(t) for t in r.rows)
+    return set(r.rows) == set(_simple_rows(r.arity, d))
 
 
 def gen_triangle_bad(m: int) -> InstanceBundle:

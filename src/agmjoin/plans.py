@@ -94,6 +94,12 @@ class PlanTrace(NamedTuple):
     def intermediate_max(self) -> int:
         return max((n for _, n in self.intermediate_sizes), default=0)
 
+    @classmethod
+    def of(cls, records: Sequence["JoinRecord"]) -> "PlanTrace":
+        """The trace of the joins ``records`` lists, in execution order."""
+        return cls(tuple((i, rec.size) for i, rec in enumerate(records)),
+                   sum(rec.left_size + rec.right_size + rec.size for rec in records))
+
 
 class JoinRecord(NamedTuple):
     """One executed two-way join, for size assertions on plan families."""
@@ -208,19 +214,7 @@ def execute_plan(p: PlanTree, bindings: Sequence[Relation]) -> tuple[Relation, P
     arrays = [_to_array(r) for r in bindings]
     records: list[JoinRecord] = []
     schema, arr = _run_node(p, arrays, records)
-    sizes = tuple((i, rec.size) for i, rec in enumerate(records))
-    work = sum(rec.left_size + rec.right_size + rec.size for rec in records)
-    rel = Relation(schema, tuple(map(tuple, arr.tolist())))
-    return rel, PlanTrace(sizes, work)
-
-
-def triangle_plans() -> list[PlanTree]:
-    """The three possible two-way plans over atoms R=0, S=1, T=2."""
-    return [
-        join(join(leaf(0), leaf(2)), leaf(1)),  # (R >< T) >< S
-        join(join(leaf(0), leaf(1)), leaf(2)),  # (R >< S) >< T
-        join(join(leaf(1), leaf(2)), leaf(0)),  # (S >< T) >< R
-    ]
+    return Relation(schema, tuple(map(tuple, arr.tolist()))), PlanTrace.of(records)
 
 
 def all_join_plans(m: int) -> list[PlanTree]:
@@ -291,21 +285,3 @@ def agm_join_project(q: JoinQuery) -> Relation:
     a level can exceed the bound.
     """
     return agm_join_project_traced(q)[0]
-
-
-def is_simple(r: Relation) -> bool:
-    """True when r is exactly all tuples with at most one non-zero value.
-
-    The domain is read off the relation itself: values range over
-    0..d where d is the largest value present.
-    """
-    if len(r) == 0:
-        return False
-    d = max(max(t) for t in r.rows)
-    want = {(0,) * r.arity}
-    for i in range(r.arity):
-        for v in range(1, d + 1):
-            row = [0] * r.arity
-            row[i] = v
-            want.add(tuple(row))
-    return set(r.rows) == want

@@ -213,6 +213,15 @@ def join_query(relations: Sequence[Relation]) -> JoinQuery:
     return JoinQuery(Hypergraph(verts, edges), tuple(relations))
 
 
+def active_domains(q: JoinQuery) -> list[set[int]]:
+    """Per attribute of ``q.attrs``: the values present in every relation covering it."""
+    out = []
+    for a in q.attrs:
+        cols = [set(r.column(a)) for r in q.relations if a in r.schema]
+        out.append(set.intersection(*cols) if cols else set())
+    return out
+
+
 def oracle_join(q: JoinQuery) -> Relation:
     """Reference join: brute force over the active-domain cross product.
 
@@ -221,11 +230,7 @@ def oracle_join(q: JoinQuery) -> Relation:
     are those present in all relations covering it.
     """
     attrs = q.attrs
-    domains: list[tuple[int, ...]] = []
-    for a in attrs:
-        cols = [set(r.column(a)) for r in q.relations if a in r.schema]
-        dom = set.intersection(*cols) if cols else set()
-        domains.append(tuple(sorted(dom)))
+    domains = [sorted(dom) for dom in active_domains(q)]
     checks = []
     for r in q.relations:
         checks.append((tuple(attrs.index(a) for a in r.schema), r._rowset))

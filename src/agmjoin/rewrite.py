@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .bounds import BoundReport, FractionalCover, min_cover_lp
 from .errors import SchemaError
-from .relational import Attribute, Hypergraph, JoinQuery, Relation, make_attrs
+from .relational import Hypergraph, JoinQuery, Relation, make_attrs
 
 Row = tuple[int, ...]
 Rows = frozenset[Row]
@@ -74,9 +74,14 @@ class SimpleFD:
 
 @dataclass(frozen=True)
 class BaseView:
-    """Rows of a stored table, as-is."""
+    """Rows of a stored table, as-is.
+
+    Stored rows enter every view chain here, so this is the one place
+    their width is checked against the query's ``arity`` for the symbol.
+    """
 
     symbol: str
+    arity: int
 
     @property
     def root(self) -> str:
@@ -85,42 +90,47 @@ class BaseView:
     def rows(self, data: Mapping[str, Iterable[Row]]) -> Rows:
         if self.symbol not in data:
             raise SchemaError(f"no data bound for symbol {self.symbol!r}")
-        return frozenset(tuple(t) for t in data[self.symbol])
+        rows = frozenset(tuple(t) for t in data[self.symbol])
+        bad = next((t for t in rows if len(t) != self.arity), None)
+        if bad is not None:
+            raise SchemaError(
+                f"table {self.symbol!r} holds {len(bad)}-tuples, its atoms want {self.arity}")
+        return rows
+
+
+class _Derived:
+    """A view computed from ``inner``, sized by the table ``inner`` starts from."""
+
+    @property
+    def root(self) -> str:
+        return self.inner.root
 
 
 @dataclass(frozen=True)
-class FilterView:
+class FilterView(_Derived):
     """Keep rows whose ``left`` and ``right`` columns are equal."""
 
     inner: "View"
     left: int
     right: int
 
-    @property
-    def root(self) -> str:
-        return self.inner.root
-
     def rows(self, data: Mapping[str, Iterable[Row]]) -> Rows:
         return frozenset(t for t in self.inner.rows(data) if t[self.left] == t[self.right])
 
 
 @dataclass(frozen=True)
-class KeepView:
+class KeepView(_Derived):
     """Project to the given columns, in the given order."""
 
     inner: "View"
     positions: tuple[int, ...]
-
-    @property
-    def root(self) -> str:
-        return self.inner.root
 
     def rows(self, data: Mapping[str, Iterable[Row]]) -> Rows:
         return frozenset(tuple(t[p] for p in self.positions) for t in self.inner.rows(data))
 
 
 @dataclass(frozen=True)
-class ExtendView:
+class ExtendView(_Derived):
     """Append one column, looked up through a dependency-defining table.
 
     For each inner row, the value at column ``source`` is matched against
@@ -136,10 +146,6 @@ class ExtendView:
     table: "View"
     table_source: int
     table_target: int
-
-    @property
-    def root(self) -> str:
-        return self.inner.root
 
     def rows(self, data: Mapping[str, Iterable[Row]]) -> Rows:
         lookup: dict[int, set[int]] = {}
@@ -190,7 +196,12 @@ class ConjunctiveQuery:
                 raise SchemaError(f"dependency {fd} exceeds arity {arity}")
 
     def view_of(self, symbol: str) -> View:
-        return self.views.get(symbol, BaseView(symbol))
+        if symbol in self.views:
+            return self.views[symbol]
+        arity = next((len(a.vars) for a in self.body if a.symbol == symbol), None)
+        if arity is None:
+            raise SchemaError(f"symbol {symbol!r} does not occur in the body")
+        return BaseView(symbol, arity)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -325,8 +336,6 @@ def fd_extend(c: ConjunctiveQuery) -> ConjunctiveQuery:
         for fd in c.fds:
             if fd.symbol != a.symbol:
                 continue
-            if max(fd.source, fd.target) > len(a.vars):
-                raise SchemaError(f"dependency {fd} exceeds arity {len(a.vars)}")
             src, dst = a.vars[fd.source - 1], a.vars[fd.target - 1]
             if src != dst:
                 pending.setdefault(
@@ -348,7 +357,7 @@ def fd_extend(c: ConjunctiveQuery) -> ConjunctiveQuery:
             if src in a.vars and dst not in a.vars:
                 name = _fresh(f"{a.symbol}+{dst}", used)
                 views[name] = ExtendView(
-                    views.get(a.symbol, BaseView(a.symbol)),
+                    views.get(a.symbol) or c.view_of(a.symbol),
                     a.vars.index(src),
                     wit.table,
                     wit.src_pos,
@@ -408,13 +417,21 @@ class HeadJoin:
     One edge per contributing body atom, each backed by a view that
     produces exactly that edge's columns (in edge order).  ``roots``
     names, per edge, the stored table whose size bounds the view's
-    cardinality — that is the size the LP should use.  ``bind`` attaches
-    concrete data, yielding an executable :class:`JoinQuery`.
+    cardinality — that is the size the LP should use, and ``edge_sizes``
+    looks it up.  ``bind`` attaches concrete data, yielding an executable
+    :class:`JoinQuery`.
     """
 
     hypergraph: Hypergraph
     views: tuple[View, ...]
     roots: tuple[str, ...]
+
+    def edge_sizes(self, sizes: Mapping[str, int]) -> tuple[int, ...]:
+        """Each edge's LP size: the size of its root table in ``sizes``."""
+        try:
+            return tuple(sizes[r] for r in self.roots)
+        except KeyError as e:
+            raise SchemaError(f"no size given for table {e.args[0]!r}") from None
 
     def bind(self, data: Mapping[str, Iterable[Row]]) -> JoinQuery:
         rels = tuple(
@@ -480,11 +497,7 @@ def cq_bound(c: ConjunctiveQuery, sizes: Mapping[str, int]) -> BoundReport:
     hj = project_to_head(normalize(c))
     if hj is None:
         return BoundReport(FractionalCover(()), (), Fraction(0))
-    try:
-        edge_sizes = tuple(sizes[r] for r in hj.roots)
-    except KeyError as e:
-        raise SchemaError(f"no size given for symbol {e.args[0]!r}") from None
-    return min_cover_lp(hj.hypergraph, edge_sizes)
+    return min_cover_lp(hj.hypergraph, hj.edge_sizes(sizes))
 
 
 def evaluate_cq(
@@ -501,9 +514,6 @@ def evaluate_cq(
     bindings: list[dict[str, int]] = [{}]
     for a in c.body:
         rows = c.view_of(a.symbol).rows(data)
-        for t in rows:
-            if len(t) != len(a.vars):
-                raise SchemaError(f"row {t} does not match atom {a}")
         grown: list[dict[str, int]] = []
         for b in bindings:
             for t in rows:

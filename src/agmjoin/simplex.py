@@ -15,7 +15,7 @@ objective row and never enter the constraint rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,16 +38,13 @@ class LinearProgram:
 
     c: Vector
     ge_rows: tuple[tuple[Vector, Fraction], ...] = ()
-    eq_rows: tuple[tuple[Vector, Fraction], ...] = field(default=())
+    eq_rows: tuple[tuple[Vector, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.c)
         for a, _ in self.ge_rows + self.eq_rows:
             if len(a) != n:
                 raise ValueError(f"row width {len(a)} != {n} variables")
-
-    def with_eq(self, a: Sequence[Fraction], b: Fraction) -> "LinearProgram":
-        return LinearProgram(self.c, self.ge_rows, self.eq_rows + ((tuple(a), b),))
 
 
 def _pivot(rows: list[list[Fraction]], obj: list[Fraction], basis: list[int], r: int, col: int) -> None:

@@ -34,7 +34,6 @@ from agmjoin import (
     nprr_strategy,
     oracle_join,
     run_join,
-    triangle_plans,
 )
 from agmjoin.cli import fit_exponent
 from conftest import random_instance, random_feasible_cover
@@ -121,7 +120,7 @@ def test_c05_triangle_family_separates_wcoj_from_every_pairwise_plan():
             run = run_join(q, strat)
             assert len(run.output) == 3 * m + 1, (name, m)
             wcoj_ops[name].append(run.meter.total_ops)
-        for i, plan in enumerate(triangle_plans()):
+        for i, plan in enumerate(all_join_plans(3)):
             _, trace = execute_plan(plan, q.relations)
             assert trace.intermediate_max >= m * m, (i, m)
             plan_work[i].append(trace.total_work)

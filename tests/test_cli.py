@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
-from agmjoin import CostMeter, gen_chase_witness, gen_triangle_bad, run_join
+from fractions import Fraction
+
+from agmjoin import CostMeter, cq_bound, gen_chase_witness, gen_triangle_bad, run_join
 from agmjoin.cli import (
     BENCH_COLUMNS,
     _oracle_candidates,
@@ -13,6 +16,8 @@ from agmjoin.cli import (
     run_bench,
 )
 from agmjoin.errors import QueryFormatError
+from agmjoin.formats import write_query_file
+from test_rewrite import key_chain_query, loop_endpoints_query, repeated_symbol_query, star_query
 
 
 @pytest.fixture(autouse=True)
@@ -278,6 +283,14 @@ def test_run_value_beyond_63_bits(tmp_path, capsys, algo, code):
         assert f"{big},{big},{big}\n" in out
 
 
+def test_run_rows_narrower_than_the_atom_exit_3(tmp_path, triangle_dir, capsys):
+    q = tmp_path / "q.txt"
+    q.write_text("Q(A,B,C) :- R0(A,B,C).\n")
+    code, _, err = run_cli(capsys, str(q), str(triangle_dir))
+    assert code == 3
+    assert "'R0' holds 2-tuples" in err
+
+
 def test_run_pairwise_must_cover_all_atoms(triangle_dir, capsys):
     code, _, err = run_cli(capsys, str(triangle_dir / "query.txt"), str(triangle_dir),
                            "--algo", "pairwise:0-1")
@@ -340,6 +353,31 @@ def test_bound_missing_size_exits_3(triangle_dir, capsys):
     code = main(["bound", str(triangle_dir / "query.txt"), "--sizes", "R0=4,R1=4"])
     assert code == 3
     assert "R2" in capsys.readouterr().err
+
+
+BOUND_QUERIES = {
+    "star": star_query(),
+    "loop-endpoints": loop_endpoints_query(),
+    "repeated-symbol": repeated_symbol_query(False),
+    "repeated-symbol-fd": repeated_symbol_query(True),
+    "key-chain": key_chain_query(False),
+    "key-chain-fds": key_chain_query(True),
+}
+
+
+@pytest.mark.parametrize("use_fds", [False, True], ids=["plain", "fds"])
+@pytest.mark.parametrize("name", sorted(BOUND_QUERIES))
+def test_bound_agrees_with_cq_bound(tmp_path, capsys, name, use_fds):
+    c = BOUND_QUERIES[name]
+    path = tmp_path / "q.txt"
+    write_query_file(path, c)
+    symbols = sorted({a.symbol for a in c.body})
+    sizes = {s: 5 + 7 * i for i, s in enumerate(symbols)}  # distinct, not powers of two
+    argv = ["bound", str(path), "--sizes", ",".join(f"{s}={n}" for s, n in sizes.items())]
+    assert main(argv + ["--fds"] * use_fds) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("log2-bound: "))
+    want = cq_bound(c if use_fds else dataclasses.replace(c, fds=()), sizes)
+    assert Fraction(line[len("log2-bound: "):]) == want.log2_bound
 
 
 def test_bound_bad_sizes_exit_2(triangle_dir, capsys):
@@ -407,3 +445,55 @@ def test_bench_requires_four_distinct_params(capsys):
                  "--ns", "2,4,4,2"])
     assert code == 2
     assert "4 distinct" in capsys.readouterr().err
+
+
+# ------------------------------------------------- failures reach no traceback
+
+
+def _bad_utf8_dir(tmp_path):
+    inst = gen_dir(tmp_path, "--family", "triangle-bad", "--m", "2")
+    with open(inst / "R0.rel", "ab") as f:
+        f.write(b"\xff\n")
+    return inst
+
+
+def _file_in_the_way(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return tmp_path / "taken"
+
+
+def _triangle_args(tmp_path):
+    inst = gen_dir(tmp_path, "--family", "triangle-bad", "--m", "2")
+    return [str(inst / "query.txt"), str(inst)]
+
+
+BENCH = ["bench", "--suite", "triangle-bad", "--algos", "nprr"]
+
+# (id, argv built from tmp_path, exit code); each of these used to escape
+# main() as a raw Python exception.
+FAILURES = [
+    ("run-missing-query", lambda t: ["run", str(t / "nope.txt"), str(t)], 2),
+    ("bound-query-is-a-directory", lambda t: ["bound", str(t), "--sizes", "3"], 2),
+    ("run-out-in-missing-directory",
+     lambda t: ["run", *_triangle_args(t), "--out", str(t / "missing" / "x")], 2),
+    ("bench-out-in-missing-directory",
+     lambda t: [*BENCH, "--ns", "2,4,6,8", "--out", str(t / "missing" / "x")], 2),
+    ("run-non-utf8-relation-file",
+     lambda t: ["run", str(_bad_utf8_dir(t) / "query.txt"), str(t / "inst")], 2),
+    ("gen-out-is-a-file",
+     lambda t: ["gen", "--family", "triangle-bad", "--m", "2", "--out", str(_file_in_the_way(t))], 2),
+    ("bench-ns-not-integers", lambda t: [*BENCH, "--ns", "1,2,3,x"], 2),
+    ("gen-sizes-list-not-integers",
+     lambda t: ["gen", "--family", "random", "--n", "3", "--m", "2", "--sizes-list", "3,x",
+                "--domain", "4", "--out", str(t / "r")], 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", [f[1:] for f in FAILURES], ids=[f[0] for f in FAILURES])
+def test_failures_exit_with_their_documented_code(tmp_path, capsys, argv, code):
+    args = argv(tmp_path)
+    capsys.readouterr()  # drop what set-up printed
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

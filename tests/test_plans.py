@@ -19,7 +19,6 @@ from agmjoin import (
     min_cover_lp,
     oracle_join,
     relation,
-    triangle_plans,
 )
 from conftest import random_instance
 
@@ -69,7 +68,7 @@ def test_execute_single_leaf_is_identity():
 def test_triangle_plans_match_the_oracle(seed):
     q = random_triangle(seed)
     want = oracle_join(q)
-    for p in triangle_plans():
+    for p in all_join_plans(3):
         out, trace = execute_plan(p, q.relations)
         assert out == want
         assert len(trace.intermediate_sizes) == 2
@@ -194,7 +193,7 @@ def test_join_project_levels_stay_bounded_where_pairwise_plans_blow_up():
     q = gen_triangle_bad(4).query
     bound = float(min_cover_lp(q.hypergraph, q.sizes).bound)
     assert abs(bound - 27.0) < 1e-9
-    for p in triangle_plans():
+    for p in all_join_plans(3):
         _, trace = execute_plan(p, q.relations)
         assert trace.intermediate_sizes[0][1] == 29
     out, records = agm_join_project_traced(q)

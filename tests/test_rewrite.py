@@ -143,9 +143,9 @@ def test_dedup_gives_each_occurrence_its_own_symbol():
     out = dedup_symbols(c)
     syms = [a.symbol for a in out.body]
     assert syms == ["R~1", "R~2", "S"]
-    assert out.view_of("R~1") == BaseView("R")
-    assert out.view_of("R~2") == BaseView("R")
-    assert out.view_of("S") == BaseView("S")
+    assert out.view_of("R~1") == BaseView("R", 2)
+    assert out.view_of("R~2") == BaseView("R", 2)
+    assert out.view_of("S") == BaseView("S", 2)
     # The dependency is restated per copy and dropped from the original.
     assert set(out.fds) == {SimpleFD("R~1", 1, 2), SimpleFD("R~2", 1, 2)}
 
@@ -174,7 +174,7 @@ def test_fd_extend_widens_atoms_missing_a_determined_variable():
     c = cq("Q", "XYZ", [("R", "XY"), ("T", "XZ")], [SimpleFD("R", 1, 2)])
     out = fd_extend(c)
     assert out.body == (Atom("R", ("X", "Y")), Atom("T+Y", ("X", "Z", "Y")))
-    assert out.view_of("T+Y") == ExtendView(BaseView("T"), 0, BaseView("R"), 0, 1)
+    assert out.view_of("T+Y") == ExtendView(BaseView("T", 2), 0, BaseView("R", 2), 0, 1)
 
 
 def test_fd_extend_view_rows_do_the_lookup():
@@ -216,7 +216,7 @@ def test_drop_repeated_vars_filters_and_narrows():
     out = drop_repeated_vars(c)
     assert out.body == (Atom("R=", ("X",)),)
     view = out.view_of("R=")
-    assert view == KeepView(FilterView(BaseView("R"), 0, 1), (0,))
+    assert view == KeepView(FilterView(BaseView("R", 2), 0, 1), (0,))
     assert view.rows({"R": {(1, 1), (1, 2), (3, 3)}}) == {(1,), (3,)}
 
 
@@ -244,6 +244,19 @@ def test_project_to_head_drops_headless_atoms_and_projects():
     assert hj.roots == ("R",)
     q = hj.bind({"R": {(1, 2), (3, 4)}, "S": {(2,)}})
     assert set(q.relations[0].rows) == {(1,), (3,)}
+
+
+@pytest.mark.parametrize("rows", [{(1, 2, 3)}, {(2,)}], ids=["wider", "narrower"])
+def test_bind_and_evaluate_reject_rows_of_the_wrong_width(rows):
+    # Q(Y) :- R(X,Y), S(Y) projects R to its second column, so a 3-column
+    # R would silently lose a column and a 1-column R would be indexed out
+    # of range; both are schema errors where the stored rows enter.
+    c = cq("Q", "Y", [("R", "XY"), ("S", "Y")])
+    data = {"R": rows, "S": {(2,)}}
+    with pytest.raises(SchemaError, match="'R'"):
+        project_to_head(normalize(c)).bind(data)
+    with pytest.raises(SchemaError, match="'R'"):
+        evaluate_cq(c, data)
 
 
 def test_project_to_head_empty_head_is_a_boolean_query():

@@ -26,6 +26,11 @@ from agmjoin.simplex import (
 F = Fraction
 
 
+def _with_eq(lp: LinearProgram, a: Vector, b: Fraction) -> LinearProgram:
+    """``lp`` with the equality row a.x == b appended."""
+    return LinearProgram(lp.c, lp.ge_rows, lp.eq_rows + ((tuple(a), b),))
+
+
 def lexmin_minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
     """Optimal value plus the lexicographically smallest optimal point.
 
@@ -36,14 +41,14 @@ def lexmin_minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
     n = len(lp.c)
     zero = Fraction(0)
     value, _ = minimize(lp)
-    cur = lp.with_eq(lp.c, value)
+    cur = _with_eq(lp, lp.c, value)
     pins: list[Fraction] = []
     for i in range(n):
         e = tuple(Fraction(1) if j == i else zero for j in range(n))
         cur_lp = LinearProgram(e, cur.ge_rows, cur.eq_rows)
         vi, _ = minimize(cur_lp)
         pins.append(vi)
-        cur = cur.with_eq(e, vi)
+        cur = _with_eq(cur, e, vi)
     return value, tuple(pins)
 
 
