@@ -21,10 +21,10 @@ Conventions, fixed so output is diffable:
   table whose rows are wider or narrower than its atoms, or a plan that
   cannot run; 4 generator parameter error; 1 timeout.
 * ``AGMJOIN_TIMEOUT`` (seconds) sets the default time budget; --timeout
-  overrides it.  Budgeted trie-based runs stop cooperatively; plan and
-  oracle cells are only marked as over budget after they finish, and
-  bench refuses to start an oracle cell whose candidate space is
-  obviously hopeless (the cell is marked "skipped").
+  overrides it.  Every algorithm stops on its deadline: run exits 1 and
+  bench marks the cell "timeout".  A numpy plan checks it after each
+  two-way join, so it can overrun by at most one such join.  bench marks
+  an oracle cell with an obviously hopeless candidate space "skipped".
 
 The exponent fit is least squares of log(total_ops) against log(param)
 over the largest half of the parameters (rounded up), which is where
@@ -39,7 +39,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -111,11 +110,10 @@ def fit_exponent(params: Sequence[float], ops: Sequence[float]) -> tuple[float, 
 
 @dataclass
 class CellResult:
-    """Uniform accounting for one algorithm run, meterless ones included."""
+    """Uniform accounting for one algorithm run; what it did not measure is None."""
 
     status: str  # ok | timeout | skipped
     output: Relation | None = None
-    rows: int | None = None
     probes: int | None = None
     advances: int | None = None
     emits: int | None = None
@@ -166,31 +164,30 @@ def _oracle_candidates(q: JoinQuery) -> int:
 
 def _run_algo(kind: str, payload, q: JoinQuery, budget: float | None,
               guard_oracle: bool = False) -> CellResult:
-    if kind == "wcoj":
-        meter = CostMeter()
-        try:
-            run = run_join(q, payload, meter=meter, time_budget=budget)
-        except TimeBudgetExceeded:
-            return CellResult("timeout", probes=meter.probes, advances=meter.advances,
-                              emits=meter.emits, recursions=meter.recursions,
-                              total_ops=meter.total_ops)
-        return CellResult("ok", output=run.output, rows=len(run.output),
-                          probes=meter.probes, advances=meter.advances, emits=meter.emits,
-                          recursions=meter.recursions, total_ops=meter.total_ops)
     if kind == "oracle" and guard_oracle and _oracle_candidates(q) > _ORACLE_CANDIDATE_CAP:
         return CellResult("skipped")
-    t0 = time.monotonic()  # the meterless engines are timed after the fact
-    if kind == "oracle":
-        out, trace = oracle_join(q), None
-    elif kind == "pairwise":
-        out, trace = execute_plan(_left_deep(payload, len(q.relations)), q.relations)
-    elif kind == "agm":
-        out, records = agm_join_project_traced(q)
-        trace = PlanTrace.of(records)
-    else:
-        raise AssertionError(kind)
-    status = "timeout" if budget is not None and time.monotonic() - t0 > budget else "ok"
-    return CellResult(status, output=out, rows=len(out), emits=len(out),
+    meter = CostMeter()
+    meter.start_deadline(budget)
+    out = trace = None
+    try:
+        if kind == "wcoj":
+            out = run_join(q, payload, meter=meter).output
+        elif kind == "oracle":
+            out = oracle_join(q, meter=meter)
+        elif kind == "pairwise":
+            out, trace = execute_plan(_left_deep(payload, len(q.relations)), q.relations,
+                                      meter=meter)
+        else:  # agm
+            out, records = agm_join_project_traced(q, meter=meter)
+            trace = PlanTrace.of(records)
+    except TimeBudgetExceeded:
+        pass
+    status = "timeout" if out is None else "ok"
+    if kind == "wcoj":
+        return CellResult(status, output=out, probes=meter.probes, advances=meter.advances,
+                          emits=meter.emits, recursions=meter.recursions,
+                          total_ops=meter.total_ops)
+    return CellResult(status, output=out, emits=None if out is None else len(out),
                       intermediate_max=trace.intermediate_max if trace else None,
                       total_ops=trace.total_work if trace else None)
 
@@ -215,9 +212,12 @@ def _csv(columns: Sequence[str], rows: Iterable[Mapping]) -> str:
 
 def _int_list(flag: str, spec: str) -> list[int]:
     try:
-        return [int(s) for s in spec.split(",") if s]
+        out = [int(s) for s in spec.split(",") if s]
     except ValueError:
-        raise QueryFormatError(f"bad {flag} {spec!r}: expected a comma list of integers") from None
+        out = []
+    if not out:
+        raise QueryFormatError(f"bad {flag} {spec!r}: expected a comma list of integers")
+    return out
 
 
 def _budget(args, default: float | None) -> float | None:
@@ -233,8 +233,11 @@ def _budget(args, default: float | None) -> float | None:
     return default
 
 
-def _open_out(path: str):
-    return sys.stdout if path == "-" else open(path, "w", encoding="utf-8", newline="\n")
+def _write_out(path: str, text: str) -> None:
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 # --------------------------------------------------------------------------
@@ -248,25 +251,19 @@ def cmd_run(args) -> int:
     jq, names = _bind_full(nq, data)
     _, kind, payload = _parse_algo(args.algo)
     res = _run_algo(kind, payload, jq, _budget(args, None))
-    if res.status == "timeout" and res.output is None:
+    if res.status == "timeout":
         print(f"error: {args.algo} exceeded its time budget", file=sys.stderr)
         return 1
 
     pos = {v: i for i, v in enumerate(names)}
     head = cq.head
-    out = _open_out(args.out)
-    try:
-        if head.vars:
-            tuples = {tuple(t[pos[v]] for v in head.vars) for t in res.output.rows}
-            out.write(format_relation(head.symbol, head.vars, tuples))
-            shown = len(tuples)
-        else:
-            nonempty = int(len(res.output) > 0)
-            out.write(f"# boolean query {head.symbol}: 1 = nonempty\n{nonempty}\n")
-            shown = nonempty
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    if head.vars:
+        tuples = {tuple(t[pos[v]] for v in head.vars) for t in res.output.rows}
+        text, shown = format_relation(head.symbol, head.vars, tuples), len(tuples)
+    else:
+        shown = int(len(res.output) > 0)
+        text = f"# boolean query {head.symbol}: 1 = nonempty\n{shown}\n"
+    _write_out(args.out, text)
     sys.stderr.write(_csv(STATS_COLUMNS, [{**vars(res), "algorithm": args.algo, "rows": shown}]))
     return 0
 
@@ -398,12 +395,6 @@ class BenchReport:
     rows: list[dict]
     fits: list[dict]
 
-    def cells_csv(self) -> str:
-        return _csv(BENCH_COLUMNS, self.rows)
-
-    def fits_csv(self) -> str:
-        return _csv(FIT_COLUMNS, self.fits)
-
 
 def _suite_instance(suite: str, v: int, n: int, seed: int) -> InstanceBundle:
     if suite == "triangle-bad":
@@ -452,13 +443,8 @@ def cmd_bench(args) -> int:
             glued.append(a)
     report = run_bench(args.suite, glued, ns, seed=args.seed, n=args.n,
                        budget=_budget(args, 60.0))
-    out = _open_out(args.out)
-    try:
-        out.write(report.cells_csv())
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    sys.stderr.write(report.fits_csv())
+    _write_out(args.out, _csv(BENCH_COLUMNS, report.rows))
+    sys.stderr.write(_csv(FIT_COLUMNS, report.fits))
     return 0
 
 

@@ -383,7 +383,6 @@ def run_join(
     strat: PartitionStrategy | None = None,
     cover: FractionalCover | None = None,
     meter: CostMeter | None = None,
-    time_budget: float | None = None,
     *,
     audit: bool = False,
 ) -> JoinRun:
@@ -393,6 +392,7 @@ def run_join(
     the strategy picks I, the I-projections are joined recursively into
     groups, and each group tuple is extended over the rest.  The cover
     defaults to the tightest one from the size-bound linear program.
+    A deadline started on ``meter`` is the run's time budget.
     Returns the output with the meter, strategy and cover that produced it.
     """
     strat = strat if strat is not None else nprr_strategy()
@@ -407,8 +407,6 @@ def run_join(
     if not is_cover(q.hypergraph, cover):
         raise InfeasibleCoverError(f"weights {cover.weights} do not cover the query")
     meter = meter if meter is not None else CostMeter()
-    if time_budget is not None:
-        meter.start_deadline(time_budget)
 
     attrs = q.attrs
     blocks = None  # nprr

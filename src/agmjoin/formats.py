@@ -36,6 +36,7 @@ Row = tuple[int, ...]
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _HEADER = re.compile(r"#\s*relation\s+(\S+)\s+schema\s+(\S+)\s*$")
 _FD_LINE = re.compile(r"fd\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(\d+)\s*->\s*(\d+)\s*$")
+_VALUE = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)  # an optional '-', then ASCII digits
 
 
 def _fail(msg: str, line: int, col: int) -> "QueryFormatError":
@@ -66,15 +67,14 @@ def parse_relation_text(text: str) -> tuple[str, tuple[str, ...], tuple[Row, ...
         parts = body.split(",")
         if len(parts) != len(cols):
             raise _fail(f"expected {len(cols)} values, found {len(parts)}", ln, 1)
-        vals = []
-        col = 1
-        for p in parts:
-            try:
-                vals.append(int(p.strip()))
-            except ValueError:
-                raise _fail(f"not an integer: {p.strip()!r}", ln, col) from None
-            col += len(p) + 1
-        rows.append(tuple(vals))
+        try:
+            if not body.isascii() or "_" in body or "+" in body:
+                raise ValueError  # int() reads these, the format does not
+            rows.append(tuple(map(int, parts)))
+        except ValueError:
+            k = next(i for i, p in enumerate(parts) if not _VALUE.fullmatch(p))
+            col = 1 + sum(len(p) + 1 for p in parts[:k])
+            raise _fail(f"not an integer: {parts[k].strip()!r}", ln, col) from None
     return name, cols, tuple(rows)
 
 

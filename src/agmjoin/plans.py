@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import PlanError
 from .relational import Attribute, JoinQuery, Relation
+from .trie import CostMeter
 
 _MAX_KEY = np.iinfo(np.int64).max
 
@@ -186,26 +187,31 @@ def _merge_join(lsch, larr, rsch, rarr):
     return out_schema, np.column_stack(cols)
 
 
-def _run_node(node, arrays, sink):
+def _run_node(node, arrays, sink, meter):
     if node.is_leaf:
         if not 0 <= node.ref < len(arrays):
             raise PlanError(f"plan leaf #{node.ref} names no atom")
         schema, arr = arrays[node.ref]
     else:
-        lsch, larr = _run_node(node.left, arrays, sink)
-        rsch, rarr = _run_node(node.right, arrays, sink)
+        lsch, larr = _run_node(node.left, arrays, sink, meter)
+        rsch, rarr = _run_node(node.right, arrays, sink, meter)
         schema, arr = _merge_join(lsch, larr, rsch, rarr)
         sink.append(JoinRecord(lsch, rsch, len(larr), len(rarr), len(arr)))
+        if meter is not None:
+            meter.check_deadline()
     if node.keep is not None:
         schema, arr = _project(schema, arr, node.keep)
     return schema, arr
 
 
-def execute_plan(p: PlanTree, bindings: Sequence[Relation]) -> tuple[Relation, PlanTrace]:
+def execute_plan(p: PlanTree, bindings: Sequence[Relation],
+                 meter: CostMeter | None = None) -> tuple[Relation, PlanTrace]:
     """Evaluate a join tree bottom-up and record every intermediate size.
 
     Join-only plans (no projections anywhere) must reference distinct
-    atoms; join-project plans may revisit them.
+    atoms; join-project plans may revisit them.  ``meter``'s deadline is
+    checked after each two-way join; a numpy join cannot be interrupted,
+    so the plan can overrun its budget by at most one two-way join.
     """
     if not p.has_projection():
         refs = p.leaf_refs()
@@ -213,7 +219,7 @@ def execute_plan(p: PlanTree, bindings: Sequence[Relation]) -> tuple[Relation, P
             raise PlanError(f"join-only plan repeats atoms: {refs}")
     arrays = [_to_array(r) for r in bindings]
     records: list[JoinRecord] = []
-    schema, arr = _run_node(p, arrays, records)
+    schema, arr = _run_node(p, arrays, records, meter)
     return Relation(schema, tuple(map(tuple, arr.tolist()))), PlanTrace.of(records)
 
 
@@ -240,7 +246,8 @@ def all_join_plans(m: int) -> list[PlanTree]:
     return build(tuple(range(m)))
 
 
-def agm_join_project_traced(q: JoinQuery) -> tuple[Relation, list[JoinRecord]]:
+def agm_join_project_traced(q: JoinQuery, meter: CostMeter | None = None
+                            ) -> tuple[Relation, list[JoinRecord]]:
     """Size-bounded join-project evaluation, returning the joins it ran.
 
     Level k joins the projections of every relation onto the first k
@@ -248,7 +255,8 @@ def agm_join_project_traced(q: JoinQuery) -> tuple[Relation, list[JoinRecord]]:
     rejoins the full relations left-deep onto the previous level's
     result, so its completed output extends the previous level by one
     attribute and never escapes the size bound of the full query.  The
-    partial joins inside a level carry no such bound.
+    partial joins inside a level carry no such bound.  ``meter``'s
+    deadline is checked as in ``execute_plan``.
     """
     attrs = q.attrs
     records: list[JoinRecord] = []
@@ -275,6 +283,8 @@ def agm_join_project_traced(q: JoinQuery) -> tuple[Relation, list[JoinRecord]]:
             nsch, narr = _merge_join(cur_schema, cur, psch, parr)
             records.append(JoinRecord(cur_schema, psch, len(cur), len(parr), len(narr)))
             cur_schema, cur = nsch, narr
+            if meter is not None:
+                meter.check_deadline()
     return Relation(cur_schema, tuple(map(tuple, cur.tolist()))), records
 
 

@@ -8,12 +8,16 @@ ordering is plain lexicographic sorting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
-from typing import Iterable, Mapping, Sequence
+from itertools import islice, product
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import SchemaError
+
+if TYPE_CHECKING:  # trie imports this module
+    from .trie import CostMeter
 
 Row = tuple[int, ...]
 
@@ -222,20 +226,22 @@ def active_domains(q: JoinQuery) -> list[set[int]]:
     return out
 
 
-def oracle_join(q: JoinQuery) -> Relation:
+def oracle_join(q: JoinQuery, meter: CostMeter | None = None) -> Relation:
     """Reference join: brute force over the active-domain cross product.
 
     Deliberately naive so it stays an independent yardstick for every
     other evaluator in the package.  Candidate values for an attribute
-    are those present in all relations covering it.
+    are those present in all relations covering it.  Only ``meter``'s
+    deadline is used: it is checked after every 4096 candidates.
     """
     attrs = q.attrs
     domains = [sorted(dom) for dom in active_domains(q)]
-    checks = []
-    for r in q.relations:
-        checks.append((tuple(attrs.index(a) for a in r.schema), r._rowset))
-    out = []
-    for cand in product(*domains):
-        if all(tuple(cand[i] for i in idx) in rows for idx, rows in checks):
-            out.append(cand)
+    checks = [(tuple(attrs.index(a) for a in r.schema), r._rowset) for r in q.relations]
+    out: list[Row] = []
+    cands = product(*domains)
+    for _ in range(0, math.prod(map(len, domains)), 4096):
+        out += [c for c in islice(cands, 4096)
+                if all(tuple(c[i] for i in idx) in rows for idx, rows in checks)]
+        if meter is not None:
+            meter.check_deadline()
     return Relation(attrs, tuple(out))

@@ -12,8 +12,12 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from agmjoin import (
     Hypergraph,
+    PlanError,
     agm_bound,
     agm_join_project,
     all_join_plans,
@@ -28,11 +32,13 @@ from agmjoin import (
     gen_lw_query,
     gen_triangle_bad,
     is_simple,
+    join_query,
     leapfrog_strategy,
     make_attrs,
     min_cover_lp,
     nprr_strategy,
     oracle_join,
+    relation,
     run_join,
 )
 from agmjoin.cli import fit_exponent
@@ -66,6 +72,48 @@ def test_c01_all_engines_agree_with_the_oracle_on_200_instances():
             got, _ = execute_plan(plan, q.relations)
             assert got == want, (seed, plan.describe())
     assert time.perf_counter() - t0 < 30.0
+
+
+# small values, two just above 2^33 (two shared ones overflow the numpy
+# plans' packed join key) and the largest that fit in 63 bits
+ADVERSARIAL_VALUES = st.one_of(st.integers(0, 3), st.integers(2**33 - 1, 2**33 + 2),
+                               st.integers(2**63 - 3, 2**63 - 1))
+
+
+@st.composite
+def adversarial_queries(draw):
+    """Up to 4 relations over up to 4 attributes: empty, unary or repeated
+    schemas, with values drawn from a few adversarial ones per query."""
+    attrs = make_attrs(*"ABCD"[:draw(st.integers(1, 4))])
+    pool = draw(st.lists(ADVERSARIAL_VALUES, min_size=1, max_size=4, unique=True))
+    rels = []
+    for _ in range(draw(st.integers(1, 4))):
+        schema = sorted(draw(st.sets(st.sampled_from(attrs), min_size=1)))
+        row = st.tuples(*[st.sampled_from(pool)] * len(schema))
+        rels.append(relation(schema, draw(st.lists(row, max_size=8))))
+    return join_query(rels)
+
+
+_BIG = 2**33
+_AB = make_attrs("A", "B")
+
+
+@given(adversarial_queries())
+@example(join_query([relation(_AB, [(_BIG, _BIG + 1)])] * 2))  # packed key over 63 bits
+@example(join_query([relation(_AB[:1], [(2**63 - 1,)]), relation(_AB[1:], [])]))
+def test_c01_engines_answer_or_refuse_on_adversarial_values_and_shapes(q):
+    """Every engine returns the oracle's answer, or a plan refuses with PlanError."""
+    want = oracle_join(q)
+    assert run_join(q, nprr_strategy()).output == want
+    assert run_join(q, leapfrog_strategy()).output == want
+    runs = [("agm-plan", lambda: agm_join_project(q))]
+    runs += [(p.describe(), lambda p=p: execute_plan(p, q.relations)[0])
+             for p in all_join_plans(len(q.relations))]
+    for name, run in runs:
+        try:
+            assert run() == want, name
+        except PlanError:
+            pass
 
 
 def test_c02_pinned_bound_values():

@@ -209,11 +209,15 @@ def test_run_projecting_and_repeating_head(tmp_path, capsys):
 
 
 def test_run_timeout_exits_1(tmp_path, capsys):
-    inst = gen_dir(tmp_path, "--family", "clique", "--k", "3", "--N", "4096")
-    code, _, err = run_cli(capsys, str(inst / "query.txt"), str(inst),
-                           "--algo", "nprr", "--timeout", "1e-4")
-    assert code == 1
-    assert "time budget" in err
+    """Every algorithm stops on the deadline; the oracle's candidate space here is ~121^3."""
+    inst = gen_dir(tmp_path, "--family", "triangle-bad", "--m", "120")
+    capsys.readouterr()  # drop what gen printed
+    for algo in ("nprr", "leapfrog", "oracle", "agm-plan", "pairwise:0-1-2"):
+        code, out, err = run_cli(capsys, str(inst / "query.txt"), str(inst),
+                                 "--algo", algo, "--timeout", "1e-6")
+        assert code == 1, algo
+        assert err == f"error: {algo} exceeded its time budget\n"
+        assert out == ""
 
 
 def test_run_env_timeout_is_used(tmp_path, capsys, monkeypatch):
@@ -435,8 +439,12 @@ def test_bench_lw_bad_suite_param_is_the_degree():
 
 
 def test_bench_marks_timeouts():
-    report = run_bench("random-equal", ["nprr"], [512, 1024, 2048, 4096], budget=1e-5)
+    report = run_bench("random-equal", ["nprr", "pairwise:0-1-2"], [512, 1024, 2048, 4096],
+                       budget=1e-5)
     assert {row["status"] for row in report.rows} == {"timeout"}
+    for row in report.rows:
+        if row["algorithm"] == "pairwise:0-1-2":  # an unfinished plan has no counts
+            assert row["emits"] is row["intermediate_max"] is row["total_ops"] is None
     assert report.fits == []  # nothing finished, nothing to fit
 
 
@@ -486,6 +494,9 @@ FAILURES = [
     ("gen-sizes-list-not-integers",
      lambda t: ["gen", "--family", "random", "--n", "3", "--m", "2", "--sizes-list", "3,x",
                 "--domain", "4", "--out", str(t / "r")], 2),
+    ("gen-sizes-list-empty",
+     lambda t: ["gen", "--family", "random", "--n", "3", "--m", "2", "--sizes-list", "",
+                "--domain", "5", "--out", str(t / "r")], 2),
 ]
 
 

@@ -132,8 +132,10 @@ def test_generic_join_equals_run_join_output():
 
 def test_time_budget_fires_on_a_grinding_instance():
     q = gen_clique_query(3, 4096, seed=1).query
+    m = CostMeter()
+    m.start_deadline(1e-4)
     with pytest.raises(TimeBudgetExceeded):
-        run_join(q, time_budget=1e-4)
+        run_join(q, meter=m)
 
 
 def subquery_fixture():
@@ -335,6 +337,7 @@ def test_c01_instances_are_pinned():
 def test_time_budget_is_checked_after_each_trie_build():
     q = gen_clique_query(3, 500, seed=1).query
     m = CostMeter()
+    m.start_deadline(0)
     with pytest.raises(TimeBudgetExceeded):
-        run_join(q, meter=m, time_budget=0)
+        run_join(q, meter=m)
     assert m.recursions == 0  # raised by the first build, before the recursion starts

@@ -36,6 +36,10 @@ def test_parse_relation_errors_carry_positions():
         parse_relation_text("# relation R schema A,B\n0\n")
     with pytest.raises(QueryFormatError, match=r"line 3, column 3: not an integer"):
         parse_relation_text("# relation R schema A,B\n0,1\n0,x\n")
+    with pytest.raises(QueryFormatError, match=r"line 2, column 3: not an integer: '1_0'"):
+        parse_relation_text("# relation R schema A,B\n1,1_0\n")
+    with pytest.raises(QueryFormatError, match=r"line 2, column 1: not an integer"):
+        parse_relation_text("# relation R schema A\n\uff13\n")  # a full-width 3
     with pytest.raises(QueryFormatError, match=r"no columns"):
         parse_relation_text("# relation R schema ,\n")
     with pytest.raises(QueryFormatError):
