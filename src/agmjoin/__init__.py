@@ -105,9 +105,11 @@ from .trie import (
     CostMeter,
     TrieIndex,
     build_trie,
+    count,
     descend,
     intersect,
     iter_leaves,
+    keys,
     walk,
 )
 

@@ -22,9 +22,11 @@ Conventions, fixed so output is diffable:
   cannot run; 4 generator parameter error; 1 timeout.
 * ``AGMJOIN_TIMEOUT`` (seconds) sets the default time budget; --timeout
   overrides it.  Every algorithm stops on its deadline: run exits 1 and
-  bench marks the cell "timeout".  A numpy plan checks it after each
-  two-way join, so it can overrun by at most one such join.  bench marks
-  an oracle cell with an obviously hopeless candidate space "skipped".
+  bench marks the cell "timeout" and leaves its probes, advances, emits,
+  intermediate_max and total_ops empty, whatever the algorithm.  A numpy
+  plan checks it after each two-way join, so it can overrun by at most
+  one such join.  bench marks an oracle cell with an obviously hopeless
+  candidate space "skipped".
 
 The exponent fit is least squares of log(total_ops) against log(param)
 over the largest half of the parameters (rounded up), which is where
@@ -181,13 +183,12 @@ def _run_algo(kind: str, payload, q: JoinQuery, budget: float | None,
             out, records = agm_join_project_traced(q, meter=meter)
             trace = PlanTrace.of(records)
     except TimeBudgetExceeded:
-        pass
-    status = "timeout" if out is None else "ok"
+        return CellResult("timeout")  # partial counts would read as a finished run's
     if kind == "wcoj":
-        return CellResult(status, output=out, probes=meter.probes, advances=meter.advances,
+        return CellResult("ok", output=out, probes=meter.probes, advances=meter.advances,
                           emits=meter.emits, recursions=meter.recursions,
                           total_ops=meter.total_ops)
-    return CellResult(status, output=out, emits=None if out is None else len(out),
+    return CellResult("ok", output=out, emits=len(out),
                       intermediate_max=trace.intermediate_max if trace else None,
                       total_ops=trace.total_work if trace else None)
 

@@ -4,8 +4,8 @@ The shared recursion splits the attribute set V of a subproblem into I
 and the rest J, joins the I-projections of the relations touching I
 into a list L of partial tuples, then extends each one over J against
 the relations narrowed by that partial tuple.  Narrowing is a trie
-prefix descent; relations are never copied.  A strategy is one of two
-things:
+prefix descent to a key range; nothing is copied.  A strategy is one of
+two things:
 
 * ``nprr`` picks the edge J with the heaviest cover weight, recurses on
   I = V minus J, and finishes each group with a two-choices step: scan
@@ -13,7 +13,7 @@ things:
   remaining relations, otherwise join those and probe into J.
 * ``fixed-sequence`` consumes caller-given attribute blocks in order,
   peeling single attributes inside a block, so every level inside a
-  block is one sorted k-way intersection of trie child lists.
+  block is one sorted k-way intersection of trie key ranges.
   ``leapfrog`` is the one-block case: the whole attribute set in the
   global order.
 
@@ -28,12 +28,12 @@ and the scan-or-probe test follows from the query, the strategy and
 the cover, so ``_compile`` works it out once per subproblem: the split,
 each relation's trie order, the group-tuple positions each extender
 descends by, the output permutation, and the two-choices weights as
-floats.  ``_run`` executes a plan node on trie nodes and bound paths
-alone; it descends, intersects and filters, and meters exactly that.
-The exact ``Fraction`` weights and the ``Attribute`` objects exist only
-at compile time.  A sub-plan is compiled the first time the run reaches
-it, so a run builds a re-ordered trie only when a subproblem that needs
-it is entered.
+floats.  ``_run`` executes a plan node on trie nodes (key ranges
+``(level, lo, hi)``) and bound paths alone; it descends, intersects and
+filters, and meters exactly that.  The exact ``Fraction`` weights and
+the ``Attribute`` objects exist only at compile time.  A sub-plan is
+compiled the first time the run reaches it, so a run builds a
+re-ordered trie only when a subproblem that needs it is entered.
 
 The outer loop over partial tuples reads only immutable tries, so it
 could run in parallel with per-worker meters merged by summation;
@@ -43,6 +43,7 @@ execution here is single-threaded and deterministic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -51,7 +52,7 @@ from typing import Iterable, Mapping, Sequence
 from .bounds import FractionalCover, is_cover, min_cover_lp
 from .errors import InfeasibleCoverError, InvalidPartitionError
 from .relational import Attribute, JoinQuery, Relation, Row
-from .trie import CostMeter, TrieIndex, TrieNode, build_trie, descend, intersect, iter_leaves
+from .trie import CostMeter, Node, TrieIndex, build_trie, count, descend, intersect, iter_leaves
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,7 @@ def _compile(ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
     return _Split(ctx, slots, attrs, i_attrs, i_blocks, j_blocks, weights)
 
 
-def _audit_split(plan: _Split, nodes: list[TrieNode]) -> None:
+def _audit_split(plan: _Split, nodes: list[Node]) -> None:
     """Debug-mode check of the per-level group inequality."""
     from .bounds import decomposition_check
     from .relational import Hypergraph
@@ -264,7 +265,7 @@ def _audit_split(plan: _Split, nodes: list[TrieNode]) -> None:
         )
 
 
-def _run(ctx: _Ctx, plan, nodes: list[TrieNode], paths: list[Row]) -> list[Row]:
+def _run(ctx: _Ctx, plan, nodes: list[Node], paths: list[Row]) -> list[Row]:
     """Execute ``plan`` on the slots' current trie nodes; ``paths[k]`` is
     the bound path that reached ``nodes[k]``."""
     meter = ctx.meter
@@ -272,7 +273,7 @@ def _run(ctx: _Ctx, plan, nodes: list[TrieNode], paths: list[Row]) -> list[Row]:
     meter.check_deadline()
 
     if plan is _BASE:
-        return [(v,) for v in intersect([n.keys for n in nodes], meter)]
+        return list(zip(intersect(nodes, meter)))
     if type(plan) is _Tail:
         return _nprr_tail(ctx, plan, nodes, paths)
 
@@ -316,7 +317,7 @@ def _run(ctx: _Ctx, plan, nodes: list[TrieNode], paths: list[Row]) -> list[Row]:
     return out
 
 
-def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[TrieNode], paths: list[Row]) -> list[Row]:
+def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[Node], paths: list[Row]) -> list[Row]:
     """Two-choices solver for a subproblem lying entirely inside edge J.
 
     Either scan the J slot and filter each tuple against the others, or
@@ -335,7 +336,7 @@ def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[TrieNode], paths: list[Row]) 
             return []
         log_q = 0.0
         for s, width, w in plan.sizing:
-            factor = nodes[s].pcounts[width - 1]
+            factor = count(nodes[s], width - 1)
             meter.probes += 1  # sizing lookup for the branch choice
             if factor == 0:
                 return []
@@ -347,16 +348,16 @@ def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[TrieNode], paths: list[Row]) 
             others = plan.others
             rows = _run(ctx, probe, [nodes[s] for s in others], [paths[s] for s in others])
             return _filter(ctx, rows, [(nj, range(k))])
-    meter.probes += nj.pcounts[k - 1]  # one leaf read per scanned tuple
+    meter.probes += count(nj, k - 1)  # one leaf read per scanned tuple
     return _filter(ctx, iter_leaves(nj, k), [(nodes[s], pos) for s, pos in plan.scan])
 
 
-def _filter(ctx: _Ctx, rows: Iterable[Row], plans: list[tuple[TrieNode, Sequence[int]]]) -> list[Row]:
+def _filter(ctx: _Ctx, rows: Iterable[Row], plans: list[tuple[Node, Sequence[int]]]) -> list[Row]:
     """Keep the rows whose values at each plan's positions descend from its node.
 
-    The child walk is written out here rather than calling ``descend``
-    per plan: this is the hottest loop of the two-choices step, and the
-    extra call per plan costs measurably.
+    Written out rather than calling ``descend`` per plan, with the node's
+    level and bounds in locals: this is the two-choices step's hottest
+    loop, and a call or a node tuple per probe costs measurably.
     """
     meter = ctx.meter
     out: list[Row] = []
@@ -364,13 +365,17 @@ def _filter(ctx: _Ctx, rows: Iterable[Row], plans: list[tuple[TrieNode, Sequence
         if seen & 0x3FF == 0:
             meter.check_deadline()
         ok = True
-        for node, idxs in plans:
+        for (level, lo, hi), idxs in plans:
             for i in idxs:
                 meter.probes += 1
-                node = node.child(t[i])
-                if node is None:
+                keys, offs, level = level
+                v = t[i]
+                lo = bisect_left(keys, v, lo, hi)
+                if lo == hi or keys[lo] != v:
                     ok = False
                     break
+                if offs is not None:
+                    lo, hi = offs[lo], offs[lo + 1]
             if not ok:
                 break
         if ok:

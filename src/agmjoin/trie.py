@@ -1,9 +1,20 @@
 """Sorted tries over relations, plus the operation-count meter.
 
-A trie stores one relation under one attribute order.  Each node keeps
-its children values in a sorted tuple, so enumeration is ordered and
-lookups are binary searches.  Tries are never mutated after building;
-an engine that needs a second attribute order builds a second trie.
+A trie stores one relation under one attribute order.  Tries are never
+mutated after building; an engine that needs a second attribute order
+builds a second trie.
+
+Layout
+------
+A trie is a chain of levels, one per attribute.  A level is a tuple
+``(keys, offs, next_level)`` of plain lists: ``keys`` holds the last
+value of each distinct prefix of that length, in prefix order, and
+``offs[i]:offs[i+1]`` is key i's child range in ``next_level`` (both
+None on the last level).  A node is ``(level, lo, hi)``, the sorted
+siblings ``keys[lo:hi]``; ``LEAF`` is the node below the last level.
+Lookups bisect inside ``[lo, hi)``, ``count(node, d)`` composes
+offsets to count the (d+1)-level prefixes below a node, and no object
+is made per prefix.  Values are Python ints of any size.
 
 Cost model
 ----------
@@ -16,8 +27,9 @@ binary search of the remaining suffix, so every call satisfies
 
     advances_added <= k * min_len * ceil(log2(max_len))
 
-for k input lists.  ``emits`` counts produced output tuples and
-``recursions`` counts join subproblems entered.
+for k input nodes of min_len to max_len keys.  ``emits`` counts
+produced output tuples and ``recursions`` counts join subproblems
+entered.
 """
 
 from __future__ import annotations
@@ -25,10 +37,15 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from operator import itemgetter, sub
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SchemaError, TimeBudgetExceeded
 from .relational import Attribute, Relation, Row
+
+Level = tuple[list[int], "list[int] | None", "Level | None"]
+Node = tuple[Level, int, int]
 
 
 @dataclass
@@ -53,37 +70,7 @@ class CostMeter:
             raise TimeBudgetExceeded(f"exceeded time budget after {self.total_ops} ops")
 
 
-class TrieNode:
-    """One trie level: sorted child values, parallel child nodes.
-
-    ``pcounts[d]`` is the number of distinct (d+1)-level prefixes below
-    this node, so ``pcounts[0] == len(keys)`` and ``pcounts[-1]`` is the
-    leaf count ``size``.  Engines read these to size projections of the
-    subtree in O(1).
-    """
-
-    __slots__ = ("keys", "kids", "size", "pcounts")
-
-    def __init__(
-        self,
-        keys: tuple[int, ...],
-        kids: tuple["TrieNode", ...] | None,
-        size: int,
-        pcounts: tuple[int, ...],
-    ):
-        self.keys = keys
-        self.kids = kids
-        self.size = size
-        self.pcounts = pcounts
-
-    def child(self, value: int) -> "TrieNode | None":
-        i = bisect_left(self.keys, value)
-        if i == len(self.keys) or self.keys[i] != value:
-            return None
-        return self.kids[i] if self.kids is not None else _LEAF
-
-
-_LEAF = TrieNode((), None, 1, ())
+LEAF: Node = (((), None, None), 0, 0)
 
 
 @dataclass(frozen=True)
@@ -91,60 +78,71 @@ class TrieIndex:
     """An immutable trie over ``relation`` in attribute order ``order``."""
 
     order: tuple[Attribute, ...]
-    root: TrieNode
+    root: Node
 
     def __len__(self) -> int:
-        return self.root.size
+        return count(self.root, len(self.order) - 1)
 
     @property
     def depth(self) -> int:
         return len(self.order)
 
 
-def _build(rows: Sequence[Row], col: int, arity: int) -> TrieNode:
-    if not rows:
-        levels = arity - col
-        return TrieNode((), None if levels == 1 else (), 0, (0,) * levels)
-    keys: list[int] = []
-    if col == arity - 1:
-        for t in rows:
-            keys.append(t[col])
-        return TrieNode(tuple(keys), None, len(keys), (len(keys),))
-    kids: list[TrieNode] = []
-    lo = 0
-    n = len(rows)
-    while lo < n:
-        v = rows[lo][col]
-        hi = lo
-        while hi < n and rows[hi][col] == v:
-            hi += 1
-        keys.append(v)
-        kids.append(_build(rows[lo:hi], col + 1, arity))
-        lo = hi
-    pcounts = [len(keys)]
-    for d in range(arity - col - 1):
-        pcounts.append(sum(kid.pcounts[d] for kid in kids))
-    return TrieNode(tuple(keys), tuple(kids), pcounts[-1], tuple(pcounts))
+def _build(rows: Sequence[Row], arity: int) -> Node:
+    """Lay out sorted, distinct ``rows`` in one pass: a row appends its values
+    from the first column where it differs from the row before."""
+    last = arity - 1
+    ks: list[list[int]] = [[] for _ in range(arity)]
+    offs: list[list[int]] = [[] for _ in range(last)]
+    prev: Sequence = (None,) * arity
+    for t in rows:
+        d = 0
+        while t[d] == prev[d]:  # rows are distinct: stops before the last column
+            d += 1
+        for c in range(d, last):
+            offs[c].append(len(ks[c + 1]))
+            ks[c].append(t[c])
+        ks[last].append(t[last])
+        prev = t
+    level: Level = (ks[last], None, None)
+    for c in range(last - 1, -1, -1):
+        offs[c].append(len(ks[c + 1]))
+        level = (ks[c], offs[c], level)
+    return (level, 0, len(level[0]))
 
 
 def build_trie(r: Relation, order: Sequence[Attribute] | None = None) -> TrieIndex:
     """Index ``r`` under ``order`` (default: its own schema order).
 
-    ``order`` must be a permutation of the relation's schema.  Building
-    is preprocessing and is deliberately unmetered.
+    ``order`` must be a permutation of the relation's nonempty schema.
+    Building is preprocessing and is deliberately unmetered.
     """
     order = tuple(order) if order is not None else r.schema
-    if sorted(order) != sorted(r.schema) or len(set(order)) != len(order):
-        raise SchemaError(f"order {order} is not a permutation of schema {r.schema}")
+    if not order or sorted(order) != sorted(r.schema) or len(set(order)) != len(order):
+        raise SchemaError(f"order {order} is not a nonempty permutation of schema {r.schema}")
     if order == r.schema:
         rows: Sequence[Row] = r.rows
-    else:
-        perm = tuple(r.schema.index(a) for a in order)
-        rows = sorted(tuple(t[i] for i in perm) for t in r.rows)
-    return TrieIndex(order, _build(rows, 0, len(order)))
+    else:  # a different permutation has at least two columns: the getter returns tuples
+        rows = sorted(map(itemgetter(*(r.schema.index(a) for a in order)), r.rows))
+    return TrieIndex(order, _build(rows, len(order)))
 
 
-def descend(node: TrieNode, vals: Iterable[int], meter: CostMeter | None = None) -> TrieNode | None:
+def keys(node: Node) -> tuple[int, ...]:
+    """The sorted child values of ``node``."""
+    level, lo, hi = node
+    return tuple(level[0][lo:hi])
+
+
+def count(node: Node, d: int) -> int:
+    """The number of distinct (d+1)-level prefixes below ``node``."""
+    level, lo, hi = node
+    for _ in range(d):
+        _, offs, level = level
+        lo, hi = offs[lo], offs[hi]
+    return hi - lo
+
+
+def descend(node: Node, vals: Iterable[int], meter: CostMeter | None = None) -> Node | None:
     """Follow ``vals`` down from ``node``; None when the path is absent.
 
     Metered at one probe per level examined, so a miss stops the count
@@ -153,41 +151,51 @@ def descend(node: TrieNode, vals: Iterable[int], meter: CostMeter | None = None)
     for v in vals:
         if meter is not None:
             meter.probes += 1
-        node = node.child(v)
-        if node is None:
+        (ks, offs, nxt), lo, hi = node
+        i = bisect_left(ks, v, lo, hi)
+        if i == hi or ks[i] != v:
             return None
+        node = LEAF if offs is None else (nxt, offs[i], offs[i + 1])
     return node
 
 
-def walk(ix: TrieIndex, prefix: Sequence[int], meter: CostMeter | None = None) -> TrieNode | None:
+def walk(ix: TrieIndex, prefix: Sequence[int], meter: CostMeter | None = None) -> Node | None:
     """Descend ``prefix`` values from the root; None when the path is absent."""
     if len(prefix) > ix.depth:
         raise SchemaError(f"prefix {prefix} longer than trie depth {ix.depth}")
     return descend(ix.root, prefix, meter)
 
 
-def iter_leaves(node: TrieNode, depth: int) -> Iterable[Row]:
-    """Enumerate the suffix tuples below ``node`` in lexicographic order."""
+def iter_leaves(node: Node, depth: int) -> Iterator[Row]:
+    """Enumerate the suffix tuples below ``node`` in lexicographic order.
+
+    Each level's column repeats a key once per leaf below it: the
+    difference of its leaf bounds, the next level's read at its offsets.
+    """
     if depth == 0:
-        yield ()
-        return
-    if node.kids is None:
-        for v in node.keys:
-            yield (v,)
-        return
-    for v, kid in zip(node.keys, node.kids):
-        for rest in iter_leaves(kid, depth - 1):
-            yield (v,) + rest
+        return iter(((),))
+    level, lo, hi = node
+    path = []
+    for _ in range(depth - 1):
+        path.append((level, lo, hi))
+        level, lo, hi = level[2], level[1][lo], level[1][hi]
+    cols = [level[0][lo:hi]]
+    bounds, base = None, lo  # the last level's keys are one leaf each
+    for level, lo, hi in reversed(path):
+        offs = level[1][lo : hi + 1]
+        bounds = offs if bounds is None else [bounds[j - base] for j in offs]
+        base = lo
+        cols.append(chain.from_iterable(map(repeat, level[0][lo:hi], map(sub, bounds[1:], bounds))))
+    return zip(*reversed(cols))
 
 
-def _seek(arr: Sequence[int], pos: int, v: int, meter: CostMeter) -> int:
-    """First index >= pos whose value is >= v, by galloping then bisecting.
+def _seek(arr: Sequence[int], pos: int, n: int, v: int, meter: CostMeter) -> int:
+    """First index in [pos, n) whose value is >= v, by galloping then bisecting.
 
     Metered ``advances`` are capped at the cost of one binary search of
     the suffix, which keeps the intersect contract provable while still
     crediting short hops for adjacent matches.
     """
-    n = len(arr)
     step = 1
     galloped = 0
     while pos + step < n and arr[pos + step] < v:
@@ -196,35 +204,37 @@ def _seek(arr: Sequence[int], pos: int, v: int, meter: CostMeter) -> int:
     lo = pos + (step >> 1) + 1 if step > 1 else pos + 1
     hi = min(pos + step + 1, n)
     out = bisect_left(arr, v, lo, hi)
-    suffix_cost = (n - pos - 1).bit_length()
-    meter.advances += min(galloped + (hi - lo).bit_length(), suffix_cost)
+    meter.advances += min(galloped + (hi - lo).bit_length(), (n - pos - 1).bit_length())
     return out
 
 
-def intersect(lists: Sequence[Sequence[int]], meter: CostMeter | None = None) -> list[int]:
-    """Sorted k-way intersection driven by the smallest input list."""
-    if not lists:
-        raise SchemaError("intersect needs at least one list")
-    if any(len(xs) == 0 for xs in lists):
+def intersect(nodes: Sequence[Node], meter: CostMeter | None = None) -> list[int]:
+    """Sorted k-way intersection of the nodes' keys, driven by the first
+    smallest node; the others are searched in input order."""
+    if not nodes:
+        raise SchemaError("intersect needs at least one node")
+    lens = [hi - lo for _, lo, hi in nodes]
+    if 0 in lens:
         return []
     if meter is None:
         meter = CostMeter()
-    pivot_i = min(range(len(lists)), key=lambda i: len(lists[i]))
-    pivot = lists[pivot_i]
-    others = [lists[i] for i in range(len(lists)) if i != pivot_i]
-    pos = [0] * len(others)
+    pivot_i = lens.index(min(lens))
+    level, lo, hi = nodes[pivot_i]
+    others = [(n[0][0], n[2]) for n in nodes]
+    pos = [n[1] for n in nodes]
+    del others[pivot_i], pos[pivot_i]
     out: list[int] = []
-    for v in pivot:
+    for v in level[0][lo:hi]:
         ok = True
-        for j, arr in enumerate(others):
+        for j, (arr, end) in enumerate(others):
             p = pos[j]
-            if p == len(arr):
+            if p == end:
                 return out
             meter.probes += 1
             if arr[p] < v:
-                p = _seek(arr, p, v, meter)
+                p = _seek(arr, p, end, v, meter)
                 pos[j] = p
-                if p == len(arr):
+                if p == end:
                     return out
             if arr[p] != v:
                 ok = False

@@ -439,12 +439,13 @@ def test_bench_lw_bad_suite_param_is_the_degree():
 
 
 def test_bench_marks_timeouts():
-    report = run_bench("random-equal", ["nprr", "pairwise:0-1-2"], [512, 1024, 2048, 4096],
-                       budget=1e-5)
+    report = run_bench("random-equal", ["nprr", "leapfrog", "pairwise:0-1-2"],
+                       [512, 1024, 2048, 4096], budget=1e-5)
     assert {row["status"] for row in report.rows} == {"timeout"}
-    for row in report.rows:
-        if row["algorithm"] == "pairwise:0-1-2":  # an unfinished plan has no counts
-            assert row["emits"] is row["intermediate_max"] is row["total_ops"] is None
+    assert {row["algorithm"] for row in report.rows} == {"nprr", "leapfrog", "pairwise:0-1-2"}
+    counts = ("probes", "advances", "emits", "intermediate_max", "total_ops")
+    for row in report.rows:  # an unfinished cell has no counts, whatever the algorithm
+        assert [row[c] for c in counts] == [None] * len(counts), row
     assert report.fits == []  # nothing finished, nothing to fit
 
 

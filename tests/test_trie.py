@@ -10,20 +10,33 @@ from agmjoin import (
     SchemaError,
     TimeBudgetExceeded,
     build_trie,
+    count,
     descend,
     intersect,
     iter_leaves,
+    join_query,
+    keys,
+    leapfrog_strategy,
     make_attrs,
+    nprr_strategy,
+    oracle_join,
     relation,
+    run_join,
     walk,
 )
 
-A, B, C = make_attrs("A", "B", "C")
+A, B, C, D = make_attrs("A", "B", "C", "D")
 
 rows3 = st.lists(
     st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), max_size=20
 )
+rows4 = st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=30)
 sorted_list = st.lists(st.integers(0, 40), max_size=25).map(lambda xs: sorted(set(xs)))
+
+
+def one_level(xs):
+    """A sorted list as the root node of a one-level trie."""
+    return ((xs, None, None), 0, len(xs))
 
 
 def fig_r(m):
@@ -47,6 +60,8 @@ def test_build_respects_alternative_order():
         build_trie(r, order=(A, C))
     with pytest.raises(SchemaError):
         build_trie(r, order=(A, A))
+    with pytest.raises(SchemaError):  # a trie has at least one level
+        build_trie(relation([], [()]))
 
 
 def test_probe_hits_and_misses():
@@ -85,8 +100,8 @@ def test_descend_from_an_inner_node():
     m = CostMeter()
     node = descend(inner, (1,), m)
     assert m.probes == 1
-    assert node is walk(ix, (0, 1))
-    assert node.keys == (2, 3)
+    assert node == walk(ix, (0, 1))
+    assert keys(node) == (2, 3)
     assert descend(inner, (1, 3)) is walk(ix, (0, 1, 3))
     assert descend(inner, ()) is inner
 
@@ -101,13 +116,13 @@ def test_descend_returns_none_on_an_absent_path():
 
 def test_children_and_child_counts():
     ix = build_trie(relation([A, B], fig_r(4)))
-    assert walk(ix, ()).keys == (0, 1, 2, 3, 4)
-    assert walk(ix, (0,)).keys == (0, 1, 2, 3, 4)
-    assert walk(ix, (3,)).keys == (0,)
+    assert keys(walk(ix, ())) == (0, 1, 2, 3, 4)
+    assert keys(walk(ix, (0,))) == (0, 1, 2, 3, 4)
+    assert keys(walk(ix, (3,))) == (0,)
     assert walk(ix, (9,)) is None
-    assert walk(ix, ()).pcounts[0] == 5
-    assert walk(ix, (0,)).pcounts[0] == 5
-    assert walk(ix, (0, 0)).keys == ()  # full-length prefix: nothing below
+    assert count(walk(ix, ()), 0) == 5
+    assert count(walk(ix, (0,)), 0) == 5
+    assert keys(walk(ix, (0, 0))) == ()  # full-length prefix: nothing below
 
 
 @given(rows3, st.tuples(st.integers(0, 4)))
@@ -116,8 +131,8 @@ def test_children_match_projection_oracle(rows, prefix):
     ix = build_trie(r)
     want = tuple(sorted({t[1] for t in r.rows if t[0] == prefix[0]}))
     node = walk(ix, prefix)
-    assert (node.keys if node is not None else ()) == want
-    assert (node.pcounts[0] if node is not None else 0) == len(want)
+    assert (keys(node) if node is not None else ()) == want
+    assert (count(node, 0) if node is not None else 0) == len(want)
 
 
 @given(rows3)
@@ -126,22 +141,22 @@ def test_pcounts_count_distinct_prefixes(rows):
     ix = build_trie(r)
     for d in range(3):
         want = len({t[: d + 1] for t in r.rows})
-        assert ix.root.pcounts[d] == want
-    assert ix.root.size == len(r)
+        assert count(ix.root, d) == want
+    assert len(ix) == len(r)
 
 
 def test_empty_relation_trie():
     ix = build_trie(relation([A, B], []))
     assert len(ix) == 0
-    assert ix.root.keys == ()
+    assert keys(ix.root) == ()
     assert walk(ix, (0, 0)) is None
-    assert ix.root.pcounts == (0, 0)
+    assert (count(ix.root, 0), count(ix.root, 1)) == (0, 0)
 
 
 def test_walk_returns_subtree_nodes():
     ix = build_trie(relation([A, B], fig_r(3)))
     node = walk(ix, (0,))
-    assert node is not None and node.size == 4
+    assert node is not None and count(node, 0) == 4
     assert walk(ix, (7,)) is None
 
 
@@ -150,13 +165,13 @@ def test_intersect_matches_set_intersection(lists):
     want = set(lists[0])
     for xs in lists[1:]:
         want &= set(xs)
-    assert intersect(lists) == sorted(want)
+    assert intersect([one_level(xs) for xs in lists]) == sorted(want)
 
 
 @given(st.lists(sorted_list, min_size=2, max_size=4))
 def test_intersect_advance_budget(lists):
     m = CostMeter()
-    intersect(lists, m)
+    intersect([one_level(xs) for xs in lists], m)
     k = len(lists)
     min_len = min(len(xs) for xs in lists)
     max_len = max(len(xs) for xs in lists)
@@ -167,18 +182,74 @@ def test_intersect_advance_budget(lists):
 def test_intersect_edge_cases():
     with pytest.raises(SchemaError):
         intersect([])
-    assert intersect([[1, 2, 3]]) == [1, 2, 3]
-    assert intersect([[1, 2], []]) == []
+    assert intersect([one_level([1, 2, 3])]) == [1, 2, 3]
+    assert intersect([one_level([1, 2]), one_level([])]) == []
     m = CostMeter()
-    assert intersect([[1, 2], [], [0]], m) == []
+    assert intersect([one_level([1, 2]), one_level([]), one_level([0])], m) == []
     assert m.total_ops == 0  # empty input short-circuits before any work
 
 
 def test_intersect_meters_probes():
     m = CostMeter()
-    out = intersect([[1, 2, 3], [2, 3, 4]], m)
+    out = intersect([one_level([1, 2, 3]), one_level([2, 3, 4])], m)
     assert out == [2, 3]
     assert m.probes >= len(out)
+
+
+def test_intersect_meters_pin_the_pivot_and_the_search_order():
+    # The first of the two smallest inputs drives; the others are
+    # searched in input order.  Driving by the second one, or searching
+    # the long input first, reads (5, 7), (6, 9) or (5, 8) instead.
+    lists = [[1, 5, 18, 24], [0, 9, 24, 26], [8, 12, 13, 15, 18, 19, 22, 23, 24, 27]]
+    m = CostMeter()
+    assert intersect([one_level(xs) for xs in lists], m) == [24]
+    assert (m.probes, m.advances) == (5, 6)
+
+
+def test_intersect_searches_only_inside_each_node_range():
+    ix = build_trie(relation([A, B], [(0, 1), (0, 5), (0, 9), (1, 2), (1, 5), (2, 5), (2, 9)]))
+    got = intersect([walk(ix, (0,)), walk(ix, (1,)), walk(ix, (2,))])
+    assert got == [5]
+    assert intersect([walk(ix, (0,)), walk(ix, (2,))]) == [5, 9]
+
+
+def _prefixes(rows, n):
+    return sorted({t[:n] for t in rows})
+
+
+@given(rows4, st.permutations(range(4)))
+def test_count_and_leaves_below_every_inner_node_match_the_oracle(rows, perm):
+    r = relation([A, B, C, D], rows)
+    order = tuple((A, B, C, D)[i] for i in perm)
+    ix = build_trie(r, order)
+    ordered = [tuple(t[i] for i in perm) for t in r.rows]
+    for n in range(ix.depth):
+        for p in _prefixes(ordered, n):
+            node = walk(ix, p)
+            below = [t[n:] for t in ordered if t[:n] == p]
+            for d in range(ix.depth - n):
+                assert count(node, d) == len({t[: d + 1] for t in below}), (p, d)
+            assert list(iter_leaves(node, ix.depth - n)) == sorted(below), p
+
+
+HUGE = 2**64
+huge_values = st.integers(0, 2) | st.integers(HUGE, HUGE + 2) | st.integers(2**80, 2**80 + 1)
+huge_pairs = st.lists(st.tuples(huge_values, huge_values), max_size=12)
+
+
+@given(huge_pairs, huge_pairs, huge_pairs)
+def test_values_past_64_bits_build_walk_and_join(r_rows, s_rows, t_rows):
+    r = relation([A, B], r_rows)
+    ix = build_trie(r, (B, A))
+    for a, b in r.rows:
+        assert walk(ix, (b, a)) == descend(walk(ix, (b,)), (a,))
+        assert walk(ix, (b, a)) is not None
+    assert walk(ix, (HUGE + 3,)) is None
+    assert list(iter_leaves(ix.root, 2)) == sorted((b, a) for a, b in r.rows)
+    q = join_query([r, relation([B, C], s_rows), relation([A, C], t_rows)])
+    want = oracle_join(q)
+    for strat in (nprr_strategy(), leapfrog_strategy()):
+        assert run_join(q, strat).output == want
 
 
 def test_meter_totals_and_deadline():
