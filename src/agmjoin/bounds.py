@@ -127,8 +127,9 @@ def min_cover_lp(h: Hypergraph, sizes: Sequence[int]) -> BoundReport:
 
     Solved by exact rational simplex; among optimal vertices the
     lexicographically smallest weight vector (edge-list order) is
-    returned, which makes the report deterministic.  One phase 1 finds
-    a feasible basis; phase 2 minimizes the log-size objective; then
+    returned, which makes the report deterministic.  The costs
+    log2 |R_F| are never negative, so the dual simplex minimizes the
+    log-size objective from the all-surplus basis with no phase 1; then
     each weight in turn is minimized from the basis the previous pass
     ended in, over the columns that can still be non-zero at an optimum.
     """

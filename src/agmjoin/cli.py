@@ -435,6 +435,8 @@ def cmd_bench(args) -> int:
     if len(set(ns)) < 4:
         raise QueryFormatError(f"--ns needs at least 4 distinct values, got {sorted(set(ns))}")
     algos = [a for a in args.algos.split(",") if a]
+    if not algos:
+        raise QueryFormatError("--algos needs at least one algorithm")
     # re-glue pairwise specs that were split on commas (e.g. pairwise:0,2,1)
     glued: list[str] = []
     for a in algos:

@@ -35,6 +35,8 @@ Row = tuple[int, ...]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _HEADER = re.compile(r"#\s*relation\s+(\S+)\s+schema\s+(\S+)\s*$")
+# a dependency line is "fd", whitespace, then a name; fd(A) or fd_out(A) start a rule
+_FD_START = re.compile(r"fd\s+[A-Za-z_]")
 _FD_LINE = re.compile(r"fd\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(\d+)\s*->\s*(\d+)\s*$")
 _VALUE = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)  # an optional '-', then ASCII digits
 
@@ -170,7 +172,7 @@ def parse_query_text(text: str) -> ConjunctiveQuery:
         if not body.strip():
             continue
         stripped = body.strip()
-        if stripped.startswith("fd") and (len(stripped) == 2 or not stripped[2].isalnum()):
+        if _FD_START.match(stripped):
             m = _FD_LINE.match(stripped)
             if not m:
                 raise _fail("malformed dependency, expected 'fd R: i -> j'", ln, 1)

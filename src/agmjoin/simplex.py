@@ -1,16 +1,18 @@
-"""Exact two-phase simplex over rationals, sized for tiny programs.
+"""Exact dual simplex over rationals, sized for tiny cover programs.
 
 Everything is a ``fractions.Fraction``: feasibility and optimality are
-decided exactly, never by epsilon.  Bland's rule keeps the pivoting
-finite.  The cover programs this package solves have a handful of
-variables, so a dense tableau is the right tool.
+decided exactly, never by epsilon.  Bland's smallest-index rule keeps
+the pivoting finite (Bland, Math. Oper. Res. 1977).  The cover programs
+this package solves have a handful of variables, so a dense tableau is
+the right tool.
 
-``minimize`` and ``lexmin_minimize`` share one phase 1.  The lex-least
-optimum is refined on that one tableau: phase 2 on the cost vector,
-then one warm-started phase-2 pass per coordinate, each over the
-previous stage's optimal face (the columns whose reduced cost is zero).
-No row is ever appended, so the 45-digit cost coefficients stay in the
-objective row and never enter the constraint rows.
+Costs are never negative, so the basis of all surplus columns is dual
+feasible from the start: the dual simplex needs no phase 1 and no
+artificial columns.  The lex-least optimum is refined on the optimal
+tableau it leaves: one warm-started primal pass per coordinate, each
+over the previous stage's optimal face (the columns whose reduced cost
+is zero).  No row is ever appended, so the 45-digit cost coefficients
+stay in the objective row and never enter the constraint rows.
 """
 
 from __future__ import annotations
@@ -28,21 +30,18 @@ class InfeasibleProgramError(AgmJoinError):
     """No point satisfies the constraints."""
 
 
-class UnboundedProgramError(AgmJoinError):
-    """The objective can be pushed below any bound."""
-
-
 @dataclass(frozen=True)
 class LinearProgram:
-    """min c.x  s.t.  ge_rows: a.x >= b,  eq_rows: a.x == b,  x >= 0."""
+    """min c.x  s.t.  ge_rows: a.x >= b,  x >= 0, with every cost c_j >= 0."""
 
     c: Vector
     ge_rows: tuple[tuple[Vector, Fraction], ...] = ()
-    eq_rows: tuple[tuple[Vector, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.c)
-        for a, _ in self.ge_rows + self.eq_rows:
+        if any(cj < 0 for cj in self.c):
+            raise ValueError("costs must be non-negative")
+        for a, _ in self.ge_rows:
             if len(a) != n:
                 raise ValueError(f"row width {len(a)} != {n} variables")
 
@@ -63,21 +62,17 @@ def _pivot(rows: list[list[Fraction]], obj: list[Fraction], basis: list[int], r:
 
 
 def _run_simplex(rows: list[list[Fraction]], obj: list[Fraction], basis: list[int], ncols: int) -> None:
-    """Bland's rule: enter lowest negative-reduced-cost column."""
+    """Primal simplex, Bland's rule: enter lowest negative-reduced-cost column.
+
+    Only unit costs are minimised here, and they are bounded below by 0,
+    so some row always limits the step.
+    """
     while True:
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
             return
-        leave = -1
-        best: Fraction | None = None
-        for i, row in enumerate(rows):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            raise UnboundedProgramError("no leaving row")
+        leave = min((i for i, row in enumerate(rows) if row[enter] > 0),
+                    key=lambda i: (rows[i][-1] / rows[i][enter], basis[i]))
         _pivot(rows, obj, basis, leave, enter)
 
 
@@ -92,59 +87,32 @@ def _price(rows: list[list[Fraction]], basis: list[int], cost: Sequence[Fraction
 
 
 def _solve(lp: LinearProgram) -> tuple[list[list[Fraction]], list[int], list[Fraction]]:
-    """Phase 1, then phase 2 on ``c``: an optimal tableau (rows, basis, objective row).
+    """Dual simplex from the surplus basis: an optimal tableau (rows, basis, objective row).
 
-    Columns are the n variables, then one surplus per >= row, then the
-    right-hand side; every row has one basic column.  Rows that phase 1
-    proves redundant are dropped.
+    Columns are the n variables, then one surplus per row, then the
+    right-hand side; every row has one basic column.  Row k starts as
+    -a_k.x + s_k = -b_k with s_k basic and the objective row is c, which
+    is dual feasible because c >= 0.  Each pivot keeps every reduced cost
+    >= 0; the tableau is optimal once no right-hand side is negative.
     """
     n = len(lp.c)
-    nge = len(lp.ge_rows)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    zero = Fraction(0)
-    for k, (a, b) in enumerate(lp.ge_rows + lp.eq_rows):
-        surplus = [zero] * nge
-        if k < nge:
-            surplus[k] = Fraction(-1)
-        row = list(a) + surplus
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        rows.append(row)
-        rhs.append(b)
-    m = len(rows)
-    width = n + nge
-    # one artificial per row gives the identity starting basis
-    for i, row in enumerate(rows):
-        row.extend(Fraction(1) if j == i else zero for j in range(m))
-        row.append(rhs[i])
-    basis = [width + i for i in range(m)]
-
-    # phase 1: minimize the artificial mass
-    obj = [zero] * (width + m + 1)
-    for i, row in enumerate(rows):
-        for j in range(width + m + 1):
-            obj[j] -= row[j]
-    for i in range(m):
-        obj[width + i] += Fraction(1)
-    _run_simplex(rows, obj, basis, width + m)
-    if -obj[-1] != 0:
-        raise InfeasibleProgramError("artificial mass stays positive")
-    # drive surviving artificials out of the degenerate basis
-    for i in range(m):
-        if basis[i] >= width:
-            col = next((j for j in range(width) if rows[i][j] != 0), None)
-            if col is not None:
-                _pivot(rows, obj, basis, i, col)
-    live = [i for i in range(m) if basis[i] < width]
-    rows = [rows[i][:width] + [rows[i][-1]] for i in live]
-    basis = [basis[i] for i in live]
-
-    # phase 2: the real objective, artificial columns gone
-    obj = _price(rows, basis, tuple(lp.c) + (zero,) * nge)
-    _run_simplex(rows, obj, basis, width)
-    return rows, basis, obj
+    m = len(lp.ge_rows)
+    rows = [[-v for v in a] + [Fraction(j == k) for j in range(m)] + [-b]
+            for k, (a, b) in enumerate(lp.ge_rows)]
+    basis = [n + k for k in range(m)]
+    obj = list(lp.c) + [Fraction(0)] * (m + 1)
+    while True:
+        # Bland: of the rows with a negative right-hand side, the lowest basic column leaves
+        infeasible = [i for i, row in enumerate(rows) if row[-1] < 0]
+        if not infeasible:
+            return rows, basis, obj
+        r = min(infeasible, key=basis.__getitem__)
+        row = rows[r]
+        cols = [j for j in range(n + m) if row[j] < 0]
+        if not cols:  # no entry < 0, so over x, s >= 0 the row cannot sum to its rhs < 0
+            raise InfeasibleProgramError(f"row {r} has a negative right-hand side and no negative entry")
+        # the least ratio keeps every reduced cost >= 0; min() takes the lowest j on ties
+        _pivot(rows, obj, basis, r, min(cols, key=lambda j: obj[j] / -row[j]))
 
 
 def minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
@@ -160,8 +128,8 @@ def minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
 def lexmin_minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
     """Optimal value plus the lexicographically smallest optimal point.
 
-    One phase 1, then phase 2 on ``c``; then, for each coordinate i in
-    turn, phase 2 on the objective x_i, warm-started from the basis the
+    The dual simplex on ``c``; then, for each coordinate i in turn, the
+    primal simplex on the objective x_i, warm-started from the basis the
     previous stage ended in.  Between stages every column with a
     strictly positive reduced cost is deleted: by complementary
     slackness that variable is 0 on every optimum of the stage, and the

@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +161,51 @@ def test_min_cover_lp_matches_floating_point_solver(seed):
     assert abs(float(rep.log2_bound) - res.fun) <= 1e-9 * max(1.0, abs(res.fun))
     # The returned point must itself be feasible.
     assert is_cover(q.hypergraph, rep.cover)
+
+
+LP_SIZES = (1, 2, 3, 4, 8, 16, 17, 100, 1000, 2**20, 12345, 10**12 + 7, 2**41 + 3)
+
+
+def _random_cover_instance(rng: random.Random) -> tuple[Hypergraph, list[int]]:
+    """1-6 vertices, 1-8 edges, every vertex in some edge; many equal sizes."""
+    nv = rng.randint(1, 6)
+    vs = make_attrs(*(f"V{i}" for i in range(nv)))
+    edges = [set(rng.sample(range(nv), rng.randint(1, nv))) for _ in range(rng.randint(1, 8))]
+    for v in range(nv):
+        if not any(v in e for e in edges):
+            rng.choice(edges).add(v)
+    sizes = [rng.choice(LP_SIZES) if rng.random() < 0.5 else rng.randint(1, 64) for _ in edges]
+    return Hypergraph(vs, tuple(tuple(vs[v] for v in sorted(e)) for e in edges)), sizes
+
+
+def _clique(k: int) -> Hypergraph:
+    vs = make_attrs(*(f"K{i}" for i in range(k)))
+    return Hypergraph(vs, tuple(itertools.combinations(vs, 2)))
+
+
+# sha256 over repr((cover.weights, log2_bound)) of every report in
+# test_min_cover_lp_reports_are_pinned, in loop order.
+LP_DIGEST = "e1407f1841ea6378a1a712ea56aac7bc770ec8d06a6b929aec5238b5ae6b4110"
+
+
+def test_min_cover_lp_reports_are_pinned():
+    """c01's 200 queries, 900 seeded random hypergraphs, and K4-K6 with
+    all sizes 1 and all sizes equal: the lex-least optimum is unique, so
+    any correct solver returns these exact reports."""
+    programs = []
+    for seed in range(200):
+        q = random_instance(seed, max_rows=30)
+        programs.append((q.hypergraph, [max(1, s) for s in q.sizes]))
+    rng = random.Random(0x1E8)
+    programs += [_random_cover_instance(rng) for _ in range(900)]
+    for k in (4, 5, 6):
+        h = _clique(k)
+        programs += [(h, [1] * len(h.edges)), (h, [1000] * len(h.edges))]
+    digest = hashlib.sha256()
+    for h, sizes in programs:
+        rep = min_cover_lp(h, sizes)
+        digest.update(repr((rep.cover.weights, rep.log2_bound)).encode())
+    assert digest.hexdigest() == LP_DIGEST
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -492,6 +492,8 @@ FAILURES = [
     ("gen-out-is-a-file",
      lambda t: ["gen", "--family", "triangle-bad", "--m", "2", "--out", str(_file_in_the_way(t))], 2),
     ("bench-ns-not-integers", lambda t: [*BENCH, "--ns", "1,2,3,x"], 2),
+    ("bench-algos-empty",
+     lambda t: ["bench", "--suite", "triangle-bad", "--algos", ",", "--ns", "2,4,6,8"], 2),
     ("gen-sizes-list-not-integers",
      lambda t: ["gen", "--family", "random", "--n", "3", "--m", "2", "--sizes-list", "3,x",
                 "--domain", "4", "--out", str(t / "r")], 2),

@@ -138,10 +138,17 @@ def test_parse_query_fd_line_errors():
         parse_query_text("fd R: 0 -> 2\nQ(A) :- R(A,B).")
 
 
-def test_fd_prefixed_symbols_are_not_dependency_lines():
-    # An atom named fdR must not be mistaken for a dependency line.
-    c = parse_query_text("Q(A) :- fdR(A).")
-    assert c.body[0].symbol == "fdR"
+@pytest.mark.parametrize("text,symbols", [
+    ("Q(A) :- fdR(A).", ("Q", "fdR")),
+    ("fd(A) :- R(A).", ("fd", "R")),
+    ("fd_out(A) :- R(A).", ("fd_out", "R")),
+    ("fd (A) :- R(A).", ("fd", "R")),
+], ids=["fdR-body", "fd-head", "fd_out-head", "fd-space-head"])
+def test_fd_prefixed_symbols_are_not_dependency_lines(text, symbols):
+    # Only "fd", whitespace and a name starts a dependency line; a rule
+    # whose head or body symbol starts with fd is a rule.
+    c = parse_query_text(text)
+    assert (c.head.symbol, c.body[0].symbol) == symbols
 
 
 def test_query_round_trip(tmp_path):

@@ -1,16 +1,16 @@
-"""The exact simplex: typed failures, equality rows, and the lex-least optimum.
+"""The exact simplex: typed failures, equalities as row pairs, and the lex-least optimum.
 
 ``lexmin_minimize`` below is the previous implementation, kept as the
 reference: it re-solves the program from scratch once per coordinate,
-each time pinning one more optimal value as an equality row.  It is
-slow but plainly correct, and the one-tableau refinement in
-``agmjoin.simplex`` must return exactly what it returns.
+each time pinning one more optimal value as an equality (a pair of >=
+rows).  It is slow but plainly correct, and the one-tableau refinement
+in ``agmjoin.simplex`` must return exactly what it returns.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from agmjoin import simplex
@@ -18,7 +18,6 @@ from agmjoin.bounds import log2_fraction
 from agmjoin.simplex import (
     InfeasibleProgramError,
     LinearProgram,
-    UnboundedProgramError,
     Vector,
     minimize,
 )
@@ -26,9 +25,14 @@ from agmjoin.simplex import (
 F = Fraction
 
 
+def _eq_rows(a: Vector, b: Fraction) -> tuple[tuple[Vector, Fraction], ...]:
+    """The equality a.x == b as the two rows a.x >= b and -a.x >= -b."""
+    return ((tuple(a), b), (tuple(-v for v in a), -b))
+
+
 def _with_eq(lp: LinearProgram, a: Vector, b: Fraction) -> LinearProgram:
-    """``lp`` with the equality row a.x == b appended."""
-    return LinearProgram(lp.c, lp.ge_rows, lp.eq_rows + ((tuple(a), b),))
+    """``lp`` with the equality a.x == b appended."""
+    return LinearProgram(lp.c, lp.ge_rows + _eq_rows(a, b))
 
 
 def lexmin_minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
@@ -45,7 +49,7 @@ def lexmin_minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
     pins: list[Fraction] = []
     for i in range(n):
         e = tuple(Fraction(1) if j == i else zero for j in range(n))
-        cur_lp = LinearProgram(e, cur.ge_rows, cur.eq_rows)
+        cur_lp = LinearProgram(e, cur.ge_rows)
         vi, _ = minimize(cur_lp)
         pins.append(vi)
         cur = _with_eq(cur, e, vi)
@@ -75,28 +79,26 @@ def test_minimize_raises_on_an_infeasible_program():
         simplex.lexmin_minimize(lp)
 
 
-def test_minimize_raises_on_an_unbounded_program():
-    lp = LinearProgram(_vec(-1, 0), ((_vec(1, 1), F(1)),))
-    with pytest.raises(UnboundedProgramError):
-        minimize(lp)
-    with pytest.raises(UnboundedProgramError):
-        simplex.lexmin_minimize(lp)
+def test_linear_program_rejects_a_negative_cost():
+    # with c >= 0 no program is unbounded, and the surplus basis is dual feasible
+    with pytest.raises(ValueError):
+        LinearProgram(_vec(-1, 0), ((_vec(1, 1), F(1)),))
 
 
 def test_minimize_solves_equality_rows():
     # x0 + 2 x1 == 4, x0 - x1 == 1  ->  x = (2, 1)
-    lp = LinearProgram(_vec(1, 1), eq_rows=((_vec(1, 2), F(4)), (_vec(1, -1), F(1))))
+    lp = LinearProgram(_vec(1, 1), _eq_rows(_vec(1, 2), F(4)) + _eq_rows(_vec(1, -1), F(1)))
     assert minimize(lp) == (F(3), _vec(2, 1))
 
 
 def test_minimize_flips_a_negative_right_hand_side():
     # -x0 - x1 == -3, x0 >= 1, minimize 2 x0 + x1  ->  x = (1, 2)
-    lp = LinearProgram(_vec(2, 1), ((_vec(1, 0), F(1)),), ((_vec(-1, -1), F(-3)),))
+    lp = LinearProgram(_vec(2, 1), ((_vec(1, 0), F(1)),) + _eq_rows(_vec(-1, -1), F(-3)))
     assert minimize(lp) == (F(4), _vec(1, 2))
 
 
 def test_minimize_drops_a_redundant_equality_row():
-    lp = LinearProgram(_vec(1, 2), eq_rows=((_vec(1, 1), F(2)), (_vec(2, 2), F(4))))
+    lp = LinearProgram(_vec(1, 2), _eq_rows(_vec(1, 1), F(2)) + _eq_rows(_vec(2, 2), F(4)))
     assert minimize(lp) == (F(2), _vec(2, 0))
 
 
@@ -148,32 +150,39 @@ def cover_programs(draw):
     return _cover_lp(nv, edges, sizes)
 
 
+# the most degenerate programs, with more edges than the strategy draws:
+# K6 with every size 1 (every cost 0, so every dual ratio ties), one edge
+# three times over, and the 6-cycle with equal sizes
 @given(cover_programs())
+@example(_cover_lp(6, [(u, v) for u in range(6) for v in range(u + 1, 6)], [1] * 15))
+@example(_cover_lp(2, [(0, 1)] * 3, [8, 8, 8]))
+@example(_cover_lp(6, [(v, (v + 1) % 6) for v in range(6)], [1000] * 6))
 def test_lexmin_matches_the_reference_on_cover_programs(lp):
     assert simplex.lexmin_minimize(lp) == lexmin_minimize(lp)
 
 
 SMALL = st.integers(-3, 3).map(F)
+COST = st.integers(0, 3).map(F)
 
 
 @st.composite
 def general_programs(draw):
     n = draw(st.integers(1, 4))
     row = st.tuples(st.tuples(*[SMALL] * n), SMALL)
-    c = draw(st.tuples(*[SMALL] * n))
+    c = draw(st.tuples(*[COST] * n))
     ge = draw(st.lists(row, min_size=0, max_size=3))
     eq = draw(st.lists(row, min_size=0, max_size=2))
-    return LinearProgram(c, tuple(ge), tuple(eq))
+    return LinearProgram(c, tuple(ge) + sum((_eq_rows(a, b) for a, b in eq), ()))
 
 
 def _outcome(solve, lp):
     try:
         return solve(lp)
-    except (InfeasibleProgramError, UnboundedProgramError) as e:
-        return type(e)
+    except InfeasibleProgramError:
+        return InfeasibleProgramError
 
 
 @given(general_programs())
 def test_lexmin_matches_the_reference_on_general_programs(lp):
-    """Negative costs and right-hand sides, equality rows, both failures."""
+    """Zero costs, negative right-hand sides, equalities, infeasibility."""
     assert _outcome(simplex.lexmin_minimize, lp) == _outcome(lexmin_minimize, lp)
