@@ -94,7 +94,6 @@ from .rewrite import (
     SimpleFD,
     chase,
     cq_bound,
-    dedup_symbols,
     drop_repeated_vars,
     evaluate_cq,
     fd_extend,

@@ -412,7 +412,7 @@ def run_bench(suite: str, algos: Sequence[str], ns: Sequence[int], seed: int = 0
     parsed = [_parse_algo(a) for a in algos]
     rows = []
     series: dict[str, list[tuple[int, int]]] = {name: [] for name, _, _ in parsed}
-    for v in sorted(ns):
+    for v in sorted(set(ns)):
         bundle = _suite_instance(suite, v, n, seed)
         for name, kind, payload in parsed:
             res = _run_algo(kind, payload, bundle.query, budget, guard_oracle=True)

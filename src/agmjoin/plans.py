@@ -1,24 +1,25 @@
 """Classical two-way join plans, with intermediate-size accounting.
 
 These are the comparison baselines: binary join trees over the query's
-atoms (optionally with projections), evaluated bottom-up by sort-merge
-joins on numpy arrays.  The point of the accounting is the quantity a
-plan cannot avoid — the cardinality of each intermediate result — so
+atoms (optionally with projections), evaluated bottom-up on numpy arrays
+by one binary-search join.  The point of the accounting is the quantity
+a plan cannot avoid — the cardinality of each intermediate result — so
 ``PlanTrace`` records every join node's output size and the summed
 row footprint, not wall-clock time.
 
 ``agm_join_project`` is the one join-project plan that bounds its
-intermediates by construction: recursively join all relations projected
-onto the first n-1 attributes, then rejoin the originals left-deep.
-Each level's completed result stays within the fractional-cover size
-bound of the full query, at the price of re-touching each relation once
-per level.  The partial joins inside a level are not bounded: on
-triangle-bad with m=1000 one of them holds 1,003,001 rows against a
-bound of about 89,500.
+intermediates by construction: for k = 1..n, join every relation
+projected onto the first k attributes, left-deep.  It is a ``PlanTree``
+run by the same executor as the pairwise plans.  Each level's completed
+result stays within the fractional-cover size bound of the full query,
+at the price of re-touching each relation once per level.  The partial
+joins inside a level are not bounded: on triangle-bad with m=1000 one
+of them holds 1,003,001 rows against a bound of about 89,500.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -141,67 +142,59 @@ def _keys(schema, arr, shared: Sequence[Attribute], radices: Sequence[int]) -> n
 
 
 def _merge_join(lsch, larr, rsch, rarr):
-    """Sort-merge natural join of two deduplicated arrays."""
+    """Natural join of two deduplicated arrays; every call is a recorded join.
+
+    The right side's composite join keys are sorted once.  Two binary
+    searches give each left row its run of matching right rows, and
+    ``np.repeat`` expands the runs into row indices.  With no shared
+    attribute every key is 0, so the cross product is the same code.
+    """
     shared = [a for a in lsch if a in set(rsch)]
     out_schema = tuple(sorted(set(lsch) | set(rsch)))
     if len(larr) == 0 or len(rarr) == 0:
         return out_schema, np.empty((0, len(out_schema)), dtype=np.int64)
-    if shared:
-        radices = []
-        span = 1
-        for a in shared:
-            hi = int(max(larr[:, lsch.index(a)].max(), rarr[:, rsch.index(a)].max())) + 1
-            radices.append(hi)
-            span *= hi
-            if span > _MAX_KEY // 2:
-                raise PlanError("join key space exceeds 63 bits")
-        lkey = _keys(lsch, larr, shared, radices)
-        rkey = _keys(rsch, rarr, shared, radices)
-        lo = np.argsort(lkey, kind="stable")
-        ro = np.argsort(rkey, kind="stable")
-        larr, lkey = larr[lo], lkey[lo]
-        rarr, rkey = rarr[ro], rkey[ro]
-        lu, li, lc = np.unique(lkey, return_index=True, return_counts=True)
-        ru, ri, rc = np.unique(rkey, return_index=True, return_counts=True)
-        _, ia, ib = np.intersect1d(lu, ru, assume_unique=True, return_indices=True)
-        lstart, lcnt = li[ia], lc[ia]
-        rstart, rcnt = ri[ib], rc[ib]
-        sizes = lcnt * rcnt
-        total = int(sizes.sum())
-        if total == 0:
-            return out_schema, np.empty((0, len(out_schema)), dtype=np.int64)
-        gid = np.repeat(np.arange(len(sizes)), sizes)
-        offs = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        within = np.arange(total, dtype=np.int64) - offs[gid]
-        lrows = larr[lstart[gid] + within // rcnt[gid]]
-        rrows = rarr[rstart[gid] + within % rcnt[gid]]
-    else:  # attribute-disjoint inputs: plain cross product
-        lrows = np.repeat(larr, len(rarr), axis=0)
-        rrows = np.tile(rarr, (len(larr), 1))
-    cols = []
-    for a in out_schema:
-        if a in set(lsch):
-            cols.append(lrows[:, lsch.index(a)])
-        else:
-            cols.append(rrows[:, rsch.index(a)])
+    radices = [int(max(larr[:, lsch.index(a)].max(), rarr[:, rsch.index(a)].max())) + 1
+               for a in shared]
+    if math.prod(radices) > _MAX_KEY // 2:
+        raise PlanError("join key space exceeds 63 bits")
+    rkey = _keys(rsch, rarr, shared, radices)
+    order = np.argsort(rkey, kind="stable")
+    rkey = rkey[order]
+    lkey = _keys(lsch, larr, shared, radices)
+    lo = np.searchsorted(rkey, lkey, side="left")
+    counts = np.searchsorted(rkey, lkey, side="right") - lo
+    lidx = np.repeat(np.arange(len(larr)), counts)
+    # Left row i's run begins at output position cumsum(counts)[i] - counts[i].
+    ridx = order[np.arange(len(lidx)) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    cols = [larr[lidx, lsch.index(a)] if a in lsch else rarr[ridx, rsch.index(a)]
+            for a in out_schema]
     return out_schema, np.column_stack(cols)
 
 
 def _run_node(node, arrays, sink, meter):
-    if node.is_leaf:
-        if not 0 <= node.ref < len(arrays):
-            raise PlanError(f"plan leaf #{node.ref} names no atom")
-        schema, arr = arrays[node.ref]
-    else:
-        lsch, larr = _run_node(node.left, arrays, sink, meter)
-        rsch, rarr = _run_node(node.right, arrays, sink, meter)
-        schema, arr = _merge_join(lsch, larr, rsch, rarr)
-        sink.append(JoinRecord(lsch, rsch, len(larr), len(rarr), len(arr)))
-        if meter is not None:
-            meter.check_deadline()
-    if node.keep is not None:
-        schema, arr = _project(schema, arr, node.keep)
+    spine = [node]  # by loop: the AGM plan's left spine can outgrow the recursion limit
+    while not spine[-1].is_leaf:
+        spine.append(spine[-1].left)
+    if not 0 <= spine[-1].ref < len(arrays):
+        raise PlanError(f"plan leaf #{spine[-1].ref} names no atom")
+    schema, arr = arrays[spine[-1].ref]
+    for n in reversed(spine):
+        if not n.is_leaf:
+            rsch, rarr = _run_node(n.right, arrays, sink, meter)
+            lsch, larr = schema, arr
+            schema, arr = _merge_join(lsch, larr, rsch, rarr)
+            sink.append(JoinRecord(lsch, rsch, len(larr), len(rarr), len(arr)))
+            if meter is not None:
+                meter.check_deadline()
+        if n.keep is not None:
+            schema, arr = _project(schema, arr, n.keep)
     return schema, arr
+
+
+def _evaluate(p, bindings, meter):
+    records: list[JoinRecord] = []
+    schema, arr = _run_node(p, [_to_array(r) for r in bindings], records, meter)
+    return Relation(schema, tuple(map(tuple, arr.tolist()))), records
 
 
 def execute_plan(p: PlanTree, bindings: Sequence[Relation],
@@ -217,10 +210,8 @@ def execute_plan(p: PlanTree, bindings: Sequence[Relation],
         refs = p.leaf_refs()
         if len(refs) != len(set(refs)):
             raise PlanError(f"join-only plan repeats atoms: {refs}")
-    arrays = [_to_array(r) for r in bindings]
-    records: list[JoinRecord] = []
-    schema, arr = _run_node(p, arrays, records, meter)
-    return Relation(schema, tuple(map(tuple, arr.tolist()))), PlanTrace.of(records)
+    out, records = _evaluate(p, bindings, meter)
+    return out, PlanTrace.of(records)
 
 
 def all_join_plans(m: int) -> list[PlanTree]:
@@ -246,52 +237,38 @@ def all_join_plans(m: int) -> list[PlanTree]:
     return build(tuple(range(m)))
 
 
+def _agm_plan(q: JoinQuery) -> PlanTree:
+    """Left-deep: for k = 1..n, each relation meeting the first k attributes, projected."""
+    tree = None
+    for k in range(1, len(q.attrs) + 1):
+        for i, r in enumerate(q.relations):
+            keep = set(q.attrs[:k]).intersection(r.schema)
+            if keep:
+                tree = leaf(i, keep) if tree is None else join(tree, leaf(i, keep))
+    return tree
+
+
 def agm_join_project_traced(q: JoinQuery, meter: CostMeter | None = None
                             ) -> tuple[Relation, list[JoinRecord]]:
     """Size-bounded join-project evaluation, returning the joins it ran.
 
-    Level k joins the projections of every relation onto the first k
-    attributes; level 1 is an m-way intersection.  Each next level
-    rejoins the full relations left-deep onto the previous level's
-    result, so its completed output extends the previous level by one
-    attribute and never escapes the size bound of the full query.  The
-    partial joins inside a level carry no such bound.  ``meter``'s
-    deadline is checked as in ``execute_plan``.
+    Runs ``_agm_plan(q)``: level k joins the projections of every
+    relation onto the first k attributes, left-deep, and level 1's joins
+    of unary projections are recorded like every other.  Each level's
+    completed output extends the previous one by one attribute and never
+    escapes the size bound of the full query; the partial joins inside a
+    level carry no such bound.  ``meter``'s deadline is checked as in
+    ``execute_plan``.
     """
-    attrs = q.attrs
-    records: list[JoinRecord] = []
     if any(len(r) == 0 for r in q.relations):
-        return Relation(attrs, ()), records
-    arrays = [_to_array(r) for r in q.relations]
-
-    # Level 1: intersect everyone's values of the first attribute.
-    vals = None
-    for sch, arr in arrays:
-        if attrs[0] in sch:
-            col = np.unique(arr[:, sch.index(attrs[0])])
-            vals = col if vals is None else np.intersect1d(vals, col, assume_unique=True)
-    cur_schema: tuple[Attribute, ...] = (attrs[0],)
-    cur = vals.reshape(-1, 1)
-
-    for k in range(2, len(attrs) + 1):
-        prefix = set(attrs[:k])
-        for sch, arr in arrays:
-            keep = tuple(a for a in sch if a in prefix)
-            if not keep:
-                continue
-            psch, parr = _project(sch, arr, keep)
-            nsch, narr = _merge_join(cur_schema, cur, psch, parr)
-            records.append(JoinRecord(cur_schema, psch, len(cur), len(parr), len(narr)))
-            cur_schema, cur = nsch, narr
-            if meter is not None:
-                meter.check_deadline()
-    return Relation(cur_schema, tuple(map(tuple, cur.tolist()))), records
+        return Relation(q.attrs, ()), []
+    return _evaluate(_agm_plan(q), q.relations, meter)
 
 
 def agm_join_project(q: JoinQuery) -> Relation:
     """The join-project plan whose every completed level obeys the size bound.
 
     Only each level's finished result is bounded; a partial join inside
-    a level can exceed the bound.
+    a level can exceed the bound.  Level 1's joins are recorded too.
     """
     return agm_join_project_traced(q)[0]

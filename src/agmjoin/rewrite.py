@@ -7,7 +7,6 @@ This module rewrites such a query, stage by stage, into a plain natural
 join over derived relations:
 
     chase              unify variables forced equal by the dependencies
-    dedup_symbols      give every body occurrence its own symbol
     fd_extend          widen atoms with columns determined through a key
     drop_repeated_vars filter + narrow atoms that repeat a variable
     project_to_head    keep only head variables, yielding a join query
@@ -19,7 +18,10 @@ through the atom that defines the dependency, so the derived relation
 can never hold more rows than the relation it started from.  That is
 also why the LP sizing of a derived symbol is its root base table's size.
 
-The first four stages preserve the query's output exactly (on instances
+Each occurrence of a repeated symbol is its own hyperedge with its own
+view, so repeated symbols need no stage of their own.
+
+The first three stages preserve the query's output exactly (on instances
 that satisfy the declared dependencies).  The final projection stage is
 a relaxation: the join of the projected atoms contains the head tuples,
 so its bound — :func:`cq_bound` — is a sound output-size bound for the
@@ -274,40 +276,7 @@ def chase(c: ConjunctiveQuery) -> ConjunctiveQuery:
 
 
 # --------------------------------------------------------------------------
-# stage 2: per-occurrence symbols
-
-
-def dedup_symbols(c: ConjunctiveQuery) -> ConjunctiveQuery:
-    """Give each body occurrence of a repeated symbol its own name.
-
-    The fresh symbols all view the same stored table, and every
-    dependency on the original symbol is restated on each copy.
-    Symbols that occur once keep their name.
-    """
-    counts: dict[str, int] = {}
-    for a in c.body:
-        counts[a.symbol] = counts.get(a.symbol, 0) + 1
-
-    used = set(counts) | set(c.views) | {c.head.symbol}
-    views = dict(c.views)
-    fds = list(c.fds)
-    body = []
-    numbered: dict[str, int] = {}
-    for a in c.body:
-        if counts[a.symbol] == 1:
-            body.append(a)
-            continue
-        numbered[a.symbol] = numbered.get(a.symbol, 0) + 1
-        name = _fresh(f"{a.symbol}~{numbered[a.symbol]}", used)
-        views[name] = c.view_of(a.symbol)
-        fds.extend(SimpleFD(name, fd.source, fd.target) for fd in c.fds if fd.symbol == a.symbol)
-        body.append(Atom(name, a.vars))
-    fds = [fd for fd in fds if fd.symbol not in numbered]
-    return ConjunctiveQuery(c.head, tuple(body), tuple(fds), views)
-
-
-# --------------------------------------------------------------------------
-# stage 3: widen through dependencies
+# stage 2: widen through dependencies
 
 
 class _VarFD(NamedTuple):
@@ -377,7 +346,7 @@ def fd_extend(c: ConjunctiveQuery) -> ConjunctiveQuery:
 
 
 # --------------------------------------------------------------------------
-# stage 4: distinct variables within every atom
+# stage 3: distinct variables within every atom
 
 
 def drop_repeated_vars(c: ConjunctiveQuery) -> ConjunctiveQuery:
@@ -407,7 +376,7 @@ def drop_repeated_vars(c: ConjunctiveQuery) -> ConjunctiveQuery:
 
 
 # --------------------------------------------------------------------------
-# stage 5: restrict to the head
+# stage 4: restrict to the head
 
 
 @dataclass(frozen=True)
@@ -482,8 +451,13 @@ def project_to_head(c: ConjunctiveQuery) -> HeadJoin | None:
 
 
 def normalize(c: ConjunctiveQuery) -> ConjunctiveQuery:
-    """chase -> dedup_symbols -> fd_extend -> drop_repeated_vars."""
-    return drop_repeated_vars(fd_extend(dedup_symbols(chase(c))))
+    """chase -> fd_extend -> drop_repeated_vars.
+
+    A repeated symbol needs no stage of its own: each body occurrence is
+    already its own hyperedge with its own view, and ``fd_extend`` lifts
+    every dependency per occurrence.
+    """
+    return drop_repeated_vars(fd_extend(chase(c)))
 
 
 def cq_bound(c: ConjunctiveQuery, sizes: Mapping[str, int]) -> BoundReport:

@@ -456,6 +456,51 @@ def test_bench_requires_four_distinct_params(capsys):
     assert "4 distinct" in capsys.readouterr().err
 
 
+def test_bench_runs_a_repeated_param_once(capsys):
+    code = main(["bench", "--suite", "triangle-bad", "--algos", "nprr",
+                 "--ns", "16,16,32,64,128"])
+    assert code == 0
+    out, err = capsys.readouterr()
+    cells = [tuple(l.split(",")[1:3]) for l in out.splitlines()[1:]]
+    assert sorted(cells) == [(v, "nprr") for v in ("128", "16", "32", "64")]
+    fit = dict(zip(err.splitlines()[0].split(","), err.splitlines()[1].split(",")))
+    assert fit["points"] == "4"
+
+
+def _readme_bench(suite, algos, ns, n=3):
+    report = run_bench(suite, algos, ns, n=n)
+    assert {row["status"] for row in report.rows} == {"ok"}
+    return report
+
+
+def _column(report, algorithm, column):
+    return [row[column] for row in report.rows if row["algorithm"] == algorithm]
+
+
+@pytest.mark.parametrize("n, nprr_ops, pairwise_max", [
+    (3, [348, 684, 1356, 2700], [305, 1121, 4289, 16769]),
+    (4, [851, 1683, 3347, 6675], [321, 1153, 4353, 16897]),
+])
+def test_readme_lw_bad_numbers(n, nprr_ops, pairwise_max):
+    pairwise = "pairwise:" + "-".join(map(str, range(n)))
+    report = _readme_bench("lw-bad", ["nprr", pairwise], [16, 32, 64, 128], n=n)
+    assert _column(report, "nprr", "total_ops") == nprr_ops
+    assert _column(report, pairwise, "intermediate_max") == pairwise_max
+
+
+def test_readme_triangle_bad_numbers():
+    pairwise = ["pairwise:0-2-1", "pairwise:0-1-2", "pairwise:1-2-0"]
+    report = _readme_bench("triangle-bad", ["nprr", "leapfrog", *pairwise],
+                           [16, 32, 64, 128, 256, 512])
+    exponents = {f["algorithm"]: f["exponent"] for f in report.fits}
+    assert exponents == {"nprr": "0.9976", "leapfrog": "0.9975",
+                         **{p: "1.9693" for p in pairwise}}
+    for row in report.rows:
+        if row["algorithm"] in pairwise:
+            m = row["param"]
+            assert row["intermediate_max"] == (m + 1) ** 2 + m, row
+
+
 # ------------------------------------------------- failures reach no traceback
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -10,6 +11,7 @@ from agmjoin import (
     agm_join_project_traced,
     all_join_plans,
     execute_plan,
+    gen_lw_bad,
     gen_triangle_bad,
     is_simple,
     join,
@@ -165,9 +167,28 @@ def test_join_project_with_empty_relation():
     assert records == []
 
 
+def test_join_project_runs_a_left_spine_deeper_than_the_recursion_limit():
+    # A 45-atom chain: the plan's left spine holds 1,079 joins.
+    xs = make_attrs(*(f"X{i:02d}" for i in range(46)))
+    q = join_query([relation((xs[i], xs[i + 1]), [(0, 0), (1, 1)]) for i in range(45)])
+    out, records = agm_join_project_traced(q)
+    assert out.rows == ((0,) * 46, (1,) * 46)
+    assert len(records) == 1079
+
+
+def level_one_joins(q):
+    """How many recorded joins of unary projections open the join-project plan."""
+    if any(len(r) == 0 for r in q.relations):
+        return 0
+    return sum(1 for r in q.relations if q.attrs[0] in r.schema) - 1
+
+
 def level_end_records(q, records):
-    """The record finishing each level: after it, the level-k prefix join is complete."""
-    idx, ends = 0, []
+    """The record finishing each level: after it, the level-k prefix join is complete.
+
+    Level 1 is recorded too: one join per further relation meeting the first attribute.
+    """
+    idx, ends = level_one_joins(q), []
     for k in range(2, len(q.attrs) + 1):
         prefix = set(q.attrs[:k])
         idx += sum(1 for r in q.relations if set(r.schema) & prefix)
@@ -200,6 +221,55 @@ def test_join_project_levels_stay_bounded_where_pairwise_plans_blow_up():
     assert len(out) == 13
     for rec in level_end_records(q, records):
         assert rec.size <= 27
+
+
+def pin_corpus():
+    """c01's 200 queries, triangle-bad m in {16, 64, 256}, lw-bad n in {3, 4}, d in {16, 64}."""
+    qs = [random_instance(seed, max_rows=30) for seed in range(200)]
+    qs += [gen_triangle_bad(m).query for m in (16, 64, 256)]
+    qs += [gen_lw_bad(n, (n - 1) * d + 1).query for n in (3, 4) for d in (16, 64)]
+    return qs
+
+
+def names(attrs):
+    return tuple(a.name for a in attrs)
+
+
+# sha256 over repr((output rows, intermediate_sizes, total_work)) of every
+# all_join_plans(m) run over pin_corpus(), or repr(("PlanError", message)).
+PLAN_DIGEST = "7f136a2c1259e329be2db4a491a2b62122e7cafaca815f408ccfc1a968efdc07"
+
+# sha256 over repr((output schema, output rows, record tuples)) of every
+# agm_join_project_traced run over pin_corpus(), recorded before level 1's
+# joins were; the test slices those off.
+AGM_DIGEST = "a6c34325277d80397c01d65191610c4774ff2654593e9d0bdacc520c5969cf6a"
+
+
+def test_plan_traces_are_pinned():
+    digest = hashlib.sha256()
+    for q in pin_corpus():
+        for p in all_join_plans(len(q.relations)):
+            try:
+                out, trace = execute_plan(p, q.relations)
+                item = (out.rows, trace.intermediate_sizes, trace.total_work)
+            except PlanError as e:
+                item = ("PlanError", str(e))
+            digest.update(repr(item).encode())
+    assert digest.hexdigest() == PLAN_DIGEST
+
+
+def test_agm_records_are_pinned():
+    digest = hashlib.sha256()
+    for q in pin_corpus():
+        out, records = agm_join_project_traced(q)
+        l1 = level_one_joins(q)
+        first = (q.attrs[0],)
+        assert all(r.left_attrs == r.right_attrs == first for r in records[:l1])
+        records = records[l1:]
+        recs = tuple((names(r.left_attrs), names(r.right_attrs), r.left_size, r.right_size,
+                      r.size) for r in records)
+        digest.update(repr((names(out.schema), out.rows, recs)).encode())
+    assert digest.hexdigest() == AGM_DIGEST
 
 
 def test_is_simple():

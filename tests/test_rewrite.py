@@ -12,7 +12,6 @@ from agmjoin import (
     SimpleFD,
     chase,
     cq_bound,
-    dedup_symbols,
     drop_repeated_vars,
     evaluate_cq,
     fd_extend,
@@ -134,33 +133,6 @@ def test_chase_is_order_insensitive_here():
     c1 = cq("Q", "A", body, [SimpleFD("R", 1, 2)])
     c2 = cq("Q", "A", list(reversed(body)), [SimpleFD("R", 1, 2)])
     assert chase(c1).body == chase(c2).body == (Atom("R", ("A", "B")),)
-
-
-# ---------------------------------------------------------- dedup_symbols
-
-def test_dedup_gives_each_occurrence_its_own_symbol():
-    c = cq("Q", "ABC", [("R", "AB"), ("R", "BC"), ("S", "AC")], [SimpleFD("R", 1, 2)])
-    out = dedup_symbols(c)
-    syms = [a.symbol for a in out.body]
-    assert syms == ["R~1", "R~2", "S"]
-    assert out.view_of("R~1") == BaseView("R", 2)
-    assert out.view_of("R~2") == BaseView("R", 2)
-    assert out.view_of("S") == BaseView("S", 2)
-    # The dependency is restated per copy and dropped from the original.
-    assert set(out.fds) == {SimpleFD("R~1", 1, 2), SimpleFD("R~2", 1, 2)}
-
-
-def test_dedup_leaves_single_occurrences_alone():
-    c = star_query()
-    assert dedup_symbols(c) == c
-
-
-def test_dedup_avoids_colliding_with_existing_names():
-    c = cq("R~1", "AB", [("R", "AB"), ("R", "BA")])
-    out = dedup_symbols(c)
-    syms = {a.symbol for a in out.body}
-    assert "R~1" not in syms  # head name is taken
-    assert len(syms) == 2
 
 
 # ------------------------------------------------------------- fd_extend
@@ -400,7 +372,7 @@ def test_each_stage_preserves_the_output(qi):
         data = dataset_for(c, rng)
         want = evaluate_cq(c, data)
         stage = c
-        for f in (chase, dedup_symbols, fd_extend, drop_repeated_vars):
+        for f in (chase, fd_extend, drop_repeated_vars):
             stage = f(stage)
             assert evaluate_cq(stage, data) == want, f.__name__
         hj = project_to_head(stage)
