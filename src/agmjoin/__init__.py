@@ -7,8 +7,9 @@ The package is organized bottom-up:
 * ``trie`` — sorted trie indexes, the operation-count meter, and the
   two metered steps of the ``engine`` recursion: a descent along a trie
   path and a k-way intersection of sorted child lists.
-* ``simplex`` / ``bounds`` — exact-rational covering LPs, the
-  fractional-cover size bound, and the group-decomposition audit.
+* ``simplex`` / ``bounds`` — exact covering LPs (a fraction-free
+  integer tableau with rational results), the fractional-cover size
+  bound, and the group-decomposition audit.
 * ``engine`` — the recursive join with nprr / leapfrog /
   fixed-sequence partitioning.
 * ``plans`` — classical two-way join plans and the bound-driven

@@ -14,6 +14,7 @@ whenever N_F is a power of two.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -48,7 +49,8 @@ class FractionalCover:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+        object.__setattr__(self, "weights",
+                           tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights))
 
     def __getitem__(self, i: int) -> Fraction:
         return self.weights[i]
@@ -58,7 +60,7 @@ class FractionalCover:
 
 
 def cover(*weights: WeightLike) -> FractionalCover:
-    return FractionalCover(tuple(Fraction(w) for w in weights))
+    return FractionalCover(weights)
 
 
 @dataclass(frozen=True)
@@ -92,57 +94,66 @@ def _check_shape(h: Hypergraph, x: FractionalCover) -> None:
         raise MalformedCoverError(f"{len(x)} weights for {len(h.edges)} edges")
 
 
-def _check_sizes(h: Hypergraph, sizes: Sequence[int]) -> None:
+def _check_sizes(h: Hypergraph, sizes: Sequence[int]) -> tuple[int, ...]:
+    """The sizes as Python ints; integral types such as numpy's are accepted."""
     # Sizes enter through log2; callers clamp empty relations to 1.
     if len(sizes) != len(h.edges):
         raise MalformedCoverError(f"{len(sizes)} sizes for {len(h.edges)} edges")
-    if any(n < 1 for n in sizes):
-        raise MalformedCoverError(f"sizes {tuple(sizes)} must all be at least 1")
+    try:
+        ints = tuple(operator.index(n) for n in sizes)
+    except TypeError:
+        raise MalformedCoverError(f"sizes {tuple(sizes)} must be integers") from None
+    if any(n < 1 for n in ints):
+        raise MalformedCoverError(f"sizes {ints} must all be at least 1")
+    return ints
 
 
 def is_cover(h: Hypergraph, x: FractionalCover) -> bool:
-    """Exact test: x >= 0 and every vertex gathers total weight >= 1."""
+    """Exact test: x >= 0 and every vertex gathers total weight >= 1.
+
+    Summed in integers: each weight times d, the lcm of their denominators.
+    """
     _check_shape(h, x)
-    if any(w < 0 for w in x.weights):
-        return False
-    one = Fraction(1)
-    for v in h.vertices:
-        if sum((x[i] for i in h.edges_with(v)), Fraction(0)) < one:
-            return False
-    return True
+    d = math.lcm(*(w.denominator for w in x.weights))
+    scaled = [w.numerator * (d // w.denominator) for w in x.weights]
+    return (all(s >= 0 for s in scaled)
+            and all(sum(scaled[i] for i in h.edges_with(v)) >= d for v in h.vertices))
 
 
 def agm_bound(h: Hypergraph, sizes: Sequence[int], x: FractionalCover) -> BoundReport:
     """Evaluate the bound certified by a given cover (log-space product)."""
     _check_shape(h, x)
-    _check_sizes(h, sizes)
+    sizes = _check_sizes(h, sizes)
     if not is_cover(h, x):
         raise InfeasibleCoverError(f"weights {x.weights} do not cover {h.vertices}")
-    log2b = sum((x[i] * log2_fraction(n) for i, n in enumerate(sizes)), Fraction(0))
-    return BoundReport(x, tuple(sizes), log2b)
+    log2b = sum((w * log2_fraction(n) for w, n in zip(x.weights, sizes) if w), Fraction(0))
+    return BoundReport(x, sizes, log2b)
 
 
 def min_cover_lp(h: Hypergraph, sizes: Sequence[int]) -> BoundReport:
     """Tightest bound over the cover polyhedron.
 
-    Solved by exact rational simplex; among optimal vertices the
-    lexicographically smallest weight vector (edge-list order) is
-    returned, which makes the report deterministic.  The costs
-    log2 |R_F| are never negative, so the dual simplex minimizes the
-    log-size objective from the all-surplus basis with no phase 1; then
-    each weight in turn is minimized from the basis the previous pass
-    ended in, over the columns that can still be non-zero at an optimum.
+    Solved exactly by ``simplex.lexmin_minimize``, whose tableau holds
+    Python ints and whose results are rationals; among optimal vertices
+    the lexicographically smallest weight vector (edge-list order) is
+    returned, which makes the report deterministic.  The constraint rows
+    are the 0/1 vertex-edge incidence as ints, so the tableau needs no
+    row scaling; only the costs log2 |R_F| carry denominators.  They are
+    never negative, so the dual simplex minimizes the log-size objective
+    from the all-surplus basis with no phase 1; then each weight in turn
+    is minimized from the basis the previous pass ended in, over the
+    columns that can still be non-zero at an optimum.  The result is
+    certified by re-evaluating its cover through ``agm_bound``.
     """
-    _check_sizes(h, sizes)
+    sizes = _check_sizes(h, sizes)
     m = len(h.edges)
     c = tuple(log2_fraction(n) for n in sizes)
-    zero = Fraction(0)
     ge = []
     for v in h.vertices:
-        row = [zero] * m
+        row = [0] * m
         for i in h.edges_with(v):
-            row[i] = Fraction(1)
-        ge.append((tuple(row), Fraction(1)))
+            row[i] = 1
+        ge.append((tuple(row), 1))
     value, x = lexmin_minimize(LinearProgram(c, tuple(ge)))
     report = agm_bound(h, sizes, FractionalCover(x))
     assert report.log2_bound == value

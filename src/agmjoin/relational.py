@@ -183,8 +183,13 @@ class Hypergraph:
         if covered != vs:
             raise SchemaError(f"isolated vertices: {vs - covered}")
 
+    @cached_property
+    def _incidence(self) -> dict[Attribute, tuple[int, ...]]:
+        """Each vertex's edge indices, computed once per hypergraph."""
+        return {a: tuple(i for i, e in enumerate(self.edges) if a in e) for a in self.vertices}
+
     def edges_with(self, a: Attribute) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.edges) if a in e)
+        return self._incidence.get(a, ())
 
 
 @dataclass(frozen=True)

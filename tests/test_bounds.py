@@ -87,6 +87,27 @@ def test_min_cover_lp_rejects_sizes_below_one(sizes):
         min_cover_lp(TRIANGLE, sizes)
 
 
+def test_numpy_integer_sizes_give_the_int_report():
+    sizes = (np.int64(8), np.int64(10), np.int32(3))
+    assert min_cover_lp(TRIANGLE, sizes) == min_cover_lp(TRIANGLE, (8, 10, 3))
+    x = cover(1, 0, 1)
+    assert agm_bound(TRIANGLE, sizes, x) == agm_bound(TRIANGLE, (8, 10, 3), x)
+
+
+@pytest.mark.parametrize("sizes", [(4.0, 4, 4), (4, 4.5, 4), (4, 4, Fraction(4)), ("4", 4, 4)])
+def test_non_integer_sizes_raise_malformed_cover_error(sizes):
+    with pytest.raises(MalformedCoverError):
+        min_cover_lp(TRIANGLE, sizes)
+    with pytest.raises(MalformedCoverError):
+        agm_bound(TRIANGLE, sizes, cover(1, 0, 1))
+
+
+def test_is_cover_sums_mixed_denominators_exactly():
+    h = Hypergraph((A,), ((A,), (A,), (A,)))
+    assert is_cover(h, cover("1/3", "1/6", "1/2"))
+    assert not is_cover(h, cover("1/3", "1/6", Fraction(1, 2) - Fraction(1, 10**30)))
+
+
 def test_log2_fraction_exact_on_powers_of_two():
     for k in range(0, 40):
         assert log2_fraction(2**k) == Fraction(k)

@@ -1,7 +1,11 @@
 """The exact simplex: typed failures, equalities as row pairs, and the lex-least optimum.
 
-``lexmin_minimize`` below is the previous implementation, kept as the
-reference: it re-solves the program from scratch once per coordinate,
+Two earlier implementations are kept here as references.
+``fraction_minimize`` is the dual simplex on a tableau of
+``fractions.Fraction`` entries: the integer tableau in ``agmjoin.simplex``
+stands for exactly that tableau, so it must take the same pivots and
+return the same value and basic point.  ``lexmin_minimize`` re-solves
+the program with ``fraction_minimize`` from scratch once per coordinate,
 each time pinning one more optimal value as an equality (a pair of >=
 rows).  It is slow but plainly correct, and the one-tableau refinement
 in ``agmjoin.simplex`` must return exactly what it returns.
@@ -35,6 +39,51 @@ def _with_eq(lp: LinearProgram, a: Vector, b: Fraction) -> LinearProgram:
     return LinearProgram(lp.c, lp.ge_rows + _eq_rows(a, b))
 
 
+def _pivot(rows: list[list[Fraction]], obj: list[Fraction], basis: list[int], r: int, col: int) -> None:
+    piv = rows[r][col]
+    if piv != 1:
+        rows[r] = [v / piv if v else v for v in rows[r]]
+    prow = rows[r]
+    for i, row in enumerate(rows):
+        if i != r and row[col]:
+            f = row[col]
+            rows[i] = [v - f * w if w else v for v, w in zip(row, prow)]
+    if obj[col]:
+        f = obj[col]
+        obj[:] = [v - f * w if w else v for v, w in zip(obj, prow)]
+    basis[r] = col
+
+
+def _solve(lp: LinearProgram) -> tuple[list[list[Fraction]], list[int], list[Fraction]]:
+    """Dual simplex from the surplus basis on a Fraction tableau, Bland's rule."""
+    n = len(lp.c)
+    m = len(lp.ge_rows)
+    rows = [[F(-v) for v in a] + [F(j == k) for j in range(m)] + [F(-b)]
+            for k, (a, b) in enumerate(lp.ge_rows)]
+    basis = [n + k for k in range(m)]
+    obj = [F(cj) for cj in lp.c] + [F(0)] * (m + 1)
+    while True:
+        infeasible = [i for i, row in enumerate(rows) if row[-1] < 0]
+        if not infeasible:
+            return rows, basis, obj
+        r = min(infeasible, key=basis.__getitem__)
+        row = rows[r]
+        cols = [j for j in range(n + m) if row[j] < 0]
+        if not cols:
+            raise InfeasibleProgramError(f"row {r} has a negative right-hand side and no negative entry")
+        _pivot(rows, obj, basis, r, min(cols, key=lambda j: obj[j] / -row[j]))
+
+
+def fraction_minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
+    """(optimal value, basic optimal point) from the Fraction tableau."""
+    n = len(lp.c)
+    rows, basis, obj = _solve(lp)
+    x = [F(0)] * (n + len(lp.ge_rows))
+    for i, row in enumerate(rows):
+        x[basis[i]] = row[-1]
+    return -obj[-1], tuple(x[:n])
+
+
 def lexmin_minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
     """Optimal value plus the lexicographically smallest optimal point.
 
@@ -44,13 +93,13 @@ def lexmin_minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
     """
     n = len(lp.c)
     zero = Fraction(0)
-    value, _ = minimize(lp)
+    value, _ = fraction_minimize(lp)
     cur = _with_eq(lp, lp.c, value)
     pins: list[Fraction] = []
     for i in range(n):
         e = tuple(Fraction(1) if j == i else zero for j in range(n))
         cur_lp = LinearProgram(e, cur.ge_rows)
-        vi, _ = minimize(cur_lp)
+        vi, _ = fraction_minimize(cur_lp)
         pins.append(vi)
         cur = _with_eq(cur, e, vi)
     return value, tuple(pins)
@@ -186,3 +235,57 @@ def _outcome(solve, lp):
 def test_lexmin_matches_the_reference_on_general_programs(lp):
     """Zero costs, negative right-hand sides, equalities, infeasibility."""
     assert _outcome(simplex.lexmin_minimize, lp) == _outcome(lexmin_minimize, lp)
+
+
+# denominators 1-6 make the integer tableau scale its rows; ints ride along
+FRACTION = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+ENTRY = st.one_of(st.integers(-3, 3), FRACTION)
+COST_ENTRY = st.one_of(st.integers(0, 3), st.builds(F, st.integers(0, 6), st.integers(1, 6)))
+
+
+@st.composite
+def fractional_programs(draw):
+    n = draw(st.integers(1, 4))
+    row = st.tuples(st.tuples(*[ENTRY] * n), ENTRY)
+    c = draw(st.tuples(*[COST_ENTRY] * n))
+    ge = draw(st.lists(row, min_size=0, max_size=4))
+    eq = draw(st.lists(row, min_size=0, max_size=2))
+    return LinearProgram(c, tuple(ge) + sum((_eq_rows(a, b) for a, b in eq), ()))
+
+
+def _is_exact(outcome) -> bool:
+    """An InfeasibleProgramError, or a value and point made of Fractions only."""
+    if outcome is InfeasibleProgramError:
+        return True
+    value, x = outcome
+    return all(type(v) is F for v in (value, *x))
+
+
+# x0/2 + x1/3 >= 5/6 and x0/3 + x1/2 >= 5/6 with x0 - x1 == -1/6: the
+# optimum (14/15, 11/10) has the first row tight; x0/4 >= 1/3 against
+# -x0/6 >= -1/6 (x0 <= 1) is infeasible
+@given(fractional_programs())
+@example(LinearProgram((F(1, 6), F(5, 6)), (((F(1, 2), F(1, 3)), F(5, 6)),
+                                           ((F(1, 3), F(1, 2)), F(5, 6)))
+                       + _eq_rows((F(1), F(-1)), F(-1, 6))))
+@example(LinearProgram((F(1),), (((F(1, 4),), F(1, 3)), ((F(-1, 6),), F(-1, 6)))))
+def test_integer_tableau_matches_the_fraction_tableau(lp):
+    """Same optimal value and basic point as the Fraction tableau, or both infeasible."""
+    got = _outcome(minimize, lp)
+    assert _is_exact(got)
+    assert got == _outcome(fraction_minimize, lp)
+    got = _outcome(simplex.lexmin_minimize, lp)
+    assert _is_exact(got)
+    assert got == _outcome(lexmin_minimize, lp)
+
+
+@pytest.mark.parametrize("lp_args", [
+    ((0.5,), (((1,), 1),)),  # a float cost
+    ((1,), (((1.0,), 1),)),  # a float row entry
+    ((1,), (((1,), 0.5),)),  # a float right-hand side
+    ((1,), ((("1",), 1),)),  # not a number
+])
+def test_linear_program_rejects_entries_that_are_not_int_or_fraction(lp_args):
+    # the solver is exact; a float has already been rounded
+    with pytest.raises(ValueError):
+        LinearProgram(*lp_args)
