@@ -2,8 +2,9 @@
 
 The package is organized bottom-up:
 
-* ``relational`` — attributes, relations, hypergraphs, and the slow
-  reference operations every fast path is checked against.
+* ``relational`` — attributes, relations, hypergraphs, join queries
+  (at least one relation each), and the brute-force ``oracle_join``
+  every fast path is checked against.
 * ``trie`` — sorted trie indexes, the operation-count meter, and the
   two metered steps of the ``engine`` recursion: a descent along a trie
   path and a k-way intersection of sorted child lists.
@@ -15,7 +16,9 @@ The package is organized bottom-up:
 * ``plans`` — classical two-way join plans and the bound-driven
   join-project evaluator, for comparison runs.
 * ``rewrite`` — conjunctive queries with simple functional
-  dependencies, rewritten until the plain size bound is tight.
+  dependencies, rewritten until the plain size bound is tight; its
+  ``HeadJoin`` is also the one binder from stored tables to a
+  ``JoinQuery``.
 * ``instances`` — reproducible generators for the worked examples and
   the adversarial families used in benchmarks.
 * ``cli`` — the ``agmjoin`` command: run, bound, bench, gen.
@@ -36,7 +39,6 @@ from .engine import (
     JoinRun,
     PartitionStrategy,
     fixed_sequence_strategy,
-    generic_join,
     leapfrog_strategy,
     nprr_strategy,
     run_join,
@@ -66,7 +68,6 @@ from .plans import (
     JoinRecord,
     PlanTrace,
     PlanTree,
-    agm_join_project,
     agm_join_project_traced,
     all_join_plans,
     execute_plan,
@@ -81,7 +82,6 @@ from .relational import (
     attrs_sorted,
     join_query,
     make_attrs,
-    natural_join,
     oracle_join,
     project,
     relation,

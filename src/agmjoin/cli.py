@@ -18,8 +18,9 @@ Conventions, fixed so output is diffable:
   across algorithms can be checked directly from the CSV.
 * Exit codes: 0 success; 2 parse failure (flags, or files that are
   missing, unreadable or malformed); 3 schema mismatch, including a
-  table whose rows are wider or narrower than its atoms, or a plan that
-  cannot run; 4 generator parameter error; 1 timeout.
+  table whose rows are wider or narrower than its atoms or hold a
+  negative value, or a plan that cannot run; 4 generator parameter
+  error; 1 timeout.
 * ``AGMJOIN_TIMEOUT`` (seconds) sets the default time budget; --timeout
   overrides it.  Every algorithm stops on its deadline: run exits 1 and
   bench marks the cell "timeout" and leaves its probes, advances, emits,
@@ -71,8 +72,8 @@ from .instances import (
 )
 from .bounds import min_cover_lp
 from .plans import PlanTrace, PlanTree, agm_join_project_traced, execute_plan, join, leaf
-from .relational import (JoinQuery, Relation, active_domains, join_query, make_attrs,
-                         oracle_join, relation)
+from .relational import JoinQuery, Relation, active_domains, oracle_join
+from .relational import relation  # noqa: F401  perfbench/tracing.py wraps it (ROADMAP item 3)
 from .rewrite import Atom, ConjunctiveQuery, normalize, project_to_head
 from .trie import CostMeter
 
@@ -193,16 +194,6 @@ def _run_algo(kind: str, payload, q: JoinQuery, budget: float | None,
                       total_ops=trace.total_work if trace else None)
 
 
-def _bind_full(nq: ConjunctiveQuery, data: Mapping[str, Iterable[tuple[int, ...]]]
-               ) -> tuple[JoinQuery, tuple[str, ...]]:
-    """Attach file data to every body atom, over all variables."""
-    names = sorted({v for a in nq.body for v in a.vars})
-    attrs = dict(zip(names, make_attrs(*names)))
-    rels = [relation(tuple(attrs[v] for v in a.vars), nq.view_of(a.symbol).rows(data))
-            for a in nq.body]
-    return join_query(rels), tuple(names)
-
-
 def _csv(columns: Sequence[str], rows: Iterable[Mapping]) -> str:
     """A header line, then one line per row; a None field prints empty."""
     lines = [",".join(columns)]
@@ -249,7 +240,9 @@ def cmd_run(args) -> int:
     cq = read_query_file(args.query)
     data = load_data_dir(args.data)
     nq = normalize(dataclasses.replace(cq, fds=()))  # dependencies never change run semantics
-    jq, names = _bind_full(nq, data)
+    names = sorted({v for a in nq.body for v in a.vars})
+    full = dataclasses.replace(nq, head=Atom(nq.head.symbol, tuple(names)))
+    jq = project_to_head(full).bind(data)  # a head of every body variable: the full join
     _, kind, payload = _parse_algo(args.algo)
     res = _run_algo(kind, payload, jq, _budget(args, None))
     if res.status == "timeout":

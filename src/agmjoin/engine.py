@@ -430,14 +430,3 @@ def run_join(
     meter.emits += len(out)
     return JoinRun(out, meter, strat, cover)
 
-
-def generic_join(
-    q: JoinQuery,
-    strat: PartitionStrategy | None = None,
-    cover: FractionalCover | None = None,
-    meter: CostMeter | None = None,
-    *,
-    audit: bool = False,
-) -> Relation:
-    """The output of ``run_join`` without its run record."""
-    return run_join(q, strat, cover, meter, audit=audit).output

@@ -7,7 +7,7 @@ a plan cannot avoid — the cardinality of each intermediate result — so
 ``PlanTrace`` records every join node's output size and the summed
 row footprint, not wall-clock time.
 
-``agm_join_project`` is the one join-project plan that bounds its
+``agm_join_project_traced`` runs the one join-project plan that bounds its
 intermediates by construction: for k = 1..n, join every relation
 projected onto the first k attributes, left-deep.  It is a ``PlanTree``
 run by the same executor as the pairwise plans.  Each level's completed
@@ -264,11 +264,3 @@ def agm_join_project_traced(q: JoinQuery, meter: CostMeter | None = None
         return Relation(q.attrs, ()), []
     return _evaluate(_agm_plan(q), q.relations, meter)
 
-
-def agm_join_project(q: JoinQuery) -> Relation:
-    """The join-project plan whose every completed level obeys the size bound.
-
-    Only each level's finished result is bounded; a partial join inside
-    a level can exceed the bound.  Level 1's joins are recorded too.
-    """
-    return agm_join_project_traced(q)[0]

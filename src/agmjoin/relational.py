@@ -60,17 +60,20 @@ class Relation:
         if any(self.schema[i] >= self.schema[i + 1] for i in range(len(self.schema) - 1)):
             raise SchemaError(f"schema not in global attribute order: {self.schema}")
         arity = len(self.schema)
-        seen = set()
-        for t in self.rows:
+        rows = self.rows
+        ordered = True  # strictly increasing, hence sorted and distinct
+        prev = None
+        for t in rows:
             if len(t) != arity:
                 raise SchemaError(f"row {t} does not match arity {arity}")
-            if any((not isinstance(v, int)) or v < 0 for v in t):
-                raise SchemaError(f"row {t} has a non-encodable value")
-            seen.add(t)
-        if len(seen) != len(self.rows) or any(
-            self.rows[i] > self.rows[i + 1] for i in range(len(self.rows) - 1)
-        ):
-            object.__setattr__(self, "rows", tuple(sorted(seen)))
+            for v in t:
+                if not isinstance(v, int) or v < 0:
+                    raise SchemaError(f"row {t} has a non-encodable value")
+            if ordered and prev is not None and prev >= t:
+                ordered = False
+            prev = t
+        if not ordered:
+            object.__setattr__(self, "rows", tuple(sorted(set(rows))))
 
     @cached_property
     def _rowset(self) -> frozenset[Row]:
@@ -142,24 +145,6 @@ def semijoin(r: Relation, t: Mapping[Attribute, int]) -> Relation:
     return select(r, shared)
 
 
-def natural_join(r: Relation, s: Relation) -> Relation:
-    """Plain hash natural join; fine for small inputs and oracles."""
-    shared = [a for a in r.schema if a in s.schema]
-    out_schema = attrs_sorted(r.schema + s.schema)
-    r_pos = [r.schema.index(a) for a in shared]
-    s_pos = [s.schema.index(a) for a in shared]
-    table: dict[Row, list[Row]] = {}
-    for t in s.rows:
-        table.setdefault(tuple(t[i] for i in s_pos), []).append(t)
-    merged: dict[Attribute, int] = {}
-    out = set()
-    for t in r.rows:
-        for u in table.get(tuple(t[i] for i in r_pos), ()):
-            merged = {**dict(zip(r.schema, t)), **dict(zip(s.schema, u))}
-            out.add(tuple(merged[a] for a in out_schema))
-    return Relation(out_schema, tuple(out))
-
-
 @dataclass(frozen=True)
 class Hypergraph:
     """Query shape: vertices are attributes, edges are relation schemas."""
@@ -200,6 +185,8 @@ class JoinQuery:
     relations: tuple[Relation, ...]
 
     def __post_init__(self) -> None:
+        if not self.relations:
+            raise SchemaError("a join query needs at least one relation")
         if len(self.relations) != len(self.hypergraph.edges):
             raise SchemaError("one relation per edge required")
         for e, r in zip(self.hypergraph.edges, self.relations):

@@ -25,7 +25,9 @@ The first three stages preserve the query's output exactly (on instances
 that satisfy the declared dependencies).  The final projection stage is
 a relaxation: the join of the projected atoms contains the head tuples,
 so its bound — :func:`cq_bound` — is a sound output-size bound for the
-original query.
+original query.  Projected onto every body variable instead, the last
+stage relaxes nothing: its :class:`HeadJoin` is the full join that
+``agmjoin run`` binds to file data and evaluates.
 """
 
 from __future__ import annotations
@@ -389,6 +391,9 @@ class HeadJoin:
     cardinality — that is the size the LP should use, and ``edge_sizes``
     looks it up.  ``bind`` attaches concrete data, yielding an executable
     :class:`JoinQuery`.
+
+    Taken over every body variable, the same object is the query's full
+    join: ``agmjoin run`` binds it and projects the answer to the head.
     """
 
     hypergraph: Hypergraph
@@ -403,8 +408,9 @@ class HeadJoin:
             raise SchemaError(f"no size given for table {e.args[0]!r}") from None
 
     def bind(self, data: Mapping[str, Iterable[Row]]) -> JoinQuery:
+        """One relation per edge, its view's rows handed over already sorted."""
         rels = tuple(
-            Relation(edge, tuple(view.rows(data)))
+            Relation(edge, tuple(sorted(view.rows(data))))
             for edge, view in zip(self.hypergraph.edges, self.views)
         )
         return JoinQuery(self.hypergraph, rels)
@@ -418,6 +424,10 @@ def project_to_head(c: ConjunctiveQuery) -> HeadJoin | None:
     shrink the output and are dropped.  A query with an empty head is a
     pure emptiness test; there is no join to build and the output size
     is at most one, so ``None`` is returned and callers report 0/1.
+
+    With every body variable in the head nothing is projected away and
+    no atom is dropped: the result is the body's full join, which is how
+    ``agmjoin run`` binds its data.
 
     Atoms are expected to carry distinct variables (run the earlier
     stages first); a repeated variable here is an error.

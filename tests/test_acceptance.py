@@ -19,7 +19,7 @@ from agmjoin import (
     Hypergraph,
     PlanError,
     agm_bound,
-    agm_join_project,
+    agm_join_project_traced,
     all_join_plans,
     cover,
     cq_bound,
@@ -67,7 +67,7 @@ def test_c01_all_engines_agree_with_the_oracle_on_200_instances():
         q, want = solved(seed)
         assert run_join(q, nprr_strategy()).output == want, seed
         assert run_join(q, leapfrog_strategy()).output == want, seed
-        assert agm_join_project(q) == want, seed
+        assert agm_join_project_traced(q)[0] == want, seed
         for plan in all_join_plans(len(q.relations)):
             got, _ = execute_plan(plan, q.relations)
             assert got == want, (seed, plan.describe())
@@ -106,7 +106,7 @@ def test_c01_engines_answer_or_refuse_on_adversarial_values_and_shapes(q):
     want = oracle_join(q)
     assert run_join(q, nprr_strategy()).output == want
     assert run_join(q, leapfrog_strategy()).output == want
-    runs = [("agm-plan", lambda: agm_join_project(q))]
+    runs = [("agm-plan", lambda: agm_join_project_traced(q)[0])]
     runs += [(p.describe(), lambda p=p: execute_plan(p, q.relations)[0])
              for p in all_join_plans(len(q.relations))]
     for name, run in runs:

@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 
 import pytest
@@ -16,7 +19,8 @@ from agmjoin.cli import (
     run_bench,
 )
 from agmjoin.errors import QueryFormatError
-from agmjoin.formats import write_query_file
+from agmjoin.formats import read_query_file, write_query_file, write_relation_file
+from agmjoin.rewrite import FilterView, KeepView, normalize
 from test_rewrite import key_chain_query, loop_endpoints_query, repeated_symbol_query, star_query
 
 
@@ -300,6 +304,104 @@ def test_run_pairwise_must_cover_all_atoms(triangle_dir, capsys):
                            "--algo", "pairwise:0-1")
     assert code == 2
     assert "exactly once" in err
+
+
+def test_run_negative_value_exits_3(tmp_path, capsys):
+    """The .rel parser reads a negative value; Relation refuses it."""
+    inst = gen_dir(tmp_path, "--family", "triangle-bad", "--m", "2")
+    with open(inst / "R0.rel", "a", encoding="utf-8") as f:
+        f.write("-1,2\n")
+    code, _, err = run_cli(capsys, str(inst / "query.txt"), str(inst))
+    assert code == 3
+    assert "non-encodable" in err
+
+
+# The first 16 hex digits of the sha256 of `run`'s stdout (per family) and
+# of its stats CSV on stderr (per algorithm), recorded with the binder
+# `run` used before it bound its data through HeadJoin.
+RUN_PINS = {
+    "triangle-bad": (("--m", "30"), "7425d493c349e135", {
+        "nprr": "2994c05959be8c62",
+        "leapfrog": "cf268bc4518fc8e4",
+        "oracle": "545f950e2a035c36",
+        "agm-plan": "c24218ef5d8ba321",
+        "pairwise:0-1-2": "95f0c1a349d3141d",
+    }),
+    "lw-bad": (("--n", "4", "--N", "31"), "1e7fad82bfee8795", {
+        "nprr": "0caf0f85d1526b15",
+        "leapfrog": "a89697f6b4949bb3",
+        "oracle": "79fb89c6100b853f",
+        "agm-plan": "e7ddb99e82824ff6",
+        "pairwise:0-1-2-3": "eff142324125a22c",
+    }),
+    "clique": (("--k", "4", "--N", "60"), "2cbe48806bab5567", {
+        "nprr": "e06f41488fe54d31",
+        "leapfrog": "df38dd35cfd34c5e",
+        "oracle": "50b5c644d26d25a1",
+        "agm-plan": "1e7454d720d43320",
+        "pairwise:0-1-2-3-4-5": "5f47d4efbf3e952b",
+    }),
+    "lw": (("--k", "4", "--N", "200"), "2cbe48806bab5567", {
+        "nprr": "7510879b00a15241",
+        "leapfrog": "c464c1049922f9c6",
+        "oracle": "50b5c644d26d25a1",
+        "agm-plan": "cf99dc550ce6ac35",
+        "pairwise:0-1-2-3": "7e8d248de9153f25",
+    }),
+    "chase-witness": (("--N", "40"), "c0e985739b84ed98", {
+        "nprr": "e2fb250a05219c1c",
+        "leapfrog": "49cef1f359f1ae6c",
+        "oracle": "9d6556a980233c57",
+        "agm-plan": "75da648044a8d025",
+        "pairwise:0-1-2": "5d54dc01f11dad1a",
+    }),
+    "random": (("--n", "4", "--m", "4", "--sizes-list", "30", "--domain", "6", "--seed", "3"),
+               "3cbd93f0cff2a332", {
+        "nprr": "a2252950d367c9e5",
+        "leapfrog": "eb57815950ad852d",
+        "oracle": "b4464fcbf85f59cb",
+        "agm-plan": "3c20e1d0525aee00",
+        "pairwise:0-1-2-3": "71f6848974737da9",
+    }),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_dirs(tmp_path_factory):
+    out = {}
+    for family, (flags, _, _) in RUN_PINS.items():
+        out[family] = tmp_path_factory.mktemp(family)
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["gen", "--family", family, "--out", str(out[family]), *flags]) == 0
+    return out
+
+
+def _sha16(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("family,algo", [(f, a) for f, pin in RUN_PINS.items() for a in pin[2]])
+def test_run_bytes_are_pinned(pinned_dirs, capsys, family, algo):
+    d = pinned_dirs[family]
+    code, out, err = run_cli(capsys, str(d / "query.txt"), str(d), "--algo", algo)
+    assert code == 0
+    assert (_sha16(out), _sha16(err)) == (RUN_PINS[family][1], RUN_PINS[family][2][algo])
+
+
+def test_run_binds_permuted_filtered_and_repeated_atoms(tmp_path, capsys):
+    """Atoms out of global order, a repeated symbol and a repeated variable:
+    the body's views permute and filter columns on their way to the join."""
+    (tmp_path / "query.txt").write_text("Q(A,B,C) :- R(B,A), R(A,C), S(C,C,B).\n")
+    write_relation_file(tmp_path / "R.rel", "R", ["x", "y"], [(1, 0), (2, 1), (0, 2), (2, 0)])
+    write_relation_file(tmp_path / "S.rel", "S", ["x", "y", "z"],
+                        [(2, 2, 1), (0, 0, 2), (0, 1, 0), (1, 1, 3), (2, 2, 2)])
+    views = normalize(read_query_file(tmp_path / "query.txt")).views.values()
+    assert any(isinstance(v, KeepView) and isinstance(v.inner, FilterView) for v in views)
+    for algo in ("nprr", "leapfrog", "oracle", "agm-plan", "pairwise:2-0-1"):
+        code, out, _ = run_cli(capsys, str(tmp_path / "query.txt"), str(tmp_path),
+                               "--algo", algo)
+        assert code == 0, algo
+        assert out == "# relation Q schema A,B,C\n0,1,2\n0,2,2\n1,2,0\n", algo
 
 
 # -------------------------------------------------------------- bound

@@ -15,7 +15,6 @@ from agmjoin import (
     gen_clique_query,
     gen_lw_bad,
     gen_triangle_bad,
-    generic_join,
     join_query,
     leapfrog_strategy,
     make_attrs,
@@ -123,11 +122,6 @@ def test_meter_is_shared_when_passed_in():
     run = run_join(q, meter=m)
     assert run.meter is m
     assert m.total_ops > 0
-
-
-def test_generic_join_equals_run_join_output():
-    q = random_instance(7)
-    assert generic_join(q) == run_join(q).output
 
 
 def test_time_budget_fires_on_a_grinding_instance():

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from agmjoin import (
     Hypergraph,
     JoinQuery,
+    Relation,
     SchemaError,
     attrs_sorted,
     join_query,
     make_attrs,
-    natural_join,
+    min_cover_lp,
     oracle_join,
     project,
     relation,
@@ -40,6 +41,16 @@ def test_relation_sorts_and_dedups():
     assert r.rows == ((0, 3), (2, 1))
     assert len(r) == 2
     assert r.arity == 2
+
+
+def test_relation_drops_an_adjacent_duplicate_in_sorted_rows():
+    r = Relation((A, B), ((1, 2), (1, 2), (3, 4)))
+    assert r.rows == ((1, 2), (3, 4))
+
+
+def test_relation_keeps_strictly_increasing_rows_as_given():
+    rows = ((0, 5), (1, 2), (1, 3))
+    assert Relation((A, B), rows).rows is rows
 
 
 def test_relation_permutes_to_schema_order():
@@ -84,6 +95,23 @@ def test_select_and_semijoin_agree_with_filters(rows, v):
     # Semijoin against a binding mentioning B and an attribute r lacks.
     kept = semijoin(r, {B: v, C: 9})
     assert set(kept.rows) == {t for t in r.rows if t[1] == v}
+
+
+def natural_join(r: Relation, s: Relation) -> Relation:
+    """Plain hash natural join, kept here as an independent check of ``oracle_join``."""
+    shared = [a for a in r.schema if a in s.schema]
+    out_schema = attrs_sorted(r.schema + s.schema)
+    r_pos = [r.schema.index(a) for a in shared]
+    s_pos = [s.schema.index(a) for a in shared]
+    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for u in s.rows:
+        table.setdefault(tuple(u[i] for i in s_pos), []).append(u)
+    out = set()
+    for t in r.rows:
+        for u in table.get(tuple(t[i] for i in r_pos), ()):
+            merged = {**dict(zip(r.schema, t)), **dict(zip(s.schema, u))}
+            out.add(tuple(merged[a] for a in out_schema))
+    return Relation(out_schema, tuple(out))
 
 
 def test_natural_join_small_example():
@@ -132,6 +160,15 @@ def test_join_query_reads_hypergraph_off_schemas():
     assert q.hypergraph.edges == ((A, B), (B, C))
     assert q.attrs == (A, B, C)
     assert q.sizes == (1, 1)
+
+
+def test_join_query_needs_a_relation():
+    with pytest.raises(SchemaError):
+        join_query([])
+    with pytest.raises(SchemaError):
+        JoinQuery(Hypergraph((), ()), ())
+    # the empty shape itself stays valid, and so does its cover LP
+    assert min_cover_lp(Hypergraph((), ()), ()).log2_bound == 0
 
 
 def test_join_query_schema_must_match_edge():
