@@ -43,6 +43,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -249,13 +250,13 @@ def cmd_run(args) -> int:
         print(f"error: {args.algo} exceeded its time budget", file=sys.stderr)
         return 1
 
-    pos = {v: i for i, v in enumerate(names)}
-    head = cq.head
+    head, rows = cq.head, res.output.rows  # sorted, distinct, columns in `names` order
     if head.vars:
-        tuples = {tuple(t[pos[v]] for v in head.vars) for t in res.output.rows}
-        text, shown = format_relation(head.symbol, head.vars, tuples), len(tuples)
+        if head.vars != tuple(names):  # permuted, repeated or projected: one C pass per column
+            rows = sorted(set(zip(*[map(itemgetter(names.index(v)), rows) for v in head.vars])))
+        text, shown = format_relation(head.symbol, head.vars, rows), len(rows)
     else:
-        shown = int(len(res.output) > 0)
+        shown = int(len(rows) > 0)
         text = f"# boolean query {head.symbol}: 1 = nonempty\n{shown}\n"
     _write_out(args.out, text)
     sys.stderr.write(_csv(STATS_COLUMNS, [{**vars(res), "algorithm": args.algo, "rows": shown}]))

@@ -7,8 +7,10 @@ Relation files are line-oriented and round-trip stable:
     0,2
 
 — a single header naming the table and its columns, then one
-comma-separated tuple of decimal integers per line, sorted
-lexicographically, UTF-8 with LF endings.
+comma-separated tuple of decimal integers per line, UTF-8 with LF
+endings.  Written rows are sorted lexicographically and distinct: rows
+that arrive strictly increasing are written as given, in one pass;
+others are deduplicated and sorted first.
 
 A query file holds one rule, plus optional dependency lines and
 comments:
@@ -25,10 +27,12 @@ body atoms may repeat symbols and variables.  All parse failures raise
 from __future__ import annotations
 
 import re
+from itertools import islice
+from operator import lt
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import QueryFormatError
+from .errors import QueryFormatError, SchemaError
 from .rewrite import Atom, ConjunctiveQuery, SimpleFD
 
 Row = tuple[int, ...]
@@ -81,8 +85,22 @@ def parse_relation_text(text: str) -> tuple[str, tuple[str, ...], tuple[Row, ...
 
 
 def format_relation(name: str, cols: Sequence[str], rows: Iterable[Row]) -> str:
-    head = f"# relation {name} schema {','.join(cols)}\n"
-    return head + "".join(",".join(str(v) for v in t) + "\n" for t in sorted(set(rows)))
+    """The relation file text: rows sorted and distinct, one line each.
+
+    Rows that arrive strictly increasing (a ``Relation``'s rows, say) are
+    written as given; any others are deduplicated and sorted first.  A
+    row whose width is not the schema's raises :class:`SchemaError`.
+    """
+    if not isinstance(rows, (list, tuple)):
+        rows = list(rows)  # walked more than once below
+    if set(map(len, rows)) - {len(cols)}:
+        bad = next(t for t in rows if len(t) != len(cols))
+        raise SchemaError(f"relation {name}: row {bad} has width {len(bad)}, "
+                          f"schema {','.join(cols)} has width {len(cols)}")
+    if not all(map(lt, rows, islice(rows, 1, None))):
+        rows = sorted(set(rows))
+    line = ",".join(["%s"] * len(cols)) + "\n"  # %s is str(), whatever the value's type
+    return f"# relation {name} schema {','.join(cols)}\n" + "".join(map(line.__mod__, rows))
 
 
 def read_relation_file(path: Path | str) -> tuple[str, tuple[str, ...], tuple[Row, ...]]:
@@ -95,8 +113,13 @@ def write_relation_file(path: Path | str, name: str, cols: Sequence[str], rows: 
 
 def load_data_dir(path: Path | str) -> dict[str, tuple[Row, ...]]:
     """Read every .rel file in a directory, keyed by declared table name."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no data directory {str(path)!r}")
+    if not path.is_dir():
+        raise NotADirectoryError(f"{str(path)!r} is not a data directory")
     out: dict[str, tuple[Row, ...]] = {}
-    for p in sorted(Path(path).glob("*.rel")):
+    for p in sorted(path.glob("*.rel")):
         name, _, rows = read_relation_file(p)
         if name in out:
             raise QueryFormatError(f"{p}: table {name!r} declared twice")

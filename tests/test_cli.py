@@ -299,6 +299,17 @@ def test_run_rows_narrower_than_the_atom_exit_3(tmp_path, triangle_dir, capsys):
     assert "'R0' holds 2-tuples" in err
 
 
+def test_run_missing_data_directory_exits_2(tmp_path, triangle_dir, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    code, _, err = run_cli(capsys, str(triangle_dir / "query.txt"), str(missing))
+    assert code == 2
+    assert str(missing) in err
+    code, _, err = run_cli(capsys, str(triangle_dir / "query.txt"),
+                           str(triangle_dir / "query.txt"))
+    assert code == 2
+    assert "query.txt" in err
+
+
 def test_run_pairwise_must_cover_all_atoms(triangle_dir, capsys):
     code, _, err = run_cli(capsys, str(triangle_dir / "query.txt"), str(triangle_dir),
                            "--algo", "pairwise:0-1")
@@ -402,6 +413,49 @@ def test_run_binds_permuted_filtered_and_repeated_atoms(tmp_path, capsys):
                                "--algo", algo)
         assert code == 0, algo
         assert out == "# relation Q schema A,B,C\n0,1,2\n0,2,2\n1,2,0\n", algo
+
+
+# Heads that are not the sorted body variables, so `run` projects the
+# join's rows before it writes them; no `gen` family has such a head.
+# The sha256 of stdout, recorded before `run` wrote its rows in one pass.
+HEAD_PINS = {
+    "permuted": ("Q(Y,X) :- R(X,Y).",
+                 "3e28adfe4c7e4d66d66d20759ebc5ac8dc0c15d24599fcb555e32615c67ba94b"),
+    "repeated": ("Q(X,X) :- R(X,Y).",
+                 "73a3b44fe9e27a2b2450d130ef17de8c8116a86273c056b7fb5aa1b965813441"),
+    "single": ("Q(Y) :- R(X,Y).",
+               "622aa0ade105d7a22c73b9c3dfdc36fbd21c9f6b50edcc71347818e63ff9ffc5"),
+    "projecting": ("Q(Z) :- R(X,Y), S(Y,Z).",
+                   "47d44bf30f599aa2d061fd1478eae33791c573ccc6610c9d11f3a81d6afa90b4"),
+    "projecting-permuted": ("Q(Z,X) :- R(X,Y), S(Y,Z).",
+                            "17379dab3bf70cc6f0710e33ac5810812702811c41bb951d711a1186ed4c41c8"),
+    "boolean": ("Q() :- R(X,Y), S(Y,Z).",
+                "86b3c723a23e9e38cb131de4e6277d423265fc513a6c11205a1ec5a51b89f47c"),
+}
+
+
+@pytest.fixture(scope="module")
+def head_dir(tmp_path_factory):
+    """R(X,Y) and S(Y,Z), written unsorted, with values up to 10^12."""
+    d = tmp_path_factory.mktemp("heads")
+    r = [((i * 7) % 13, (i * 5) % 11 + (i % 3) * 10**12) for i in range(60, 0, -1)]
+    s = [((i * 5) % 11 + (i % 2) * 10**12, (i * 3) % 17) for i in range(40)]
+    for name, rows in (("R", r), ("S", s)):
+        (d / f"{name}.rel").write_text(f"# relation {name} schema a,b\n"
+                                       + "".join(f"{u},{v}\n" for u, v in rows))
+    return d
+
+
+@pytest.mark.parametrize("head,algo", [(h, a) for h in HEAD_PINS
+                                       for a in ("nprr", "leapfrog", "oracle", "agm-plan")])
+def test_run_head_bytes_are_pinned(head_dir, tmp_path, capsys, head, algo):
+    query = tmp_path / "query.txt"
+    query.write_text(HEAD_PINS[head][0] + "\n")
+    code, out, err = run_cli(capsys, str(query), str(head_dir), "--algo", algo)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HEAD_PINS[head][1]
+    if head != "boolean":  # the stats CSV counts the rows written
+        assert err.splitlines()[1].split(",")[1] == str(out.count("\n") - 1)
 
 
 # -------------------------------------------------------------- bound

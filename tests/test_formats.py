@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from agmjoin import Atom, ConjunctiveQuery, QueryFormatError, SimpleFD
+from agmjoin import Atom, ConjunctiveQuery, QueryFormatError, SchemaError, SimpleFD
 from agmjoin.formats import (
     format_query,
     format_relation,
@@ -49,6 +49,45 @@ def test_parse_relation_errors_carry_positions():
 def test_format_relation_sorts_and_dedups():
     text = format_relation("R", ("A", "B"), [(5, 0), (1, 2), (5, 0)])
     assert text == "# relation R schema A,B\n1,2\n5,0\n"
+
+
+def _reference_body(rows):
+    """The writer's body before it rendered rows through one template."""
+    return "".join(",".join(str(v) for v in t) + "\n" for t in sorted(set(rows)))
+
+
+@st.composite
+def rows_of_one_arity(draw):
+    arity = draw(st.integers(1, 4))
+    values = st.integers(0, 2**64 + 10) | st.integers(0, 9)
+    rows = draw(st.lists(st.tuples(*[values] * arity), max_size=30))
+    shape = draw(st.sampled_from(["as drawn", "sorted", "sorted with duplicates", "reversed"]))
+    if shape == "sorted":
+        rows = sorted(set(rows))
+    elif shape == "sorted with duplicates":
+        rows = sorted(rows + rows[: len(rows) // 2])
+    elif shape == "reversed":
+        rows = sorted(set(rows), reverse=True)
+    return arity, rows
+
+
+@given(rows_of_one_arity(), st.sampled_from([list, tuple, iter]))
+def test_format_relation_matches_the_reference_writer(case, container):
+    arity, rows = case
+    cols = tuple("ABCD"[:arity])
+    text = format_relation("R", cols, container(rows))
+    assert text == f"# relation R schema {','.join(cols)}\n" + _reference_body(rows)
+
+
+def test_format_relation_rejects_rows_of_the_wrong_width(tmp_path):
+    with pytest.raises(SchemaError, match=r"row \(1, 2, 3\) has width 3, schema A,B has width 2"):
+        format_relation("R", ("A", "B"), [(0, 1), (1, 2, 3), (4,)])
+    with pytest.raises(SchemaError, match=r"row \(4,\) has width 1"):
+        format_relation("R", ("A", "B"), [(0, 1), (4,)])
+    dest = tmp_path / "r.rel"
+    with pytest.raises(SchemaError):
+        write_relation_file(dest, "R", ("A", "B"), [(1, 2, 3)])
+    assert not dest.exists()
 
 
 rows_strategy = st.lists(
