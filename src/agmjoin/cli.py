@@ -239,7 +239,7 @@ def _write_out(path: str, text: str) -> None:
 
 def cmd_run(args) -> int:
     cq = read_query_file(args.query)
-    data = load_data_dir(args.data)
+    data = load_data_dir(args.data, {a.symbol for a in cq.body})  # other tables: header only
     nq = normalize(dataclasses.replace(cq, fds=()))  # dependencies never change run semantics
     names = sorted({v for a in nq.body for v in a.vars})
     full = dataclasses.replace(nq, head=Atom(nq.head.symbol, tuple(names)))

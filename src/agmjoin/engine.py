@@ -46,6 +46,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -326,7 +327,9 @@ def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[Node], paths: list[Row]) -> l
     unnarrowed log2 |R_J|, precomputed once per plan node, while the
     scan reads the narrowed J node.  The survey sizes it by the group's
     |R_J[t_I]|; the whole-relation figure is kept because the pinned
-    operation counts depend on every branch choice.
+    operation counts depend on every branch choice.  The scan streams
+    J's leaves through ``_filter``, one plan (other slot) at a time; the
+    probe side's rows go through it against J as one multi-position plan.
     """
     meter = ctx.meter
     nj = nodes[plan.j]
@@ -347,40 +350,59 @@ def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[Node], paths: list[Row]) -> l
                 probe = plan.probe = _compile(ctx, *plan.probe_args)
             others = plan.others
             rows = _run(ctx, probe, [nodes[s] for s in others], [paths[s] for s in others])
-            return _filter(ctx, rows, [(nj, range(k))])
-    meter.probes += count(nj, k - 1)  # one leaf read per scanned tuple
-    return _filter(ctx, iter_leaves(nj, k), [(nodes[s], pos) for s, pos in plan.scan])
+            return _filter(ctx, rows, len(rows), [(nj, range(k))])
+    n = count(nj, k - 1)
+    meter.probes += n  # one leaf read per scanned tuple
+    return _filter(ctx, iter_leaves(nj, k), n, [(nodes[s], pos) for s, pos in plan.scan])
 
 
-def _filter(ctx: _Ctx, rows: Iterable[Row], plans: list[tuple[Node, Sequence[int]]]) -> list[Row]:
+def _filter(ctx: _Ctx, rows: Iterable[Row], n: int,
+            plans: list[tuple[Node, Sequence[int]]]) -> list[Row]:
     """Keep the rows whose values at each plan's positions descend from its node.
 
-    Written out rather than calling ``descend`` per plan, with the node's
-    level and bounds in locals: this is the two-choices step's hottest
-    loop, and a call or a node tuple per probe costs measurably.
+    ``n`` is the number of ``rows``.  Plan by plan: each plan reads, in
+    one pass, the rows every earlier plan kept, and adds one probe per
+    position it tests, so the kept rows, their order and the probe total
+    are those of a row-at-a-time walk that stops at a row's first miss.
+    The first plan streams ``rows``.  A one-position plan whose node has
+    no more keys than there are rows tests membership in a set of the
+    keys, which costs no more to build than the rows cost to read; any
+    other plan descends row by row, written out with the node's level
+    and bounds in locals.  The deadline is checked per plan and every
+    1024 rows.
     """
     meter = ctx.meter
-    out: list[Row] = []
-    for seen, t in enumerate(rows, 1):
-        if seen & 0x3FF == 0:
-            meter.check_deadline()
-        ok = True
-        for (level, lo, hi), idxs in plans:
-            for i in idxs:
-                meter.probes += 1
-                keys, offs, level = level
-                v = t[i]
-                lo = bisect_left(keys, v, lo, hi)
-                if lo == hi or keys[lo] != v:
-                    ok = False
-                    break
-                if offs is not None:
-                    lo, hi = offs[lo], offs[lo + 1]
-            if not ok:
-                break
-        if ok:
-            out.append(t)
-    return out
+    for (level, lo, hi), idxs in plans:
+        meter.check_deadline()
+        kept: list[Row] = []
+        if len(idxs) == 1 and hi - lo <= n:
+            i = idxs[0]
+            ks = set(level[0][lo:hi])
+            it = iter(rows)
+            for _ in range(0, n, 1024):
+                kept += [t for t in islice(it, 1024) if t[i] in ks]
+                meter.check_deadline()
+            meter.probes += n
+        else:
+            probes = 0
+            for seen, t in enumerate(rows, 1):
+                if seen & 0x3FF == 0:
+                    meter.check_deadline()
+                lv, klo, khi = level, lo, hi
+                for i in idxs:
+                    probes += 1
+                    keys, offs, lv = lv
+                    v = t[i]
+                    klo = bisect_left(keys, v, klo, khi)
+                    if klo == khi or keys[klo] != v:
+                        break
+                    if offs is not None:
+                        klo, khi = offs[klo], offs[klo + 1]
+                else:
+                    kept.append(t)
+            meter.probes += probes
+        rows, n = kept, len(kept)
+    return rows if isinstance(rows, list) else list(rows)
 
 
 def run_join(

@@ -21,7 +21,8 @@ comments:
 
 The head may project to (and repeat) a subset of the body's variables;
 body atoms may repeat symbols and variables.  All parse failures raise
-:class:`QueryFormatError` carrying line and column numbers.
+:class:`QueryFormatError` carrying line and column numbers, prefixed by
+the path when a relation file is read from disk.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import re
 from itertools import islice
 from operator import lt
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import QueryFormatError, SchemaError
 from .rewrite import Atom, ConjunctiveQuery, SimpleFD
@@ -53,20 +54,30 @@ def _fail(msg: str, line: int, col: int) -> "QueryFormatError":
 # relation files
 
 
-def parse_relation_text(text: str) -> tuple[str, tuple[str, ...], tuple[Row, ...]]:
-    """Parse a relation file into (name, column names, rows)."""
-    lines = text.split("\n")
-    if not lines or not lines[0].strip():
+def _parse_header(line: str) -> tuple[str, tuple[str, ...]]:
+    """A relation file's first line as (name, column names)."""
+    if not line.strip():
         raise _fail("missing '# relation <name> schema <cols>' header", 1, 1)
-    m = _HEADER.match(lines[0].strip())
+    m = _HEADER.match(line.strip())
     if not m:
         raise _fail("malformed header, expected '# relation <name> schema <cols>'", 1, 1)
-    name = m.group(1)
     cols = tuple(c for c in m.group(2).split(",") if c)
     if not cols:
         raise _fail("schema lists no columns", 1, 1)
+    return m.group(1), cols
+
+
+def parse_relation_text(text: str) -> tuple[str, tuple[str, ...], tuple[Row, ...]]:
+    """Parse a relation file into (name, column names, rows)."""
+    head, _, body = text.partition("\n")
+    name, cols = _parse_header(head)
+    return name, cols, _parse_rows(body, cols)
+
+
+def _parse_rows(text: str, cols: tuple[str, ...]) -> tuple[Row, ...]:
+    """The rows of a relation file's text after its header line."""
     rows = []
-    for ln, raw in enumerate(lines[1:], start=2):
+    for ln, raw in enumerate(text.split("\n"), start=2):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
@@ -81,7 +92,7 @@ def parse_relation_text(text: str) -> tuple[str, tuple[str, ...], tuple[Row, ...
             k = next(i for i, p in enumerate(parts) if not _VALUE.fullmatch(p))
             col = 1 + sum(len(p) + 1 for p in parts[:k])
             raise _fail(f"not an integer: {parts[k].strip()!r}", ln, col) from None
-    return name, cols, tuple(rows)
+    return tuple(rows)
 
 
 def format_relation(name: str, cols: Sequence[str], rows: Iterable[Row]) -> str:
@@ -104,26 +115,42 @@ def format_relation(name: str, cols: Sequence[str], rows: Iterable[Row]) -> str:
 
 
 def read_relation_file(path: Path | str) -> tuple[str, tuple[str, ...], tuple[Row, ...]]:
-    return parse_relation_text(Path(path).read_text(encoding="utf-8"))
+    """Parse the relation file at ``path``; a parse error names the path."""
+    try:
+        return parse_relation_text(Path(path).read_text(encoding="utf-8"))
+    except QueryFormatError as e:
+        raise QueryFormatError(f"{path}: {e}") from None
 
 
 def write_relation_file(path: Path | str, name: str, cols: Sequence[str], rows: Iterable[Row]) -> None:
     Path(path).write_text(format_relation(name, cols, rows), encoding="utf-8", newline="\n")
 
 
-def load_data_dir(path: Path | str) -> dict[str, tuple[Row, ...]]:
-    """Read every .rel file in a directory, keyed by declared table name."""
+def load_data_dir(path: Path | str, names: Collection[str]) -> dict[str, tuple[Row, ...]]:
+    """Read the .rel files in a directory, keyed by declared table name.
+
+    Every file's header is read, so a table declared twice is refused
+    whichever tables are asked for; only the tables in ``names`` have
+    their rows parsed.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no data directory {str(path)!r}")
     if not path.is_dir():
         raise NotADirectoryError(f"{str(path)!r} is not a data directory")
+    declared: set[str] = set()
     out: dict[str, tuple[Row, ...]] = {}
     for p in sorted(path.glob("*.rel")):
-        name, _, rows = read_relation_file(p)
-        if name in out:
-            raise QueryFormatError(f"{p}: table {name!r} declared twice")
-        out[name] = rows
+        with p.open(encoding="utf-8") as f:
+            try:
+                name, cols = _parse_header(f.readline())
+                if name in declared:
+                    raise QueryFormatError(f"table {name!r} declared twice")
+                declared.add(name)
+                if name in names:
+                    out[name] = _parse_rows(f.read(), cols)
+            except QueryFormatError as e:
+                raise QueryFormatError(f"{p}: {e}") from None
     return out
 
 

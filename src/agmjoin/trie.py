@@ -20,10 +20,11 @@ Cost model
 ----------
 ``probes`` counts membership tests: one per trie level ``descend``
 examines and one per direct pointer comparison inside ``intersect``.
-``advances`` counts binary-search steps inside ``intersect``.  A search
-for the next candidate first gallops (doubling windows) from the
-current pointer and is metered at no more than the cost of a single
-binary search of the remaining suffix, so every call satisfies
+``advances`` counts binary-search steps inside ``intersect``.  A seek
+for the next candidate is one bisect of the rest of the node, metered
+as the gallop (doubling windows from the current pointer, then a bisect
+of the last window) that lands on the same index, and at no more than
+one binary search of the remaining suffix, so every call satisfies
 
     advances_added <= k * min_len * ceil(log2(max_len))
 
@@ -189,56 +190,56 @@ def iter_leaves(node: Node, depth: int) -> Iterator[Row]:
     return zip(*reversed(cols))
 
 
-def _seek(arr: Sequence[int], pos: int, n: int, v: int, meter: CostMeter) -> int:
-    """First index in [pos, n) whose value is >= v, by galloping then bisecting.
-
-    Metered ``advances`` are capped at the cost of one binary search of
-    the suffix, which keeps the intersect contract provable while still
-    crediting short hops for adjacent matches.
-    """
-    step = 1
-    galloped = 0
-    while pos + step < n and arr[pos + step] < v:
-        step <<= 1
-        galloped += 1
-    lo = pos + (step >> 1) + 1 if step > 1 else pos + 1
-    hi = min(pos + step + 1, n)
-    out = bisect_left(arr, v, lo, hi)
-    meter.advances += min(galloped + (hi - lo).bit_length(), (n - pos - 1).bit_length())
-    return out
-
-
 def intersect(nodes: Sequence[Node], meter: CostMeter | None = None) -> list[int]:
     """Sorted k-way intersection of the nodes' keys, driven by the first
-    smallest node; the others are searched in input order."""
+    smallest node; the others are searched in input order.
+
+    A seek from pointer p is one bisect of ``(p, end)`` that lands on
+    index q.  The gallop that lands there doubles g = ceil(log2(q - p))
+    times and then bisects the last doubling's window, and that is what
+    it is metered as.  Probes and advances collect in locals and reach
+    the meter once, on whichever return.
+    """
     if not nodes:
         raise SchemaError("intersect needs at least one node")
     lens = [hi - lo for _, lo, hi in nodes]
     if 0 in lens:
         return []
-    if meter is None:
-        meter = CostMeter()
     pivot_i = lens.index(min(lens))
     level, lo, hi = nodes[pivot_i]
     others = [(n[0][0], n[2]) for n in nodes]
     pos = [n[1] for n in nodes]
     del others[pivot_i], pos[pivot_i]
     out: list[int] = []
-    for v in level[0][lo:hi]:
-        ok = True
-        for j, (arr, end) in enumerate(others):
-            p = pos[j]
-            if p == end:
-                return out
-            meter.probes += 1
-            if arr[p] < v:
-                p = _seek(arr, p, end, v, meter)
-                pos[j] = p
+    probes = advances = 0
+    try:
+        for v in level[0][lo:hi]:
+            for j, (arr, end) in enumerate(others):
+                p = pos[j]
                 if p == end:
                     return out
-            if arr[p] != v:
-                ok = False
-                break
-        if ok:
-            out.append(v)
-    return out
+                probes += 1
+                x = arr[p]
+                if x < v:
+                    q = bisect_left(arr, v, p + 1, end)
+                    g = (q - p - 1).bit_length()
+                    step = 1 << g
+                    top = p + step + 1
+                    if top > end:
+                        top = end
+                    cost = g + (top - p - (step >> 1) - 1).bit_length()
+                    cap = (end - p - 1).bit_length()
+                    advances += cost if cost < cap else cap
+                    pos[j] = q
+                    if q == end:
+                        return out
+                    x = arr[q]
+                if x != v:
+                    break
+            else:
+                out.append(v)
+        return out
+    finally:
+        if meter is not None:
+            meter.probes += probes
+            meter.advances += advances

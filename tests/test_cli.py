@@ -310,6 +310,33 @@ def test_run_missing_data_directory_exits_2(tmp_path, triangle_dir, capsys):
     assert "query.txt" in err
 
 
+def test_run_reads_only_the_tables_the_query_names(triangle_dir, capsys):
+    query = str(triangle_dir / "query.txt")
+    want = run_cli(capsys, query, str(triangle_dir), "--algo", "leapfrog", "--out", "-")
+    (triangle_dir / "zz.rel").write_text("# relation Z schema A\nfoo\n", encoding="utf-8")
+    got = run_cli(capsys, query, str(triangle_dir), "--algo", "leapfrog", "--out", "-")
+    assert got == want
+    assert got[0] == 0
+
+
+def test_run_malformed_named_table_exits_2_naming_its_file(triangle_dir, capsys):
+    with open(triangle_dir / "R1.rel", "a", encoding="utf-8") as f:
+        f.write("foo,1\n")
+    code, out, err = run_cli(capsys, str(triangle_dir / "query.txt"), str(triangle_dir))
+    assert code == 2
+    assert out == ""
+    assert "R1.rel: line" in err
+    assert "not an integer: 'foo'" in err
+
+
+def test_run_table_declared_twice_exits_2_even_when_unnamed(triangle_dir, capsys):
+    (triangle_dir / "zz.rel").write_text("# relation Z schema A\n1\n", encoding="utf-8")
+    (triangle_dir / "zzz.rel").write_text("# relation Z schema A\n2\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, str(triangle_dir / "query.txt"), str(triangle_dir))
+    assert code == 2
+    assert "declared twice" in err
+
+
 def test_run_pairwise_must_cover_all_atoms(triangle_dir, capsys):
     code, _, err = run_cli(capsys, str(triangle_dir / "query.txt"), str(triangle_dir),
                            "--algo", "pairwise:0-1")

@@ -1,8 +1,13 @@
 import hashlib
 import math
 import random
+import time
+from bisect import bisect_left
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from agmjoin import (
     CostMeter,
@@ -10,6 +15,7 @@ from agmjoin import (
     InfeasibleCoverError,
     InvalidPartitionError,
     TimeBudgetExceeded,
+    build_trie,
     cover,
     fixed_sequence_strategy,
     gen_clique_query,
@@ -23,7 +29,9 @@ from agmjoin import (
     oracle_join,
     relation,
     run_join,
+    walk,
 )
+from agmjoin.engine import _filter
 from conftest import random_feasible_cover, random_instance
 
 A, B, C, D = make_attrs("A", "B", "C", "D")
@@ -335,3 +343,123 @@ def test_time_budget_is_checked_after_each_trie_build():
     with pytest.raises(TimeBudgetExceeded):
         run_join(q, meter=m)
     assert m.recursions == 0  # raised by the first build, before the recursion starts
+
+
+# ---------------------------------------------------------------- the two-choices filter
+
+
+def _reference_filter(meter, rows, plans):
+    """The row-at-a-time filter: each row walks the plans up to its first miss."""
+    out = []
+    for t in rows:
+        ok = True
+        for (level, lo, hi), idxs in plans:
+            for i in idxs:
+                meter.probes += 1
+                keys, offs, level = level
+                v = t[i]
+                lo = bisect_left(keys, v, lo, hi)
+                if lo == hi or keys[lo] != v:
+                    ok = False
+                    break
+                if offs is not None:
+                    lo, hi = offs[lo], offs[lo + 1]
+            if not ok:
+                break
+        if ok:
+            out.append(t)
+    return out
+
+
+def _filter_both(rows, plans):
+    """(kept rows, probes) from the engine's filter and from the reference."""
+    m, ref = CostMeter(), CostMeter()
+    got = _filter(SimpleNamespace(meter=m), iter(rows), len(rows), plans)
+    want = _reference_filter(ref, rows, plans)
+    return (got, m.probes), (want, ref.probes)
+
+
+def test_filter_set_and_bisect_branches_match_the_reference():
+    ix = build_trie(relation([A], [(1,), (3,), (5,), (7,)]))
+    plans = [(ix.root, (1,))]
+    few = [(0, 3), (0, 4), (0, 7)]  # fewer rows than keys: bisect per row
+    many = [(0, v) for v in range(9)]  # more rows than keys: a set of the keys
+    for rows in (few, many, few[:0]):
+        got, want = _filter_both(rows, plans)
+        assert got == want
+    assert _filter_both(few, plans)[0] == ([(0, 3), (0, 7)], 3)
+    assert _filter_both(many, plans)[0] == ([(0, 1), (0, 3), (0, 5), (0, 7)], 9)
+
+
+def test_filter_misses_at_every_level_of_every_plan():
+    two = build_trie(relation([A, B], [(1, 1), (1, 2), (2, 1)]))
+    one = build_trie(relation([C], [(0,), (9,)]))
+    plans = [(two.root, (0, 1)), (one.root, (2,))]
+    rows = [
+        (0, 1, 0),  # misses the first plan's first level: 1 probe
+        (1, 3, 0),  # misses its second level: 2 probes
+        (2, 1, 5),  # misses the second plan: 3 probes
+        (1, 2, 9),  # kept: 3 probes
+        (1, 1, 0),  # kept: 3 probes
+    ]
+    got, want = _filter_both(rows, plans)
+    assert got == want == ([(1, 2, 9), (1, 1, 0)], 12)
+
+
+@st.composite
+def filter_cases(draw):
+    """Rows of one width and one to three plans over tries of arity 1-3,
+    each plan at the root or at an inner node reached by a drawn prefix."""
+    width = draw(st.integers(1, 3))
+    val = st.integers(0, 5)
+    rows = draw(st.lists(st.tuples(*[val] * width), max_size=40))
+    plans = []
+    for _ in range(draw(st.integers(1, 3))):
+        arity = draw(st.integers(1, 3))
+        stored = draw(st.lists(st.tuples(*[val] * arity), max_size=30))
+        ix = build_trie(relation((A, B, C, D)[:arity], stored))
+        node, depth = ix.root, arity
+        if stored and arity > 1:
+            cut = draw(st.integers(0, arity - 1))
+            node, depth = walk(ix, draw(st.sampled_from(stored))[:cut]), arity - cut
+        idxs = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=depth))
+        plans.append((node, tuple(idxs)))
+    return rows, plans
+
+
+@given(filter_cases())
+def test_filter_matches_the_row_at_a_time_reference(case):
+    got, want = _filter_both(*case)
+    assert got == want
+
+
+def test_filter_checks_the_deadline_over_scanned_rows():
+    ix = build_trie(relation([A], [(v,) for v in range(0, 8192, 2)]))
+    rows = [(v,) for v in range(2048)]
+    m = CostMeter()
+    m.deadline = time.monotonic() - 1
+    with pytest.raises(TimeBudgetExceeded):
+        _filter(SimpleNamespace(meter=m), rows, len(rows), [(ix.root, (0,))])
+
+
+class _DeadlineAt(CostMeter):
+    """A meter whose deadline passes at its ``calls``-th check."""
+
+    def __init__(self, calls):
+        super().__init__()
+        self.calls = calls
+
+    def check_deadline(self):
+        self.calls -= 1
+        if self.calls == 0:
+            raise TimeBudgetExceeded("deadline")
+
+
+@pytest.mark.parametrize("keys", [range(8), range(0, 16384, 2)], ids=["set", "bisect"])
+def test_filter_checks_the_deadline_part_way_through_a_scan(keys):
+    ix = build_trie(relation([A], [(v,) for v in keys]))
+    read = []
+    rows = (read.append(v) or (v,) for v in range(4096))
+    with pytest.raises(TimeBudgetExceeded):
+        _filter(SimpleNamespace(meter=_DeadlineAt(2)), rows, 4096, [(ix.root, (0,))])
+    assert len(read) <= 1024  # the check before the plan, then one within its first 1024 rows

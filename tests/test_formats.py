@@ -115,7 +115,7 @@ def test_load_data_dir(tmp_path):
     write_relation_file(tmp_path / "a.rel", "R", ("A", "B"), [(1, 2)])
     write_relation_file(tmp_path / "b.rel", "S", ("B",), [(2,)])
     (tmp_path / "notes.txt").write_text("ignored")
-    data = load_data_dir(tmp_path)
+    data = load_data_dir(tmp_path, {"R", "S", "T"})
     assert data == {"R": ((1, 2),), "S": ((2,),)}
 
 
@@ -123,7 +123,37 @@ def test_load_data_dir_rejects_duplicate_tables(tmp_path):
     write_relation_file(tmp_path / "a.rel", "R", ("A",), [(1,)])
     write_relation_file(tmp_path / "b.rel", "R", ("A",), [(2,)])
     with pytest.raises(QueryFormatError, match="declared twice"):
-        load_data_dir(tmp_path)
+        load_data_dir(tmp_path, {"R"})
+
+
+def test_load_data_dir_parses_only_the_named_tables(tmp_path):
+    write_relation_file(tmp_path / "a.rel", "R", ("A", "B"), [(1, 2)])
+    (tmp_path / "b.rel").write_text("# relation S schema B\nfoo\n", encoding="utf-8")
+    assert load_data_dir(tmp_path, {"R"}) == {"R": ((1, 2),)}
+    with pytest.raises(QueryFormatError, match="not an integer"):
+        load_data_dir(tmp_path, {"R", "S"})
+
+
+def test_load_data_dir_reads_every_header(tmp_path):
+    write_relation_file(tmp_path / "a.rel", "R", ("A",), [(1,)])
+    (tmp_path / "b.rel").write_text("R,S\n1\n", encoding="utf-8")
+    with pytest.raises(QueryFormatError, match=r"b\.rel: line 1, column 1: malformed header"):
+        load_data_dir(tmp_path, {"R"})
+    write_relation_file(tmp_path / "b.rel", "R", ("A",), [(2,)])
+    with pytest.raises(QueryFormatError, match="declared twice"):
+        load_data_dir(tmp_path, {"S"})
+
+
+def test_relation_file_parse_errors_name_the_file(tmp_path):
+    p = tmp_path / "r.rel"
+    p.write_text("# relation R schema A,B\n1,2\n3,x\n", encoding="utf-8")
+    want = f"{p}: line 3, column 3: not an integer: 'x'"
+    with pytest.raises(QueryFormatError) as e:
+        read_relation_file(p)
+    assert str(e.value) == want
+    with pytest.raises(QueryFormatError) as e:
+        load_data_dir(tmp_path, {"R"})
+    assert str(e.value) == want
 
 
 def test_parse_query_basic():

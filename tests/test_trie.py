@@ -1,8 +1,9 @@
 import math
 import time
+from bisect import bisect_left
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agmjoin import (
@@ -204,6 +205,74 @@ def test_intersect_meters_pin_the_pivot_and_the_search_order():
     m = CostMeter()
     assert intersect([one_level(xs) for xs in lists], m) == [24]
     assert (m.probes, m.advances) == (5, 6)
+
+
+def _reference_seek(arr, pos, n, v, meter):
+    """The galloping seek the one-bisect seek is metered as: double from
+    ``pos`` while the key there is below v, then bisect the last window."""
+    step = 1
+    galloped = 0
+    while pos + step < n and arr[pos + step] < v:
+        step <<= 1
+        galloped += 1
+    lo = pos + (step >> 1) + 1 if step > 1 else pos + 1
+    hi = min(pos + step + 1, n)
+    out = bisect_left(arr, v, lo, hi)
+    meter.advances += min(galloped + (hi - lo).bit_length(), (n - pos - 1).bit_length())
+    return out
+
+
+def _reference_intersect(nodes, meter):
+    """The k-way intersection with the galloping seek, metered as it goes."""
+    lens = [hi - lo for _, lo, hi in nodes]
+    if 0 in lens:
+        return []
+    pivot_i = lens.index(min(lens))
+    level, lo, hi = nodes[pivot_i]
+    others = [(n[0][0], n[2]) for n in nodes]
+    pos = [n[1] for n in nodes]
+    del others[pivot_i], pos[pivot_i]
+    out = []
+    for v in level[0][lo:hi]:
+        ok = True
+        for j, (arr, end) in enumerate(others):
+            p = pos[j]
+            if p == end:
+                return out
+            meter.probes += 1
+            if arr[p] < v:
+                p = _reference_seek(arr, p, end, v, meter)
+                pos[j] = p
+                if p == end:
+                    return out
+            if arr[p] != v:
+                ok = False
+                break
+        if ok:
+            out.append(v)
+    return out
+
+
+wide_values = (st.integers(0, 60) | st.integers(2**64 - 8, 2**64 + 8)
+               | st.integers(0, 2**70))
+
+
+@st.composite
+def sub_ranges(draw):
+    """A sorted list as a node over a drawn [lo, hi) range of it, maybe empty."""
+    xs = sorted(set(draw(st.lists(wide_values, max_size=80))))
+    lo = draw(st.integers(0, len(xs)))
+    hi = draw(st.just(len(xs)) | st.integers(lo, len(xs)))
+    return ((xs, None, None), lo, hi)
+
+
+@settings(max_examples=400)
+@given(st.lists(sub_ranges(), min_size=1, max_size=4))
+@example([one_level([200]), one_level(list(range(100)))])  # a seek off the end: the cap binds
+def test_intersect_matches_the_galloping_reference(nodes):
+    m, ref = CostMeter(), CostMeter()
+    assert intersect(nodes, m) == _reference_intersect(nodes, ref)
+    assert (m.probes, m.advances) == (ref.probes, ref.advances)
 
 
 def test_intersect_searches_only_inside_each_node_range():
