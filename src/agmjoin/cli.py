@@ -74,7 +74,7 @@ from .instances import (
 from .bounds import min_cover_lp
 from .plans import PlanTrace, PlanTree, agm_join_project_traced, execute_plan, join, leaf
 from .relational import JoinQuery, Relation, active_domains, oracle_join
-from .relational import relation  # noqa: F401  perfbench/tracing.py wraps it (ROADMAP item 3)
+from .relational import relation  # noqa: F401  uncalled since HeadJoin.bind; kept for perfbench/tracing.py's wrap
 from .rewrite import Atom, ConjunctiveQuery, normalize, project_to_head
 from .trie import CostMeter
 
@@ -272,14 +272,14 @@ def _parse_sizes(spec: str, symbols: Iterable[str]) -> dict[str, int]:
     try:
         if "=" not in spec:
             n = int(spec)
-            out = {s: n for s in symbols}
+            pairs = [(s, n) for s in symbols]
         else:
-            out = {}
-            for part in spec.split(","):
-                k, _, v = part.partition("=")
-                out[k.strip()] = int(v)
+            pairs = [(k.strip(), int(v)) for k, _, v in (p.partition("=") for p in spec.split(","))]
     except ValueError:
         raise QueryFormatError(f"bad --sizes {spec!r}: expected N or R=N,S=M,...") from None
+    out = dict(pairs)
+    if "" in out or len(out) < len(pairs):
+        raise QueryFormatError(f"bad --sizes {spec!r}: a table name is empty or repeated")
     if any(n < 1 for n in out.values()):
         raise QueryFormatError(f"bad --sizes {spec!r}: every size must be at least 1")
     return out

@@ -26,14 +26,15 @@ result sizes.
 A run is planned once and then executed.  Everything but the groups
 and the scan-or-probe test follows from the query, the strategy and
 the cover, so ``_compile`` works it out once per subproblem: the split,
-each relation's trie order, the group-tuple positions each extender
-descends by, the output permutation, and the two-choices weights as
-floats.  ``_run`` executes a plan node on trie nodes (key ranges
-``(level, lo, hi)``) and bound paths alone; it descends, intersects and
-filters, and meters exactly that.  The exact ``Fraction`` weights and
-the ``Attribute`` objects exist only at compile time.  A sub-plan is
-compiled the first time the run reaches it, so a run builds a
-re-ordered trie only when a subproblem that needs it is entered.
+each relation's trie order and re-seat, the group-tuple positions each
+extender descends by, the output permutation, and the two-choices
+weights as floats.  ``_run`` executes a plan node on trie nodes (key
+ranges ``(level, lo, hi)``) alone, as a trie iterator is a position
+and nothing more; it descends, intersects and filters, and meters
+exactly that.  The exact ``Fraction`` weights and the ``Attribute``
+objects exist only at compile time.  A split's I side is compiled with
+it; J and probe sides on first use, so a run builds a re-ordered trie
+only when a subproblem that needs it is entered.
 
 The outer loop over partial tuples reads only immutable tries, so it
 could run in parallel with per-worker meters merged by summation;
@@ -53,7 +54,7 @@ from typing import Iterable, Mapping, Sequence
 from .bounds import FractionalCover, is_cover, min_cover_lp
 from .errors import InfeasibleCoverError, InvalidPartitionError
 from .relational import Attribute, JoinQuery, Relation, Row
-from .trie import CostMeter, Node, TrieIndex, build_trie, count, descend, intersect, iter_leaves
+from .trie import CostMeter, Level, Node, TrieIndex, build_trie, count, descend, intersect, iter_leaves
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,10 @@ class JoinRun:
     cover: FractionalCover
 
 
-# A slot is one relation inside a subproblem: (edge, trie, bound-path
-# length).  The first ``depth`` attributes of ``trie.order`` are bound by
-# the enclosing groups, and the subproblem's attributes of that edge come
-# next, in global order.
+# A slot is one relation inside a subproblem: (edge, trie, depth).  The
+# first ``depth`` attributes of ``trie.order`` are bound by the enclosing
+# groups, so the slot's node sits on level ``depth`` of that trie, and the
+# subproblem's attributes of that edge come next, in global order.
 _Slot = tuple[int, TrieIndex, int]
 _Weights = Sequence[Fraction] | Mapping[int, Fraction]
 
@@ -123,33 +124,26 @@ class _Ctx:
         return got
 
 
-class _Base:
-    """One attribute left: a k-way intersection of the slots' child lists."""
-
-    __slots__ = ()
-
-
-_BASE = _Base()
+_BASE = object()  # one attribute left: a k-way intersection of the slots' child lists
 
 
 class _Split:
     """A subproblem split into I and J.
 
     ``seats`` lists the slots whose trie must be swapped for one that
-    leads with their I then J attributes, as (slot, trie, re-seat): a
-    slot with a bound path re-seats by descending that path in the new
-    trie (index preparation, unmetered), one without starts at its root.
-    ``extenders`` are the slots meeting J, each with the getter of its
-    I values from a group tuple (None when it meets no I attribute).
-    ``perm`` maps a group tuple plus a J row to an output row, None when
-    that is plain concatenation.  The I and J sub-plans are compiled on
-    first use from ``i_args`` and ``j_args``.  ``active`` (each slot's
-    edge and its attributes here), ``attrs``, ``i_attrs`` and
-    ``weights`` are kept for the audit.
+    leads with their I then J attributes, as (slot, old offsets, new
+    offsets, new level); see ``_seat``.  ``extenders`` are the slots
+    meeting J, each with the getter of its I values from a group tuple
+    (None when it meets no I attribute).  ``perm`` maps a group tuple
+    plus a J row to an output row, None when that is plain
+    concatenation.  The I sub-plan is compiled here; the J sub-plan on
+    first use, from ``j_args``.  ``active`` (each slot's edge and its
+    attributes here), ``attrs``, ``i_attrs`` and ``weights`` are kept
+    for the audit.
     """
 
     __slots__ = ("active", "attrs", "i_attrs", "weights", "seats", "i_slots", "extenders",
-                 "perm", "i_plan", "j_plan", "i_args", "j_args")
+                 "perm", "i_plan", "j_plan", "j_args")
 
     def __init__(self, ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
                  i_attrs: tuple[Attribute, ...], i_blocks, j_blocks, weights: _Weights):
@@ -168,8 +162,9 @@ class _Split:
                 rest = trie.order[depth:]
                 if rest[: len(front)] != front:
                     order = trie.order[:depth] + front + tuple(a for a in rest if a not in front)
-                    trie = ctx.trie_for(edge, order)
-                    seats.append((k, trie, depth > 0))
+                    new = ctx.trie_for(edge, order)
+                    seats.append((k, *_seat(trie, new, depth)))
+                    trie = new
                 i_slots.append(k)
                 i_sub.append((edge, trie, depth))
             if fj:
@@ -179,9 +174,23 @@ class _Split:
         self.active, self.attrs, self.i_attrs, self.weights = active, attrs, i_attrs, weights
         self.seats, self.i_slots, self.extenders = seats, i_slots, extenders
         self.perm = None if perm == list(range(len(perm))) else itemgetter(*perm)
-        self.i_plan = self.j_plan = None
-        self.i_args = (i_sub, i_attrs, i_blocks, weights)
+        self.i_plan = _compile(ctx, i_sub, i_attrs, i_blocks, weights)
+        self.j_plan = None
         self.j_args = (j_sub, j_attrs, j_blocks, weights)
+
+
+def _seat(old: TrieIndex, new: TrieIndex, depth: int) -> tuple[list[int], list[int], Level]:
+    """The old and new offsets above level ``depth`` (the root range
+    ``[0, n]`` at depth 0) and the new level ``depth``, for two tries of
+    one relation whose orders share their first ``depth`` attributes.
+    Their levels above hold the same prefixes in the same order, so a
+    bound prefix has one index in both."""
+    (old_level, _, n_old), (level, _, n) = old.root, new.root
+    old_offs, offs = [0, n_old], [0, n]
+    for _ in range(depth):
+        _, old_offs, old_level = old_level
+        _, offs, level = level
+    return old_offs, offs, level
 
 
 def _getter(idxs: list[int]):
@@ -266,9 +275,9 @@ def _audit_split(plan: _Split, nodes: list[Node]) -> None:
         )
 
 
-def _run(ctx: _Ctx, plan, nodes: list[Node], paths: list[Row]) -> list[Row]:
-    """Execute ``plan`` on the slots' current trie nodes; ``paths[k]`` is
-    the bound path that reached ``nodes[k]``."""
+def _run(ctx: _Ctx, plan, nodes: list[Node]) -> list[Row]:
+    """Execute ``plan`` on the slots' current trie nodes, ``nodes[k]``
+    sitting on level ``depth`` of slot k's trie."""
     meter = ctx.meter
     meter.recursions += 1
     meter.check_deadline()
@@ -276,41 +285,37 @@ def _run(ctx: _Ctx, plan, nodes: list[Node], paths: list[Row]) -> list[Row]:
     if plan is _BASE:
         return list(zip(intersect(nodes, meter)))
     if type(plan) is _Tail:
-        return _nprr_tail(ctx, plan, nodes, paths)
+        return _nprr_tail(ctx, plan, nodes)
 
     if ctx.audit:
         _audit_split(plan, nodes)
-    if plan.seats:
+    if plan.seats:  # index preparation, unmetered like the trie builds
         nodes = list(nodes)
-        for k, trie, reseat in plan.seats:
-            nodes[k] = descend(trie.root, paths[k]) if reseat else trie.root
+        for k, old, new, level in plan.seats:
+            # The root's lo is old[0] = 0; a node below it is a descended key's
+            # child range, never empty, so its lo is its prefix's offset alone.
+            i = bisect_left(old, nodes[k][1])
+            nodes[k] = (level, new[i], new[i + 1])
 
-    i_plan = plan.i_plan
-    if i_plan is None:
-        i_plan = plan.i_plan = _compile(ctx, *plan.i_args)
-    groups = _run(ctx, i_plan, [nodes[k] for k in plan.i_slots], [paths[k] for k in plan.i_slots])
+    groups = _run(ctx, plan.i_plan, [nodes[k] for k in plan.i_slots])
 
-    extenders = [(nodes[k], paths[k], get) for k, get in plan.extenders]
+    extenders = [(nodes[k], get) for k, get in plan.extenders]
     perm = plan.perm
     j_plan = plan.j_plan
     out: list[Row] = []
     for t in groups:
         meter.check_deadline()
         j_nodes = []
-        j_paths = []
-        for node, path, get in extenders:
+        for node, get in extenders:
             if get is not None:
-                vals = get(t)
-                node = descend(node, vals, meter)
+                node = descend(node, get(t), meter)
                 if node is None:
                     break
-                path = path + vals
             j_nodes.append(node)
-            j_paths.append(path)
         else:
             if j_plan is None:
                 j_plan = plan.j_plan = _compile(ctx, *plan.j_args)
-            rows = _run(ctx, j_plan, j_nodes, j_paths)
+            rows = _run(ctx, j_plan, j_nodes)
             if perm is None:
                 out += [t + r for r in rows]
             else:
@@ -318,7 +323,7 @@ def _run(ctx: _Ctx, plan, nodes: list[Node], paths: list[Row]) -> list[Row]:
     return out
 
 
-def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[Node], paths: list[Row]) -> list[Row]:
+def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[Node]) -> list[Row]:
     """Two-choices solver for a subproblem lying entirely inside edge J.
 
     Either scan the J slot and filter each tuple against the others, or
@@ -348,8 +353,7 @@ def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[Node], paths: list[Row]) -> l
             probe = plan.probe
             if probe is None:
                 probe = plan.probe = _compile(ctx, *plan.probe_args)
-            others = plan.others
-            rows = _run(ctx, probe, [nodes[s] for s in others], [paths[s] for s in others])
+            rows = _run(ctx, probe, [nodes[s] for s in plan.others])
             return _filter(ctx, rows, len(rows), [(nj, range(k))])
     n = count(nj, k - 1)
     meter.probes += n  # one leaf read per scanned tuple
@@ -447,7 +451,7 @@ def run_join(
     ctx = _Ctx(q, meter, audit=audit)
     slots = [(e, ctx.trie_for(e, r.schema), 0) for e, r in enumerate(q.relations)]
     plan = _compile(ctx, slots, attrs, blocks, cover.weights)
-    rows = _run(ctx, plan, [s[1].root for s in slots], [()] * len(slots))
+    rows = _run(ctx, plan, [s[1].root for s in slots])
     out = Relation(attrs, tuple(rows))
     meter.emits += len(out)
     return JoinRun(out, meter, strat, cover)

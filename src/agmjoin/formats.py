@@ -34,9 +34,8 @@ from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
 from .errors import QueryFormatError, SchemaError
+from .relational import Row
 from .rewrite import Atom, ConjunctiveQuery, SimpleFD
-
-Row = tuple[int, ...]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _HEADER = re.compile(r"#\s*relation\s+(\S+)\s+schema\s+(\S+)\s*$")

@@ -26,10 +26,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from .errors import GeneratorParameterError
-from .relational import JoinQuery, Relation, join_query, make_attrs, relation
+from .relational import JoinQuery, Relation, Row, join_query, make_attrs, relation
 from .rewrite import Atom, ConjunctiveQuery
-
-Row = tuple[int, ...]
 
 
 @dataclass(frozen=True)

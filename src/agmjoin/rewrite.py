@@ -38,10 +38,7 @@ from typing import Iterable, Mapping, NamedTuple, Union
 
 from .bounds import BoundReport, FractionalCover, min_cover_lp
 from .errors import SchemaError
-from .relational import Hypergraph, JoinQuery, Relation, make_attrs
-
-Row = tuple[int, ...]
-Rows = frozenset[Row]
+from .relational import Hypergraph, JoinQuery, Relation, Row, make_attrs
 
 
 class Atom(NamedTuple):
@@ -91,10 +88,10 @@ class BaseView:
     def root(self) -> str:
         return self.symbol
 
-    def rows(self, data: Mapping[str, Iterable[Row]]) -> Rows:
+    def rows(self, data: Mapping[str, Iterable[Row]]) -> tuple[Row, ...]:
         if self.symbol not in data:
             raise SchemaError(f"no data bound for symbol {self.symbol!r}")
-        rows = frozenset(tuple(t) for t in data[self.symbol])
+        rows = tuple(data[self.symbol])
         bad = next((t for t in rows if len(t) != self.arity), None)
         if bad is not None:
             raise SchemaError(
@@ -118,8 +115,8 @@ class FilterView(_Derived):
     left: int
     right: int
 
-    def rows(self, data: Mapping[str, Iterable[Row]]) -> Rows:
-        return frozenset(t for t in self.inner.rows(data) if t[self.left] == t[self.right])
+    def rows(self, data: Mapping[str, Iterable[Row]]) -> tuple[Row, ...]:
+        return tuple(t for t in self.inner.rows(data) if t[self.left] == t[self.right])
 
 
 @dataclass(frozen=True)
@@ -129,8 +126,8 @@ class KeepView(_Derived):
     inner: "View"
     positions: tuple[int, ...]
 
-    def rows(self, data: Mapping[str, Iterable[Row]]) -> Rows:
-        return frozenset(tuple(t[p] for p in self.positions) for t in self.inner.rows(data))
+    def rows(self, data: Mapping[str, Iterable[Row]]) -> tuple[Row, ...]:
+        return tuple(tuple(t[p] for p in self.positions) for t in self.inner.rows(data))
 
 
 @dataclass(frozen=True)
@@ -151,11 +148,11 @@ class ExtendView(_Derived):
     table_source: int
     table_target: int
 
-    def rows(self, data: Mapping[str, Iterable[Row]]) -> Rows:
+    def rows(self, data: Mapping[str, Iterable[Row]]) -> tuple[Row, ...]:
         lookup: dict[int, set[int]] = {}
         for u in self.table.rows(data):
             lookup.setdefault(u[self.table_source], set()).add(u[self.table_target])
-        return frozenset(
+        return tuple(
             t + (z,) for t in self.inner.rows(data) for z in lookup.get(t[self.source], ())
         )
 
@@ -408,9 +405,10 @@ class HeadJoin:
             raise SchemaError(f"no size given for table {e.args[0]!r}") from None
 
     def bind(self, data: Mapping[str, Iterable[Row]]) -> JoinQuery:
-        """One relation per edge, its view's rows handed over already sorted."""
+        """One relation per edge, its view's rows as computed: ``Relation``
+        is the one place they are sorted and deduplicated."""
         rels = tuple(
-            Relation(edge, tuple(sorted(view.rows(data))))
+            Relation(edge, view.rows(data))
             for edge, view in zip(self.hypergraph.edges, self.views)
         )
         return JoinQuery(self.hypergraph, rels)

@@ -571,6 +571,12 @@ def test_bound_bad_sizes_exit_2(triangle_dir, capsys):
     assert main(["bound", str(triangle_dir / "query.txt"), "--sizes", "lots"]) == 2
 
 
+@pytest.mark.parametrize("sizes", ["R0=4,R0=9,R1=4,R2=4", "=4"])
+def test_bound_ambiguous_sizes_exit_2(triangle_dir, capsys, sizes):
+    assert main(["bound", str(triangle_dir / "query.txt"), "--sizes", sizes]) == 2
+    assert "empty or repeated" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sizes", ["R0=0,R1=4,R2=4", "-3", "0"])
 def test_bound_non_positive_sizes_exit_2(triangle_dir, capsys, sizes):
     assert main(["bound", str(triangle_dir / "query.txt"), "--sizes", sizes]) == 2

@@ -31,7 +31,7 @@ from agmjoin import (
     run_join,
     walk,
 )
-from agmjoin.engine import _filter
+from agmjoin.engine import _filter, _seat
 from conftest import random_feasible_cover, random_instance
 
 A, B, C, D = make_attrs("A", "B", "C", "D")
@@ -463,3 +463,34 @@ def test_filter_checks_the_deadline_part_way_through_a_scan(keys):
     with pytest.raises(TimeBudgetExceeded):
         _filter(SimpleNamespace(meter=_DeadlineAt(2)), rows, 4096, [(ix.root, (0,))])
     assert len(read) <= 1024  # the check before the plan, then one within its first 1024 rows
+
+
+@st.composite
+def reseat_cases(draw):
+    """A relation of arity 3-4 with values past 2**64, a trie order, a
+    depth with at least two attributes after it, and a second order that
+    keeps the first ``depth`` attributes and permutes the rest."""
+    arity = draw(st.integers(3, 4))
+    val = st.integers(0, 2**64 + 3) | st.integers(0, 3)
+    rows = draw(st.lists(st.tuples(*[val] * arity), min_size=1, max_size=30))
+    rel = relation((A, B, C, D)[:arity], rows)
+    order = tuple(draw(st.permutations(rel.schema)))
+    depth = draw(st.integers(0, arity - 2))
+    rest = draw(st.permutations(order[depth:]).filter(lambda p: tuple(p) != order[depth:]))
+    return rel, order, depth, order[:depth] + tuple(rest)
+
+
+@given(reseat_cases())
+def test_reseat_by_prefix_index_matches_a_descent_of_the_prefix(case):
+    """The engine's re-seat of a node from the old trie onto the new one
+    is the node that descending the bound prefix from the new root reaches."""
+    rel, order, depth, new_order = case
+    old, new = build_trie(rel, order), build_trie(rel, new_order)
+    old_offs, new_offs, level = _seat(old, new, depth)
+    cols = [rel.schema.index(a) for a in order[:depth]]
+    for prefix in {tuple(t[c] for c in cols) for t in rel.rows}:
+        node = walk(old, prefix)
+        i = bisect_left(old_offs, node[1])
+        got = (level, new_offs[i], new_offs[i + 1])
+        want = walk(new, prefix)  # the reference: a descent from the new root
+        assert got[0] is want[0] and got[1:] == want[1:]

@@ -154,7 +154,7 @@ def test_fd_extend_view_rows_do_the_lookup():
     out = fd_extend(c)
     data = {"R": {(1, 10), (2, 20)}, "T": {(1, 7), (2, 8), (3, 9)}}
     rows = out.view_of("T+Y").rows(data)
-    assert rows == {(1, 7, 10), (2, 8, 20)}  # x=3 has no key row, drops out
+    assert set(rows) == {(1, 7, 10), (2, 8, 20)}  # x=3 has no key row, drops out
 
 
 def test_fd_extend_composes_chained_keys():
@@ -171,7 +171,7 @@ def test_fd_extend_composes_chained_keys():
     assert by_symbol["R+B"].vars == ("Z", "A", "B")
     assert by_symbol["U+A+B"].vars == ("Z", "A", "B")
     data = {"R": {(1, 5), (2, 6)}, "S": {(5, 50), (6, 60)}, "U": {(1,), (2,), (3,)}}
-    assert out.view_of("U+A+B").rows(data) == {(1, 5, 50), (2, 6, 60)}
+    assert set(out.view_of("U+A+B").rows(data)) == {(1, 5, 50), (2, 6, 60)}
 
 
 def test_fd_extend_key_chain_builds_the_wide_relation():
@@ -189,7 +189,7 @@ def test_drop_repeated_vars_filters_and_narrows():
     assert out.body == (Atom("R=", ("X",)),)
     view = out.view_of("R=")
     assert view == KeepView(FilterView(BaseView("R", 2), 0, 1), (0,))
-    assert view.rows({"R": {(1, 1), (1, 2), (3, 3)}}) == {(1,), (3,)}
+    assert set(view.rows({"R": {(1, 1), (1, 2), (3, 3)}})) == {(1,), (3,)}
 
 
 def test_drop_repeated_vars_handles_multiple_repeats():
@@ -199,7 +199,7 @@ def test_drop_repeated_vars_handles_multiple_repeats():
     assert atom.vars == ("X", "Y")
     view = out.view_of(atom.symbol)
     data = {"R": {(1, 1, 9, 1), (1, 2, 9, 1), (2, 2, 7, 2)}}
-    assert view.rows(data) == {(1, 9), (2, 7)}
+    assert set(view.rows(data)) == {(1, 9), (2, 7)}
 
 
 def test_drop_repeated_vars_no_op_on_distinct_vars():
