@@ -109,8 +109,6 @@ from .trie import (
     descend,
     intersect,
     iter_leaves,
-    keys,
-    walk,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,15 +26,25 @@ result sizes.
 A run is planned once and then executed.  Everything but the groups
 and the scan-or-probe test follows from the query, the strategy and
 the cover, so ``_compile`` works it out once per subproblem: the split,
-each relation's trie order and re-seat, the group-tuple positions each
-extender descends by, the output permutation, and the two-choices
-weights as floats.  ``_run`` executes a plan node on trie nodes (key
-ranges ``(level, lo, hi)``) alone, as a trie iterator is a position
-and nothing more; it descends, intersects and filters, and meters
-exactly that.  The exact ``Fraction`` weights and the ``Attribute``
-objects exist only at compile time.  A split's I side is compiled with
-it; J and probe sides on first use, so a run builds a re-ordered trie
-only when a subproblem that needs it is entered.
+each relation's trie order and re-seat, how each extender reaches its
+narrowed node, the output permutation, and the two-choices weights as
+floats.  ``_run`` executes a plan node on trie nodes (key ranges
+``(level, lo, hi)``) alone, as a trie iterator is a position and
+nothing more; it descends, intersects and filters, and meters exactly
+that.  The exact ``Fraction`` weights and the ``Attribute`` objects
+exist only at compile time.  A split's I side is compiled with it; J
+and probe sides on first use, so a run builds a re-ordered trie only
+when a subproblem that needs it is entered.
+
+A one-attribute level runs inside its parent split, as the nested
+intersections of generic join and Leapfrog Triejoin do.  A one-attribute
+I side is the intersection itself, and it reports where it found each
+key, so a group opens each extender's child range at that index (the
+trie iterator's ``open``) instead of searching for it again.  A
+one-attribute J side extends each group by the values its intersection
+yields.  Each step is metered as the step it replaces: an inlined base
+level adds the recursion it skips, and an opened child the one probe of
+the descent it skips, so the counts are those of a subproblem per level.
 
 The outer loop over partial tuples reads only immutable tries, so it
 could run in parallel with per-worker meters merged by summation;
@@ -47,9 +57,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bounds import FractionalCover, is_cover, min_cover_lp
 from .errors import InfeasibleCoverError, InvalidPartitionError
@@ -133,8 +143,12 @@ class _Split:
     ``seats`` lists the slots whose trie must be swapped for one that
     leads with their I then J attributes, as (slot, old offsets, new
     offsets, new level); see ``_seat``.  ``extenders`` are the slots
-    meeting J, each with the getter of its I values from a group tuple
-    (None when it meets no I attribute).  ``perm`` maps a group tuple
+    meeting J, each with the index of its node among the I side's when
+    I is one attribute and the slot meets it (the group opens that
+    node's child), else None.  ``descents`` holds (extender, group-tuple
+    positions) for the extenders that must descend a group's values,
+    which happens only below a multi-attribute I; ``n_open`` counts the
+    opened extenders.  ``perm`` maps a group tuple
     plus a J row to an output row, None when that is plain
     concatenation.  The I sub-plan is compiled here; the J sub-plan on
     first use, from ``j_args``.  ``active`` (each slot's edge and its
@@ -143,14 +157,14 @@ class _Split:
     """
 
     __slots__ = ("active", "attrs", "i_attrs", "weights", "seats", "i_slots", "extenders",
-                 "perm", "i_plan", "j_plan", "j_args")
+                 "descents", "n_open", "perm", "i_plan", "j_plan", "j_args")
 
     def __init__(self, ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
                  i_attrs: tuple[Attribute, ...], i_blocks, j_blocks, weights: _Weights):
         i_set = set(i_attrs)
         j_attrs = tuple(a for a in attrs if a not in i_set)
         ipos = {a: k for k, a in enumerate(i_attrs)}
-        active, seats, i_slots, i_sub, extenders, j_sub = [], [], [], [], [], []
+        active, seats, i_slots, i_sub, extenders, descents, j_sub = [], [], [], [], [], [], []
         for k, (edge, trie, depth) in enumerate(slots):
             es = ctx.edge_sets[edge]
             act = tuple(a for a in attrs if a in es)
@@ -168,11 +182,17 @@ class _Split:
                 i_slots.append(k)
                 i_sub.append((edge, trie, depth))
             if fj:
-                extenders.append((k, _getter([ipos[a] for a in fi]) if fi else None))
+                opened = None
+                if fi and len(i_attrs) == 1:  # the I side's intersect finds its key
+                    opened = len(i_slots) - 1
+                elif fi:
+                    descents.append((len(extenders), [ipos[a] for a in fi]))
+                extenders.append((k, opened))
                 j_sub.append((edge, trie, depth + len(fi)))
         perm = [ipos[a] if a in i_set else len(i_attrs) + j_attrs.index(a) for a in attrs]
         self.active, self.attrs, self.i_attrs, self.weights = active, attrs, i_attrs, weights
-        self.seats, self.i_slots, self.extenders = seats, i_slots, extenders
+        self.seats, self.i_slots, self.extenders, self.descents = seats, i_slots, extenders, descents
+        self.n_open = sum(opened is not None for _, opened in extenders)
         self.perm = None if perm == list(range(len(perm))) else itemgetter(*perm)
         self.i_plan = _compile(ctx, i_sub, i_attrs, i_blocks, weights)
         self.j_plan = None
@@ -191,13 +211,6 @@ def _seat(old: TrieIndex, new: TrieIndex, depth: int) -> tuple[list[int], list[i
         _, old_offs, old_level = old_level
         _, offs, level = level
     return old_offs, offs, level
-
-
-def _getter(idxs: list[int]):
-    """A function from a group tuple to its values at ``idxs``, as a tuple."""
-    if len(idxs) == 1:  # itemgetter of one index would return the bare value
-        return itemgetter(slice(idxs[0], idxs[0] + 1))
-    return itemgetter(*idxs)
 
 
 class _Tail:
@@ -255,7 +268,7 @@ def _compile(ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
     return _Split(ctx, slots, attrs, i_attrs, i_blocks, j_blocks, weights)
 
 
-def _audit_split(plan: _Split, nodes: list[Node]) -> None:
+def _audit_split(plan: _Split, nodes: Sequence[Node]) -> None:
     """Debug-mode check of the per-level group inequality."""
     from .bounds import decomposition_check
     from .relational import Hypergraph
@@ -275,7 +288,7 @@ def _audit_split(plan: _Split, nodes: list[Node]) -> None:
         )
 
 
-def _run(ctx: _Ctx, plan, nodes: list[Node]) -> list[Row]:
+def _run(ctx: _Ctx, plan, nodes: Sequence[Node]) -> list[Row]:
     """Execute ``plan`` on the slots' current trie nodes, ``nodes[k]``
     sitting on level ``depth`` of slot k's trie."""
     meter = ctx.meter
@@ -297,33 +310,63 @@ def _run(ctx: _Ctx, plan, nodes: list[Node]) -> list[Row]:
             i = bisect_left(old, nodes[k][1])
             nodes[k] = (level, new[i], new[i + 1])
 
-    groups = _run(ctx, plan.i_plan, [nodes[k] for k in plan.i_slots])
+    i_nodes = [nodes[k] for k in plan.i_slots]
+    if plan.i_plan is _BASE:  # one attribute: the intersection, and where it found each key
+        meter.recursions += 1
+        vals, at = intersect(i_nodes, meter, positions=True)
+        groups = zip(vals)
+    else:
+        groups, at = _run(ctx, plan.i_plan, i_nodes), None
 
-    extenders = [(nodes[k], get) for k, get in plan.extenders]
+    # Column x yields extender x's node for each group in turn: the child
+    # range opened where the intersect found the group's key, else the
+    # node itself.
+    cols = []
+    for k, opened in plan.extenders:
+        node = nodes[k]
+        cols.append(repeat(node) if opened is None else _children(node[0], at[opened]))
+    n_open, descents = plan.n_open, plan.descents
     perm = plan.perm
     j_plan = plan.j_plan
     out: list[Row] = []
-    for t in groups:
+    for t, j_nodes in zip(groups, zip(*cols)):
         meter.check_deadline()
-        j_nodes = []
-        for node, get in extenders:
-            if get is not None:
-                node = descend(node, get(t), meter)
-                if node is None:
-                    break
-            j_nodes.append(node)
+        meter.probes += n_open  # an opened child costs the one probe of the descent it skips
+        if descents:
+            j_nodes = _descend_group(j_nodes, t, descents, meter)
+            if j_nodes is None:
+                continue
+        if j_plan is None:
+            j_plan = plan.j_plan = _compile(ctx, *plan.j_args)
+        if j_plan is _BASE:  # the last attribute: its values extend t
+            meter.recursions += 1
+            rows = map(t.__add__, zip(intersect(j_nodes, meter)))
         else:
-            if j_plan is None:
-                j_plan = plan.j_plan = _compile(ctx, *plan.j_args)
-            rows = _run(ctx, j_plan, j_nodes)
-            if perm is None:
-                out += [t + r for r in rows]
-            else:
-                out += [perm(t + r) for r in rows]
+            rows = map(t.__add__, _run(ctx, j_plan, j_nodes))
+        out += rows if perm is None else map(perm, rows)
     return out
 
 
-def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[Node]) -> list[Row]:
+def _children(level: Level, at: Sequence[int]) -> Iterator[Node]:
+    """The child range of the key at each index in ``at`` of ``level``:
+    the trie iterator's ``open``, with no second search."""
+    _, offs, nxt = level
+    return ((nxt, offs[i], offs[i + 1]) for i in at)
+
+
+def _descend_group(j_nodes: Sequence[Node], t: Row, descents, meter: CostMeter) -> list[Node] | None:
+    """Narrow each descending extender's node by the group's values at its
+    positions; None at the first absent path, so later ones are not probed."""
+    j_nodes = list(j_nodes)
+    for x, idxs in descents:
+        node = descend(j_nodes[x], [t[i] for i in idxs], meter)
+        if node is None:
+            return None
+        j_nodes[x] = node
+    return j_nodes
+
+
+def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: Sequence[Node]) -> list[Row]:
     """Two-choices solver for a subproblem lying entirely inside edge J.
 
     Either scan the J slot and filter each tuple against the others, or

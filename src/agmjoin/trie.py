@@ -28,9 +28,17 @@ one binary search of the remaining suffix, so every call satisfies
 
     advances_added <= k * min_len * ceil(log2(max_len))
 
-for k input nodes of min_len to max_len keys.  ``emits`` counts
-produced output tuples and ``recursions`` counts join subproblems
-entered.
+for k input nodes of min_len to max_len keys.  A lone node and a
+one-key pivot take short paths that add exactly what the general loop
+would.  ``emits`` counts produced output tuples and ``recursions``
+counts join subproblems entered.
+
+The engine runs a one-attribute level inside its parent split, and
+opens a child range at the index ``intersect`` reported instead of
+descending to it.  It meters both as the steps they replace: an inlined
+base level adds the one recursion of the subproblem it skips, and an
+opened child the one probe of the one-level descent it skips.  So every
+count is that of one subproblem per level and one descent per child.
 """
 
 from __future__ import annotations
@@ -128,12 +136,6 @@ def build_trie(r: Relation, order: Sequence[Attribute] | None = None) -> TrieInd
     return TrieIndex(order, _build(rows, len(order)))
 
 
-def keys(node: Node) -> tuple[int, ...]:
-    """The sorted child values of ``node``."""
-    level, lo, hi = node
-    return tuple(level[0][lo:hi])
-
-
 def count(node: Node, d: int) -> int:
     """The number of distinct (d+1)-level prefixes below ``node``."""
     level, lo, hi = node
@@ -160,13 +162,6 @@ def descend(node: Node, vals: Iterable[int], meter: CostMeter | None = None) -> 
     return node
 
 
-def walk(ix: TrieIndex, prefix: Sequence[int], meter: CostMeter | None = None) -> Node | None:
-    """Descend ``prefix`` values from the root; None when the path is absent."""
-    if len(prefix) > ix.depth:
-        raise SchemaError(f"prefix {prefix} longer than trie depth {ix.depth}")
-    return descend(ix.root, prefix, meter)
-
-
 def iter_leaves(node: Node, depth: int) -> Iterator[Row]:
     """Enumerate the suffix tuples below ``node`` in lexicographic order.
 
@@ -190,55 +185,118 @@ def iter_leaves(node: Node, depth: int) -> Iterator[Row]:
     return zip(*reversed(cols))
 
 
-def intersect(nodes: Sequence[Node], meter: CostMeter | None = None) -> list[int]:
+def _gallop(p: int, q: int, end: int) -> int:
+    """The advances of a gallop from pointer p that lands on index q < ``end``
+    (q == ``end`` for a seek off the end): g = ceil(log2(q - p)) doublings
+    and a bisect of the last doubling's window, capped at one binary
+    search of the suffix ``(p, end)``."""
+    g = (q - p - 1).bit_length()
+    step = 1 << g
+    top = p + step + 1
+    if top > end:
+        top = end
+    cost = g + (top - p - (step >> 1) - 1).bit_length()
+    cap = (end - p - 1).bit_length()
+    return cost if cost < cap else cap
+
+
+def _answer(out: list[int], hits: list[tuple[int, ...]], k: int, positions: bool):
+    """``out``, or with ``positions`` the values and each of the k nodes'
+    match indices, from one tuple of indices per match."""
+    if not positions:
+        return out
+    return out, (list(zip(*hits)) if hits else [()] * k)
+
+
+def intersect(nodes: Sequence[Node], meter: CostMeter | None = None, positions: bool = False
+              ) -> list[int] | tuple[list[int], list[Sequence[int]]]:
     """Sorted k-way intersection of the nodes' keys, driven by the first
     smallest node; the others are searched in input order.
 
-    A seek from pointer p is one bisect of ``(p, end)`` that lands on
-    index q.  The gallop that lands there doubles g = ceil(log2(q - p))
-    times and then bisects the last doubling's window, and that is what
-    it is metered as.  Probes and advances collect in locals and reach
-    the meter once, on whichever return.
+    With ``positions`` it returns ``(values, at)`` instead, where
+    ``at[k][g]`` is the index of match g in node k's key list: the index
+    at which a trie iterator opens that match's child range.
+
+    A lone node answers with a slice of its keys, and a one-key pivot
+    with one seek per other node, at the meters of the general loop.  A
+    seek from pointer p is one bisect of ``(p, end)`` that lands on
+    index q, metered as the gallop that lands there (``_gallop``).
+    Probes and advances collect in locals and reach the meter on
+    whichever return, and before each deadline check, one per 1024
+    pivot keys.
     """
     if not nodes:
         raise SchemaError("intersect needs at least one node")
-    lens = [hi - lo for _, lo, hi in nodes]
-    if 0 in lens:
-        return []
-    pivot_i = lens.index(min(lens))
-    level, lo, hi = nodes[pivot_i]
-    others = [(n[0][0], n[2]) for n in nodes]
-    pos = [n[1] for n in nodes]
-    del others[pivot_i], pos[pivot_i]
+    k = len(nodes)
+    if k == 1:
+        (ks, _, _), lo, hi = nodes[0]
+        return (ks[lo:hi], [range(lo, hi)]) if positions else ks[lo:hi]
+    pivot_i = 0
+    _, lo, hi = nodes[0]
+    least = hi - lo
+    for j in range(1, k):
+        _, lo, hi = nodes[j]
+        if hi - lo < least:
+            pivot_i, least = j, hi - lo
     out: list[int] = []
-    probes = advances = 0
-    try:
-        for v in level[0][lo:hi]:
-            for j, (arr, end) in enumerate(others):
-                p = pos[j]
-                if p == end:
-                    return out
-                probes += 1
-                x = arr[p]
-                if x < v:
-                    q = bisect_left(arr, v, p + 1, end)
-                    g = (q - p - 1).bit_length()
-                    step = 1 << g
-                    top = p + step + 1
-                    if top > end:
-                        top = end
-                    cost = g + (top - p - (step >> 1) - 1).bit_length()
-                    cap = (end - p - 1).bit_length()
-                    advances += cost if cost < cap else cap
-                    pos[j] = q
-                    if q == end:
-                        return out
-                    x = arr[q]
-                if x != v:
-                    break
+    hits: list[tuple[int, ...]] = []
+    if least <= 1:  # at most one pivot key: one seek per other node
+        if least:
+            (ks, _, _), lo, _ = nodes[pivot_i]
+            v = ks[lo]
+            at = []
+            probes = advances = 0
+            for j, ((arr, _, _), p, end) in enumerate(nodes):
+                if j != pivot_i:
+                    probes += 1
+                    if arr[p] < v:
+                        q = bisect_left(arr, v, p + 1, end)
+                        advances += _gallop(p, q, end)
+                        if q == end:
+                            break
+                        p = q
+                    if arr[p] != v:
+                        break
+                at.append(p)
             else:
                 out.append(v)
-        return out
+                hits.append(tuple(at))
+            if meter is not None:
+                meter.probes += probes
+                meter.advances += advances
+        return _answer(out, hits, k, positions)
+    (ks, _, _), lo, hi = nodes[pivot_i]
+    others = [(j, n[0][0], n[2]) for j, n in enumerate(nodes) if j != pivot_i]
+    pos = [n[1] for n in nodes]
+    probes = advances = 0
+    try:
+        for start in range(lo, hi, 1024):
+            if start != lo and meter is not None:
+                meter.probes += probes
+                meter.advances += advances
+                probes = advances = 0
+                meter.check_deadline()
+            for i in range(start, min(start + 1024, hi)):
+                v = ks[i]
+                for j, arr, end in others:
+                    p = pos[j]
+                    probes += 1
+                    x = arr[p]
+                    if x < v:
+                        q = bisect_left(arr, v, p + 1, end)
+                        advances += _gallop(p, q, end)
+                        pos[j] = q
+                        if q == end:
+                            return _answer(out, hits, k, positions)
+                        x = arr[q]
+                    if x != v:
+                        break
+                else:
+                    out.append(v)
+                    if positions:
+                        pos[pivot_i] = i
+                        hits.append(tuple(pos))
+        return _answer(out, hits, k, positions)
     finally:
         if meter is not None:
             meter.probes += probes

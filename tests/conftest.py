@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from agmjoin import FractionalCover, JoinQuery, gen_random, min_cover_lp
+from agmjoin import FractionalCover, JoinQuery, SchemaError, descend, gen_random, min_cover_lp
 
 settings.register_profile(
     "ci", max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -56,3 +56,17 @@ def random_feasible_cover(q: JoinQuery, rng: random.Random) -> FractionalCover:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xA6A)
+
+
+def walk(ix, prefix, meter=None):
+    """The node that ``prefix``'s values reach from the root of trie ``ix``;
+    None when the path is absent.  A prefix longer than the trie is an error."""
+    if len(prefix) > ix.depth:
+        raise SchemaError(f"prefix {prefix} longer than trie depth {ix.depth}")
+    return descend(ix.root, prefix, meter)
+
+
+def keys(node):
+    """The sorted child values of ``node``."""
+    level, lo, hi = node
+    return tuple(level[0][lo:hi])

@@ -29,10 +29,9 @@ from agmjoin import (
     oracle_join,
     relation,
     run_join,
-    walk,
 )
 from agmjoin.engine import _filter, _seat
-from conftest import random_feasible_cover, random_instance
+from conftest import random_feasible_cover, random_instance, walk
 
 A, B, C, D = make_attrs("A", "B", "C", "D")
 

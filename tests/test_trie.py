@@ -16,15 +16,15 @@ from agmjoin import (
     intersect,
     iter_leaves,
     join_query,
-    keys,
     leapfrog_strategy,
     make_attrs,
     nprr_strategy,
     oracle_join,
     relation,
     run_join,
-    walk,
 )
+from agmjoin.engine import _children
+from conftest import keys, walk
 
 A, B, C, D = make_attrs("A", "B", "C", "D")
 
@@ -266,13 +266,79 @@ def sub_ranges(draw):
     return ((xs, None, None), lo, hi)
 
 
+@st.composite
+def intersect_inputs(draw):
+    """One to four nodes, one of them, at a drawn position, maybe cut to a
+    single key: one of another node's keys or any value."""
+    nodes = draw(st.lists(sub_ranges(), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(nodes) - 1))
+        pool = [v for (xs, _, _), lo, hi in nodes for v in xs[lo:hi]]
+        v = draw(st.sampled_from(pool) | wide_values if pool else wide_values)
+        xs = sorted(set(draw(st.lists(wide_values, max_size=6))) | {v})
+        i = xs.index(v)
+        nodes[at] = ((xs, None, None), i, i + 1)
+    return nodes
+
+
 @settings(max_examples=400)
-@given(st.lists(sub_ranges(), min_size=1, max_size=4))
+@given(intersect_inputs())
 @example([one_level([200]), one_level(list(range(100)))])  # a seek off the end: the cap binds
+@example([one_level(list(range(100))), one_level([50])])  # a one-key pivot after the first node
+@example([one_level([3, 5]), one_level([5]), one_level([1, 5, 9])])  # ... in the middle
+@example([one_level([1, 5, 9]), one_level([3, 5]), one_level([4])])  # ... last, and missing
+@example([((list(range(10)), None, None), 2, 9)])  # a lone node over part of its level
 def test_intersect_matches_the_galloping_reference(nodes):
-    m, ref = CostMeter(), CostMeter()
-    assert intersect(nodes, m) == _reference_intersect(nodes, ref)
+    m, ref, pm = CostMeter(), CostMeter(), CostMeter()
+    want = _reference_intersect(nodes, ref)
+    assert intersect(nodes, m) == want
     assert (m.probes, m.advances) == (ref.probes, ref.advances)
+    vals, at = intersect(nodes, pm, positions=True)
+    assert vals == want
+    assert (pm.probes, pm.advances) == (ref.probes, ref.advances)
+    assert len(at) == len(nodes)
+    for ((xs, _, _), lo, hi), idx in zip(nodes, at):
+        assert list(idx) == [bisect_left(xs, v, lo, hi) for v in want]
+        assert [xs[i] for i in idx] == want
+
+
+@st.composite
+def open_cases(draw):
+    """One to three nodes above the last level of tries over one relation
+    of arity 2-3 in drawn orders: roots, or children of a drawn first key."""
+    arity = draw(st.integers(2, 3))
+    val = st.integers(0, 4) | st.integers(2**64, 2**64 + 2)
+    r = relation((A, B, C)[:arity], draw(st.lists(st.tuples(*[val] * arity), max_size=25)))
+    nodes = []
+    for _ in range(draw(st.integers(1, 3))):
+        ix = build_trie(r, draw(st.permutations(r.schema)))
+        node = ix.root
+        if arity == 3 and r.rows and draw(st.booleans()):
+            node = descend(node, (draw(st.sampled_from(keys(node))),))
+        nodes.append(node)
+    return nodes
+
+
+@given(open_cases())
+def test_an_opened_child_is_the_descent_to_it(nodes):
+    """A child range opened at the index ``intersect`` reports is the node
+    a one-level descent by the matched value reaches."""
+    vals, at = intersect(nodes, positions=True)
+    for node, idx in zip(nodes, at):
+        opened = list(_children(node[0], idx))
+        assert opened == [descend(node, (v,)) for v in vals]
+
+
+def test_intersect_checks_the_deadline_every_1024_pivot_keys():
+    xs = list(range(3000))
+    m = CostMeter()
+    m.deadline = time.monotonic() - 1
+    # The first block of 1024 pivot keys: one probe each, and a one-step
+    # seek for each but the first.  Its counts reach the meter before the check.
+    with pytest.raises(TimeBudgetExceeded, match="after 2047 ops"):
+        intersect([one_level(xs), one_level(xs)], m)
+    assert (m.probes, m.advances) == (1024, 1023)
+    assert intersect([one_level(xs[:1024]), one_level(xs)], m) == xs[:1024]  # one block: no check
 
 
 def test_intersect_searches_only_inside_each_node_range():
