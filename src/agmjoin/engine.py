@@ -59,12 +59,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .bounds import FractionalCover, is_cover, min_cover_lp
 from .errors import InfeasibleCoverError, InvalidPartitionError
 from .relational import Attribute, JoinQuery, Relation, Row
-from .trie import CostMeter, Level, Node, TrieIndex, build_trie, count, descend, intersect, iter_leaves
+from .trie import (
+    CostMeter,
+    Level,
+    Node,
+    TrieIndex,
+    build_trie,
+    children,
+    count,
+    descend,
+    intersect,
+    iter_leaves,
+)
 
 
 @dataclass(frozen=True)
@@ -324,7 +335,7 @@ def _run(ctx: _Ctx, plan, nodes: Sequence[Node]) -> list[Row]:
     cols = []
     for k, opened in plan.extenders:
         node = nodes[k]
-        cols.append(repeat(node) if opened is None else _children(node[0], at[opened]))
+        cols.append(repeat(node) if opened is None else children(node[0], at[opened]))
     n_open, descents = plan.n_open, plan.descents
     perm = plan.perm
     j_plan = plan.j_plan
@@ -345,13 +356,6 @@ def _run(ctx: _Ctx, plan, nodes: Sequence[Node]) -> list[Row]:
             rows = map(t.__add__, _run(ctx, j_plan, j_nodes))
         out += rows if perm is None else map(perm, rows)
     return out
-
-
-def _children(level: Level, at: Sequence[int]) -> Iterator[Node]:
-    """The child range of the key at each index in ``at`` of ``level``:
-    the trie iterator's ``open``, with no second search."""
-    _, offs, nxt = level
-    return ((nxt, offs[i], offs[i + 1]) for i in at)
 
 
 def _descend_group(j_nodes: Sequence[Node], t: Row, descents, meter: CostMeter) -> list[Node] | None:

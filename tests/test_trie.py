@@ -23,7 +23,7 @@ from agmjoin import (
     relation,
     run_join,
 )
-from agmjoin.engine import _children
+from agmjoin.trie import children
 from conftest import keys, walk
 
 A, B, C, D = make_attrs("A", "B", "C", "D")
@@ -325,7 +325,7 @@ def test_an_opened_child_is_the_descent_to_it(nodes):
     a one-level descent by the matched value reaches."""
     vals, at = intersect(nodes, positions=True)
     for node, idx in zip(nodes, at):
-        opened = list(_children(node[0], idx))
+        opened = list(children(node[0], idx))
         assert opened == [descend(node, (v,)) for v in vals]
 
 
