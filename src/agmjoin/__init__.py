@@ -62,14 +62,12 @@ from .instances import (
     gen_lw_query,
     gen_random,
     gen_triangle_bad,
-    is_simple,
 )
 from .plans import (
     JoinRecord,
     PlanTrace,
     PlanTree,
     agm_join_project_traced,
-    all_join_plans,
     execute_plan,
     join,
     leaf,

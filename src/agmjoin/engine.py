@@ -75,6 +75,7 @@ from .trie import (
     descend,
     intersect,
     iter_leaves,
+    leaf_rows,
 )
 
 
@@ -231,20 +232,25 @@ class _Tail:
     x_J = 1); otherwise it holds, per other slot, (slot, width, weight)
     with the weight x_F / (1 - x_J) as a float, and ``log_p`` is
     log2 |R_J| (None for an empty R_J).  ``scan`` holds each other
-    slot's positions in a J leaf; ``probe`` is the sub-plan joining the
-    other slots, compiled on first use from ``probe_args``.
+    slot's positions in a J leaf, and ``row_scan`` the same positions in
+    a row of J's trie, which holds the ``d`` bound values first.
+    ``probe`` is the sub-plan joining the other slots, compiled on first
+    use from ``probe_args``.
     """
 
-    __slots__ = ("j", "k", "log_p", "sizing", "scan", "others", "probe", "probe_args")
+    __slots__ = ("j", "k", "d", "log_p", "sizing", "scan", "row_scan", "others", "probe",
+                 "probe_args")
 
     def __init__(self, ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
                  j_edge: int, weights: _Weights):
         self.j = next(k for k, s in enumerate(slots) if s[0] == j_edge)
         self.k = len(attrs)
+        self.d = d = slots[self.j][2]
         self.others = [k for k, s in enumerate(slots) if s[0] != j_edge]
         pos = {a: i for i, a in enumerate(attrs)}
         es = ctx.edge_sets
         self.scan = [(k, [pos[a] for a in attrs if a in es[slots[k][0]]]) for k in self.others]
+        self.row_scan = [(k, [i + d for i in idxs]) for k, idxs in self.scan]
         self.sizing = self.log_p = self.probe = self.probe_args = None
         x_j = weights[j_edge]
         if self.others and x_j < 1:
@@ -379,9 +385,15 @@ def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: Sequence[Node]) -> list[Row]:
     unnarrowed log2 |R_J|, precomputed once per plan node, while the
     scan reads the narrowed J node.  The survey sizes it by the group's
     |R_J[t_I]|; the whole-relation figure is kept because the pinned
-    operation counts depend on every branch choice.  The scan streams
-    J's leaves through ``_filter``, one plan (other slot) at a time; the
-    probe side's rows go through it against J as one multi-position plan.
+    operation counts depend on every branch choice.  The scan reads J's
+    leaves as one slice of its trie's sorted rows (``leaf_rows``), filters
+    those rows with every position shifted past the bound prefix, and
+    cuts the prefix off the rows that survive; a projection node, whose
+    trie has levels below the subproblem, streams its leaves from the
+    column walk instead.  Either way the scan adds one probe per leaf it
+    reads, and ``_filter`` takes one plan (other slot) at a time.  The
+    probe side's rows go through ``_filter`` against J as one
+    multi-position plan.
     """
     meter = ctx.meter
     nj = nodes[plan.j]
@@ -402,9 +414,15 @@ def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: Sequence[Node]) -> list[Row]:
                 probe = plan.probe = _compile(ctx, *plan.probe_args)
             rows = _run(ctx, probe, [nodes[s] for s in plan.others])
             return _filter(ctx, rows, len(rows), [(nj, range(k))])
-    n = count(nj, k - 1)
-    meter.probes += n  # one leaf read per scanned tuple
-    return _filter(ctx, iter_leaves(nj, k), n, [(nodes[s], pos) for s, pos in plan.scan])
+    rows = leaf_rows(nj, k)
+    if rows is None:  # a projection node
+        n = count(nj, k - 1)
+        meter.probes += n  # one leaf read per scanned tuple
+        return _filter(ctx, iter_leaves(nj, k), n, [(nodes[s], pos) for s, pos in plan.scan])
+    meter.probes += len(rows)  # one leaf read per scanned tuple
+    kept = _filter(ctx, rows, len(rows), [(nodes[s], pos) for s, pos in plan.row_scan])
+    d = plan.d
+    return [t[d:] for t in kept] if d else kept
 
 
 def _filter(ctx: _Ctx, rows: Iterable[Row], n: int,

@@ -57,18 +57,6 @@ def _simple_rows(arity: int, d: int) -> list[Row]:
     return rows
 
 
-def is_simple(r: Relation) -> bool:
-    """True when r is exactly all tuples with at most one non-zero value.
-
-    The domain is read off the relation itself: values range over
-    0..d where d is the largest value present.
-    """
-    if len(r) == 0:
-        return False
-    d = max(max(t) for t in r.rows)
-    return set(r.rows) == set(_simple_rows(r.arity, d))
-
-
 def gen_triangle_bad(m: int) -> InstanceBundle:
     """Triangle instance with N = 2m+1 rows per relation and 3m+1 output rows.
 

@@ -214,29 +214,6 @@ def execute_plan(p: PlanTree, bindings: Sequence[Relation],
     return out, PlanTrace.of(records)
 
 
-def all_join_plans(m: int) -> list[PlanTree]:
-    """Every unordered binary join tree over atoms 0..m-1 (join-only)."""
-    if m < 1:
-        raise PlanError("need at least one atom")
-
-    def build(atoms: tuple[int, ...]) -> list[PlanTree]:
-        if len(atoms) == 1:
-            return [leaf(atoms[0])]
-        out = []
-        first, rest = atoms[0], atoms[1:]
-        for mask in range(1 << len(rest)):
-            left_atoms = (first,) + tuple(a for i, a in enumerate(rest) if mask >> i & 1)
-            right_atoms = tuple(a for i, a in enumerate(rest) if not mask >> i & 1)
-            if not right_atoms:
-                continue
-            for l in build(left_atoms):
-                for r in build(right_atoms):
-                    out.append(join(l, r))
-        return out
-
-    return build(tuple(range(m)))
-
-
 def _agm_plan(q: JoinQuery) -> PlanTree:
     """Left-deep: for k = 1..n, each relation meeting the first k attributes, projected."""
     tree = None

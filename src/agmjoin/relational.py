@@ -67,7 +67,9 @@ class Relation:
             if len(t) != arity:
                 raise SchemaError(f"row {t} does not match arity {arity}")
             for v in t:
-                if not isinstance(v, int) or v < 0:
+                # A bool is an int but is written as True/False, which no parser
+                # reads back; a plain int costs one type test before its sign.
+                if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)) or v < 0:
                     raise SchemaError(f"row {t} has a non-encodable value")
             if ordered and prev is not None and prev >= t:
                 ordered = False

@@ -492,6 +492,11 @@ def evaluate_cq(
     Returns the set of head tuples; an empty-head query returns
     ``{()}`` when some assignment satisfies the body and ``{}``
     otherwise.
+
+    Nothing in the package calls it.  It stays public as the rewrites'
+    reference check, what ``oracle_join`` is to the engines: a caller
+    who rewrites a query with ``chase``, ``fd_extend`` or
+    ``project_to_head`` can evaluate both forms on the same tables.
     """
     bindings: list[dict[str, int]] = [{}]
     for a in c.body:

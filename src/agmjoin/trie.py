@@ -9,12 +9,17 @@ Layout
 A trie is a chain of levels, one per attribute.  A level is a tuple
 ``(keys, offs, next_level)`` of plain lists: ``keys`` holds the last
 value of each distinct prefix of that length, in prefix order, and
-``offs[i]:offs[i+1]`` is key i's child range in ``next_level`` (both
-None on the last level).  A node is ``(level, lo, hi)``, the sorted
-siblings ``keys[lo:hi]``; ``LEAF`` is the node below the last level.
-Lookups bisect inside ``[lo, hi)``, ``count(node, d)`` composes
-offsets to count the (d+1)-level prefixes below a node, and no object
-is made per prefix.  Values are Python ints of any size.
+``offs[i]:offs[i+1]`` is key i's child range in ``next_level``.  The
+last level has no offsets and keeps, in place of a next level, the
+sorted rows the trie was built from: its key i is row i's last value.
+For the schema order those rows are the relation's own tuple, so
+nothing is copied.  A node is ``(level, lo, hi)``, the sorted siblings
+``keys[lo:hi]``; ``LEAF`` is the node below the last level.  Lookups
+bisect inside ``[lo, hi)``, ``count(node, d)`` composes offsets to
+count the (d+1)-level prefixes below a node, and no object is made per
+prefix.  The leaves of a node whose remaining depth is d are the rows
+``rows[lo:hi]`` that the same composition reaches on the last level
+(``leaf_rows``).  Values are Python ints of any size.
 
 Cost model
 ----------
@@ -39,6 +44,8 @@ descending to it.  It meters both as the steps they replace: an inlined
 base level adds the one recursion of the subproblem it skips, and an
 opened child the one probe of the one-level descent it skips.  So every
 count is that of one subproblem per level and one descent per child.
+Reading a node's leaves is metered by its caller, at one probe per leaf,
+whether they come as a slice of the rows or from the column walk.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import SchemaError, TimeBudgetExceeded
 from .relational import Attribute, Relation, Row
 
-Level = tuple[list[int], "list[int] | None", "Level | None"]
+Level = tuple[list[int], "list[int] | None", "Level | Sequence[Row] | None"]
 Node = tuple[Level, int, int]
 
 
@@ -113,7 +120,7 @@ def _build(rows: Sequence[Row], arity: int) -> Node:
             ks[c].append(t[c])
         ks[last].append(t[last])
         prev = t
-    level: Level = (ks[last], None, None)
+    level: Level = (ks[last], None, rows)
     for c in range(last - 1, -1, -1):
         offs[c].append(len(ks[c + 1]))
         level = (ks[c], offs[c], level)
@@ -169,11 +176,29 @@ def children(level: Level, at: Iterable[int]) -> Iterator[Node]:
     return ((nxt, offs[i], offs[i + 1]) for i in at)
 
 
+def leaf_rows(node: Node, depth: int) -> Sequence[Row] | None:
+    """The rows whose leaves lie ``depth`` >= 1 levels below ``node``, as one
+    slice of the rows the trie was built from, when that reaches the last
+    level; None for a projection node, whose trie has levels below.
+
+    A row holds the values of the node's prefix before its suffix, so its
+    last ``depth`` values are the ``iter_leaves(node, depth)`` tuple.
+    """
+    level, lo, hi = node
+    for _ in range(depth - 1):
+        _, offs, level = level
+        lo, hi = offs[lo], offs[hi]
+    _, offs, rows = level
+    return None if offs is not None else rows[lo:hi]
+
+
 def iter_leaves(node: Node, depth: int) -> Iterator[Row]:
     """Enumerate the suffix tuples below ``node`` in lexicographic order.
 
     Each level's column repeats a key once per leaf below it: the
     difference of its leaf bounds, the next level's read at its offsets.
+    This column walk is the one way to read a projection node's leaves;
+    at full depth ``leaf_rows`` gives the same tuples' rows as a slice.
     """
     if depth == 0:
         return iter(((),))

@@ -4,7 +4,19 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from agmjoin import FractionalCover, JoinQuery, SchemaError, descend, gen_random, min_cover_lp
+from agmjoin import (
+    FractionalCover,
+    JoinQuery,
+    PlanError,
+    PlanTree,
+    Relation,
+    SchemaError,
+    descend,
+    gen_random,
+    join,
+    leaf,
+    min_cover_lp,
+)
 
 settings.register_profile(
     "ci", max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -70,3 +82,36 @@ def keys(node):
     """The sorted child values of ``node``."""
     level, lo, hi = node
     return tuple(level[0][lo:hi])
+
+
+def all_join_plans(m: int) -> list[PlanTree]:
+    """Every unordered binary join tree over atoms 0..m-1 (join-only)."""
+    if m < 1:
+        raise PlanError("need at least one atom")
+
+    def build(atoms: tuple[int, ...]) -> list[PlanTree]:
+        if len(atoms) == 1:
+            return [leaf(atoms[0])]
+        out = []
+        first, rest = atoms[0], atoms[1:]
+        for mask in range(1 << len(rest)):
+            left_atoms = (first,) + tuple(a for i, a in enumerate(rest) if mask >> i & 1)
+            right_atoms = tuple(a for i, a in enumerate(rest) if not mask >> i & 1)
+            if not right_atoms:
+                continue
+            for l in build(left_atoms):
+                for r in build(right_atoms):
+                    out.append(join(l, r))
+        return out
+
+    return build(tuple(range(m)))
+
+
+def is_simple(r: Relation) -> bool:
+    """True when r is exactly all tuples over 0..d with at most one non-zero
+    value, d being the largest value present.  There are 1 + arity * d such
+    tuples, so a relation of that many of them holds all of them."""
+    if len(r) == 0:
+        return False
+    d = max(max(t) for t in r.rows)
+    return len(r) == 1 + r.arity * d and all(sum(v != 0 for v in t) <= 1 for t in r.rows)

@@ -20,7 +20,6 @@ from agmjoin import (
     PlanError,
     agm_bound,
     agm_join_project_traced,
-    all_join_plans,
     cover,
     cq_bound,
     decomposition_check,
@@ -31,7 +30,6 @@ from agmjoin import (
     gen_lw_bad,
     gen_lw_query,
     gen_triangle_bad,
-    is_simple,
     join_query,
     leapfrog_strategy,
     make_attrs,
@@ -42,7 +40,7 @@ from agmjoin import (
     run_join,
 )
 from agmjoin.cli import fit_exponent
-from conftest import random_instance, random_feasible_cover
+from conftest import all_join_plans, is_simple, random_instance, random_feasible_cover
 from test_rewrite import (
     key_chain_query,
     loop_endpoints_query,

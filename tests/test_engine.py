@@ -21,6 +21,7 @@ from agmjoin import (
     gen_clique_query,
     gen_lw_bad,
     gen_triangle_bad,
+    iter_leaves,
     join_query,
     leapfrog_strategy,
     make_attrs,
@@ -30,7 +31,9 @@ from agmjoin import (
     relation,
     run_join,
 )
+from agmjoin import engine
 from agmjoin.engine import _filter, _seat
+from agmjoin.trie import leaf_rows
 from conftest import random_feasible_cover, random_instance, walk
 
 A, B, C, D = make_attrs("A", "B", "C", "D")
@@ -462,6 +465,74 @@ def test_filter_checks_the_deadline_part_way_through_a_scan(keys):
     with pytest.raises(TimeBudgetExceeded):
         _filter(SimpleNamespace(meter=_DeadlineAt(2)), rows, 4096, [(ix.root, (0,))])
     assert len(read) <= 1024  # the check before the plan, then one within its first 1024 rows
+
+
+def _checked_scans(monkeypatch):
+    """Wrap the two-choices step so that every forced scan (no sizing, so
+    its only work is the scan) is checked against the row-at-a-time
+    reference over the column walk's leaves: the same rows, and one probe
+    per leaf read plus the reference's probes.  Returns a list that
+    collects (bound-prefix length, leaves read, read as a slice) per scan."""
+    seen = []
+    tail = engine._nprr_tail
+
+    def checked(ctx, plan, nodes):
+        before = ctx.meter.probes
+        got = tail(ctx, plan, nodes)
+        if plan.sizing is None:
+            nj = nodes[plan.j]
+            leaves = list(iter_leaves(nj, plan.k))
+            ref = CostMeter()
+            want = _reference_filter(ref, leaves, [(nodes[s], pos) for s, pos in plan.scan])
+            assert got == want
+            assert ctx.meter.probes - before == len(leaves) + ref.probes
+            seen.append((plan.d, len(leaves), leaf_rows(nj, plan.k) is not None))
+        return got
+
+    monkeypatch.setattr(engine, "_nprr_tail", checked)
+    return seen
+
+
+def test_scans_at_every_depth_match_the_row_at_a_time_reference(monkeypatch):
+    """c01's instances by nprr: their forced scans read slices at the root
+    and below it, and projection nodes through the column walk."""
+    seen = _checked_scans(monkeypatch)
+    for seed in range(200):
+        q = random_instance(seed, max_rows=30)
+        for x in (None, random_feasible_cover(q, random.Random(seed * 31 + 1))):
+            assert run_join(q, nprr_strategy(), cover=x).output == oracle_join(q), seed
+    kinds = {(d > 0, sliced) for d, _, sliced in seen}
+    assert kinds == {(False, True), (True, True), (False, False)}
+
+
+@pytest.mark.parametrize("x_keys", [5, 3000], ids=["set", "bisect"])
+def test_a_scan_below_the_root_reads_a_slice_of_more_than_1024_rows(monkeypatch, x_keys):
+    """R(A,B) is J at the top and probes into S(A,B,C); below the bound C
+    the probe side is a forced scan of S's (A,B) slice, 1,800 rows for
+    C=0, filtered by X(B) on the set path or row by row."""
+    seen = _checked_scans(monkeypatch)
+    r = relation([A, B], [(a, b) for a in range(50) for b in range(42)])
+    s = relation([A, B, C], [(a, b, c) for c in range(2)
+                             for a in range(0, 60, 1 + c) for b in range(30 - 10 * c)])
+    u = relation([C], [(0,), (1,), (5,)])
+    x = relation([B], [(b,) for b in range(0, 2 * x_keys, 2)])
+    q = join_query([r, s, u, x])
+    got = run_join(q, nprr_strategy(), cover=cover("1/2", "1/2", "1/2", 0)).output
+    assert got == oracle_join(q)
+    assert seen == [(1, 1800, True), (1, 600, True)]
+
+
+@pytest.mark.parametrize("keys", [range(8), range(0, 16384, 2)], ids=["set", "bisect"])
+def test_filter_checks_the_deadline_part_way_through_a_slice(keys):
+    ix = build_trie(relation([A, B], [(0, v) for v in range(4096)]))
+    rows = leaf_rows(ix.root, 2)[100:]  # 3,996 rows of a tuple, as a scan reads them
+    assert type(rows) is tuple
+    plans = [(build_trie(relation([A], [(v,) for v in keys])).root, (1,))]
+    m, ref = CostMeter(), CostMeter()
+    got = _filter(SimpleNamespace(meter=m), rows, len(rows), plans)
+    assert (got, m.probes) == (_reference_filter(ref, rows, plans), ref.probes)
+    with pytest.raises(TimeBudgetExceeded):  # the check before the plan, then three of the rows'
+        _filter(SimpleNamespace(meter=_DeadlineAt(4)), rows, len(rows), plans)
 
 
 @st.composite

@@ -11,10 +11,10 @@ from agmjoin import (
     gen_lw_query,
     gen_random,
     gen_triangle_bad,
-    is_simple,
     oracle_join,
     run_join,
 )
+from conftest import is_simple
 
 
 def test_triangle_bad_shape():

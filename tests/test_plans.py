@@ -8,11 +8,9 @@ from agmjoin import (
     PlanError,
     PlanTree,
     agm_join_project_traced,
-    all_join_plans,
     execute_plan,
     gen_lw_bad,
     gen_triangle_bad,
-    is_simple,
     join,
     join_query,
     leaf,
@@ -21,7 +19,7 @@ from agmjoin import (
     oracle_join,
     relation,
 )
-from conftest import random_instance
+from conftest import all_join_plans, is_simple, random_instance
 
 A, B, C, D = make_attrs("A", "B", "C", "D")
 

@@ -67,6 +67,14 @@ def test_relation_rejects_bad_arity_and_dup_attrs():
         relation([A, A], [(1, 2)])
 
 
+@pytest.mark.parametrize("bad", [True, False, -1, 1.0, "1", None])
+def test_relation_rejects_non_encodable_values(bad):
+    """Only non-negative ints can be written to a .rel file and read back;
+    a bool would be written as True or False."""
+    with pytest.raises(SchemaError, match="non-encodable value"):
+        relation([A, B], [(0, 0), (bad, 0)])
+
+
 def test_position_and_column():
     r = relation([A, B], [(1, 2), (1, 3), (4, 2)])
     assert r.position(B) == 1

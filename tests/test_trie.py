@@ -23,7 +23,7 @@ from agmjoin import (
     relation,
     run_join,
 )
-from agmjoin.trie import children
+from agmjoin.trie import children, leaf_rows
 from conftest import keys, walk
 
 A, B, C, D = make_attrs("A", "B", "C", "D")
@@ -365,6 +365,41 @@ def test_count_and_leaves_below_every_inner_node_match_the_oracle(rows, perm):
             for d in range(ix.depth - n):
                 assert count(node, d) == len({t[: d + 1] for t in below}), (p, d)
             assert list(iter_leaves(node, ix.depth - n)) == sorted(below), p
+
+
+@st.composite
+def leaf_row_cases(draw):
+    """A relation of arity 1-4 with values past 2**64, and a trie order:
+    the schema order itself, or a drawn permutation of it."""
+    arity = draw(st.integers(1, 4))
+    val = st.integers(0, 3) | st.integers(2**64, 2**64 + 3)
+    rel = relation((A, B, C, D)[:arity], draw(st.lists(st.tuples(*[val] * arity), max_size=30)))
+    order = rel.schema if draw(st.booleans()) else tuple(draw(st.permutations(rel.schema)))
+    return rel, order
+
+
+@given(leaf_row_cases())
+def test_leaf_rows_are_the_column_walk_at_full_depth(case):
+    """At every node of every depth, the slice of sorted rows below it holds
+    the node's prefix and then exactly the column walk's suffixes; asked for
+    fewer levels than the node has below it (a projection), there is no
+    slice, and the column walk alone reads its leaves."""
+    rel, order = case
+    ix = build_trie(rel, order)
+    ordered = sorted(tuple(t[rel.schema.index(a)] for a in order) for t in rel.rows)
+    if order == rel.schema:
+        assert leaf_rows(ix.root, ix.depth) == rel.rows  # the relation's own tuple, sliced whole
+    for n in range(ix.depth):
+        for p in _prefixes(ordered, n):
+            node = walk(ix, p)
+            rest = ix.depth - n
+            rows = leaf_rows(node, rest)
+            assert [t[:n] for t in rows] == [p] * len(rows)
+            assert [t[n:] for t in rows] == list(iter_leaves(node, rest)) == [
+                t[n:] for t in ordered if t[:n] == p]
+            for k in range(1, rest):
+                assert leaf_rows(node, k) is None
+                assert list(iter_leaves(node, k)) == sorted({t[n:n + k] for t in rows})
 
 
 HUGE = 2**64
