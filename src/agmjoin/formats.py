@@ -28,7 +28,7 @@ the path when a relation file is read from disk.
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import islice, repeat
 from operator import lt
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
@@ -74,24 +74,51 @@ def parse_relation_text(text: str) -> tuple[str, tuple[str, ...], tuple[Row, ...
 
 
 def _parse_rows(text: str, cols: tuple[str, ...]) -> tuple[Row, ...]:
-    """The rows of a relation file's text after its header line."""
-    rows = []
-    for ln, raw in enumerate(text.split("\n"), start=2):
-        body = raw.split("#", 1)[0].strip()
+    """The rows of a relation file's text after its header line.
+
+    Parsed in bulk: every line that is not blank once its comment is cut
+    holds ``len(cols) - 1`` commas, and ``int`` reads the fields of all
+    of them joined.  A body that fails is walked line by line, only to
+    name and word the first bad line.
+    """
+    n = len(cols)
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [ln.split("#", 1)[0] for ln in lines]
+    bodies = list(filter(None, map(str.strip, lines)))
+    if not bodies:
+        return ()
+    flat = ",".join(bodies)
+    try:
+        if set(map(str.count, bodies, repeat(","))) != {n - 1}:
+            raise ValueError
+        if not flat.isascii() or "_" in flat or "+" in flat:
+            raise ValueError  # int() reads these, the format does not
+        values = list(map(int, flat.split(",")))
+    except ValueError:
+        raise _first_bad_row(lines, n) from None
+    return tuple(zip(*[iter(values)] * n))
+
+
+def _first_bad_row(lines: list[str], n: int) -> QueryFormatError:
+    """The error for the first of ``lines`` (comments cut) that is not a
+    row of ``n`` values; the bulk parse found one."""
+    for ln, raw in enumerate(lines, start=2):
+        body = raw.strip()
         if not body:
             continue
         parts = body.split(",")
-        if len(parts) != len(cols):
-            raise _fail(f"expected {len(cols)} values, found {len(parts)}", ln, 1)
+        if len(parts) != n:
+            return _fail(f"expected {n} values, found {len(parts)}", ln, 1)
         try:
             if not body.isascii() or "_" in body or "+" in body:
-                raise ValueError  # int() reads these, the format does not
-            rows.append(tuple(map(int, parts)))
+                raise ValueError
+            list(map(int, parts))
         except ValueError:
             k = next(i for i, p in enumerate(parts) if not _VALUE.fullmatch(p))
             col = 1 + sum(len(p) + 1 for p in parts[:k])
-            raise _fail(f"not an integer: {parts[k].strip()!r}", ln, col) from None
-    return tuple(rows)
+            return _fail(f"not an integer: {parts[k].strip()!r}", ln, col)
+    raise ValueError("the bulk parse refused rows that every line holds")
 
 
 def format_relation(name: str, cols: Sequence[str], rows: Iterable[Row]) -> str:

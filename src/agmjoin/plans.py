@@ -15,6 +15,11 @@ result stays within the fractional-cover size bound of the full query,
 at the price of re-touching each relation once per level.  The partial
 joins inside a level are not bounded: on triangle-bad with m=1000 one
 of them holds 1,003,001 rows against a bound of about 89,500.
+
+numpy is imported by the first plan run, not with the module: the
+package imports this module, and a process that runs no plan (the
+engines, the oracle, the bounds, ``agmjoin gen``) never pays numpy's
+import time or memory.
 """
 
 from __future__ import annotations
@@ -23,13 +28,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import PlanError
 from .relational import Attribute, JoinQuery, Relation
 from .trie import CostMeter
 
-_MAX_KEY = np.iinfo(np.int64).max
+np = None  # bound to numpy by ``_evaluate``, the one import site
+
+_MAX_KEY = 2**63 - 1  # the largest int64
 
 
 @dataclass(frozen=True)
@@ -192,6 +197,9 @@ def _run_node(node, arrays, sink, meter):
 
 
 def _evaluate(p, bindings, meter):
+    global np
+    import numpy as np
+
     records: list[JoinRecord] = []
     schema, arr = _run_node(p, [_to_array(r) for r in bindings], records, meter)
     return Relation(schema, tuple(map(tuple, arr.tolist()))), records

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, product
+from itertools import compress, islice, product
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import SchemaError
@@ -108,12 +109,21 @@ def relation(schema: Sequence[Attribute], rows: Iterable[Sequence[int]]) -> Rela
     schema = tuple(schema)
     order = sorted(range(len(schema)), key=lambda i: schema[i])
     fixed = tuple(schema[i] for i in order)
-    permuted = []
-    for r in rows:
-        if len(r) != len(schema):
-            raise SchemaError(f"row {tuple(r)} does not match arity {len(schema)}")
-        permuted.append(tuple(r[i] for i in order))
-    return Relation(fixed, tuple(permuted))
+    if not isinstance(rows, (list, tuple)):
+        rows = list(rows)  # walked twice below
+    if set(map(len, rows)) - {len(schema)}:
+        bad = next(r for r in rows if len(r) != len(schema))
+        raise SchemaError(f"row {tuple(bad)} does not match arity {len(schema)}")
+    return Relation(fixed, tuple(_columns(rows, order)))
+
+
+def _columns(rows: Sequence[Sequence[int]], idx: Sequence[int]) -> Iterable[Row]:
+    """``tuple(t[i] for i in idx)`` for each row ``t``, built at C level."""
+    if len(idx) > 1:
+        return map(itemgetter(*idx), rows)
+    if idx:
+        return zip(map(itemgetter(idx[0]), rows))  # itemgetter(i) alone gives no tuple
+    return [()] * len(rows)
 
 
 def project(r: Relation, attrs: Iterable[Attribute]) -> Relation:
@@ -225,17 +235,23 @@ def oracle_join(q: JoinQuery, meter: CostMeter | None = None) -> Relation:
 
     Deliberately naive so it stays an independent yardstick for every
     other evaluator in the package.  Candidate values for an attribute
-    are those present in all relations covering it.  Only ``meter``'s
-    deadline is used: it is checked after every 4096 candidates.
+    are those present in all relations covering it.  The candidates are
+    taken in lexicographic order, 4096 at a time, and each relation in
+    turn keeps the candidates whose projection onto its schema is one of
+    its rows.  Only ``meter``'s deadline is used: it is checked after
+    every 4096 candidates.
     """
     attrs = q.attrs
     domains = [sorted(dom) for dom in active_domains(q)]
-    checks = [(tuple(attrs.index(a) for a in r.schema), r._rowset) for r in q.relations]
+    checks = [([attrs.index(a) for a in r.schema], r._rowset.__contains__)
+              for r in q.relations]
     out: list[Row] = []
     cands = product(*domains)
     for _ in range(0, math.prod(map(len, domains)), 4096):
-        out += [c for c in islice(cands, 4096)
-                if all(tuple(c[i] for i in idx) in rows for idx, rows in checks)]
+        chunk = list(islice(cands, 4096))
+        for idx, has in checks:
+            chunk = list(compress(chunk, map(has, _columns(chunk, idx))))
+        out += chunk
         if meter is not None:
             meter.check_deadline()
     return Relation(attrs, tuple(out))

@@ -406,12 +406,16 @@ class HeadJoin:
 
     def bind(self, data: Mapping[str, Iterable[Row]]) -> JoinQuery:
         """One relation per edge, its view's rows as computed: ``Relation``
-        is the one place they are sorted and deduplicated."""
-        rels = tuple(
-            Relation(edge, view.rows(data))
-            for edge, view in zip(self.hypergraph.edges, self.views)
-        )
-        return JoinQuery(self.hypergraph, rels)
+        is the one place they are sorted, deduplicated and checked, and a
+        row it refuses is reported under the edge's root table."""
+        rels = []
+        for edge, view, root in zip(self.hypergraph.edges, self.views, self.roots):
+            rows = view.rows(data)
+            try:
+                rels.append(Relation(edge, rows))
+            except SchemaError as e:
+                raise SchemaError(f"table {root!r}: {e}") from None
+        return JoinQuery(self.hypergraph, tuple(rels))
 
 
 def project_to_head(c: ConjunctiveQuery) -> HeadJoin | None:

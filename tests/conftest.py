@@ -1,5 +1,8 @@
+import math
 import os
 import random
+import re
+from itertools import islice, product
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -9,6 +12,7 @@ from agmjoin import (
     JoinQuery,
     PlanError,
     PlanTree,
+    QueryFormatError,
     Relation,
     SchemaError,
     descend,
@@ -115,3 +119,47 @@ def is_simple(r: Relation) -> bool:
         return False
     d = max(max(t) for t in r.rows)
     return len(r) == 1 + r.arity * d and all(sum(v != 0 for v in t) <= 1 for t in r.rows)
+
+
+_VALUE = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
+
+
+def parse_rows_by_line(text: str, cols: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+    """The rows of a relation file's body, parsed one line at a time: the
+    reference for ``formats._parse_rows``, rows and error text alike."""
+    rows = []
+    for ln, raw in enumerate(text.split("\n"), start=2):
+        body = raw.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split(",")
+        if len(parts) != len(cols):
+            raise QueryFormatError(f"line {ln}, column 1: "
+                                   f"expected {len(cols)} values, found {len(parts)}")
+        try:
+            if not body.isascii() or "_" in body or "+" in body:
+                raise ValueError  # int() reads these, the format does not
+            rows.append(tuple(map(int, parts)))
+        except ValueError:
+            k = next(i for i, p in enumerate(parts) if not _VALUE.fullmatch(p))
+            col = 1 + sum(len(p) + 1 for p in parts[:k])
+            raise QueryFormatError(f"line {ln}, column {col}: "
+                                   f"not an integer: {parts[k].strip()!r}") from None
+    return tuple(rows)
+
+
+def oracle_join_by_candidate(q: JoinQuery) -> Relation:
+    """Brute force over the active-domain cross product, one candidate and
+    one relation at a time: the reference for ``oracle_join``."""
+    attrs = q.attrs
+    domains = []
+    for a in attrs:
+        cols = [set(r.column(a)) for r in q.relations if a in r.schema]
+        domains.append(sorted(set.intersection(*cols)))
+    checks = [(tuple(attrs.index(a) for a in r.schema), set(r.rows)) for r in q.relations]
+    out = []
+    cands = product(*domains)
+    for _ in range(0, math.prod(map(len, domains)), 4096):
+        out += [c for c in islice(cands, 4096)
+                if all(tuple(c[i] for i in idx) in rows for idx, rows in checks)]
+    return Relation(attrs, tuple(out))

@@ -40,7 +40,13 @@ from agmjoin import (
     run_join,
 )
 from agmjoin.cli import fit_exponent
-from conftest import all_join_plans, is_simple, random_instance, random_feasible_cover
+from conftest import (
+    all_join_plans,
+    is_simple,
+    oracle_join_by_candidate,
+    random_feasible_cover,
+    random_instance,
+)
 from test_rewrite import (
     key_chain_query,
     loop_endpoints_query,
@@ -112,6 +118,21 @@ def test_c01_engines_answer_or_refuse_on_adversarial_values_and_shapes(q):
             assert run() == want, name
         except PlanError:
             pass
+
+
+def test_oracle_matches_the_candidate_at_a_time_loop_on_c01_instances():
+    for seed in range(200):
+        q, got = solved(seed)
+        assert got == oracle_join_by_candidate(q), seed
+
+
+@given(adversarial_queries())
+@example(join_query([  # 8,000 candidates: a chunk of 4,096 and a partial one
+    relation((A, B), [(i, j) for i in range(20) for j in range(20)]),
+    relation((B, C), [(j, k) for j in range(20) for k in range(20) if (j + k) % 3 == 0]),
+    relation((A, C), [(i, k) for i in range(20) for k in range(20) if i != k])]))
+def test_oracle_matches_the_candidate_at_a_time_loop_on_adversarial_instances(q):
+    assert oracle_join(q) == oracle_join_by_candidate(q)
 
 
 def test_c02_pinned_bound_values():

@@ -3,11 +3,16 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fractions import Fraction
 
+import agmjoin
 from agmjoin import CostMeter, cq_bound, gen_chase_witness, gen_triangle_bad, run_join
 from agmjoin.cli import (
     BENCH_COLUMNS,
@@ -354,6 +359,15 @@ def test_run_negative_value_exits_3(tmp_path, capsys):
     assert "non-encodable" in err
 
 
+def test_run_value_error_names_its_table(tmp_path, capsys):
+    inst = gen_dir(tmp_path, "--family", "triangle-bad", "--m", "2")
+    with open(inst / "R0.rel", "a", encoding="utf-8") as f:
+        f.write("-1,2\n")
+    code, _, err = run_cli(capsys, str(inst / "query.txt"), str(inst))
+    assert code == 3
+    assert "error: table 'R0': row (-1, 2) has a non-encodable value" in err
+
+
 # The first 16 hex digits of the sha256 of `run`'s stdout (per family) and
 # of its stats CSV on stderr (per algorithm), recorded with the binder
 # `run` used before it bound its data through HeadJoin.
@@ -483,6 +497,57 @@ def test_run_head_bytes_are_pinned(head_dir, tmp_path, capsys, head, algo):
     assert hashlib.sha256(out.encode()).hexdigest() == HEAD_PINS[head][1]
     if head != "boolean":  # the stats CSV counts the rows written
         assert err.splitlines()[1].split(",")[1] == str(out.count("\n") - 1)
+
+
+# Run in a fresh interpreter: this test process may have loaded numpy already.
+# Prints, after each step, the step and whether numpy is loaded.
+_NUMPY_STEPS = r"""
+import contextlib, io, json, sys
+
+def step(name, out=None):
+    print(json.dumps([name, "numpy" in sys.modules, out]))
+
+import agmjoin
+step("import agmjoin")
+q = agmjoin.gen_triangle_bad(8).query
+agmjoin.run_join(q)
+step("run_join")
+agmjoin.min_cover_lp(q.hypergraph, q.sizes)
+step("min_cover_lp")
+agmjoin.oracle_join(q)
+step("oracle_join")
+
+from agmjoin.cli import main
+
+def cli(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+d = sys.argv[1]
+step("gen", cli("gen", "--family", "triangle-bad", "--m", "8", "--out", d))
+step("bound", cli("bound", d + "/query.txt", "--sizes", "R0=17,R1=17,R2=17"))
+for algo in ("leapfrog", "nprr", "oracle", "agm-plan"):
+    step(algo, cli("run", d + "/query.txt", d, "--algo", algo, "--out", "-"))
+"""
+
+
+def test_numpy_loads_only_for_numpy_plans(tmp_path):
+    path = [str(Path(agmjoin.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_STEPS, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = [json.loads(ln) for ln in proc.stdout.splitlines()]
+    assert [name for name, _, _ in steps] == [
+        "import agmjoin", "run_join", "min_cover_lp", "oracle_join", "gen", "bound",
+        "leapfrog", "nprr", "oracle", "agm-plan"]
+    assert [name for name, loaded, _ in steps if loaded] == ["agm-plan"]
+    outs = {name: out for name, _, out in steps if out is not None}
+    assert all(code == 0 for code, _ in outs.values())
+    assert outs["agm-plan"][1].count("\n") == 1 + 25  # the header and triangle-bad's 3m+1 rows
+    assert outs["agm-plan"] == outs["leapfrog"]
 
 
 # -------------------------------------------------------------- bound

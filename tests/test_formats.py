@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from agmjoin import Atom, ConjunctiveQuery, QueryFormatError, SchemaError, SimpleFD
 from agmjoin.formats import (
+    _parse_rows,
     format_query,
     format_relation,
     load_data_dir,
@@ -14,6 +15,7 @@ from agmjoin.formats import (
     write_query_file,
     write_relation_file,
 )
+from conftest import parse_rows_by_line
 
 
 def test_parse_relation_basic():
@@ -44,6 +46,53 @@ def test_parse_relation_errors_carry_positions():
         parse_relation_text("# relation R schema ,\n")
     with pytest.raises(QueryFormatError):
         parse_relation_text("")
+
+
+# field text: decimal integers past 2**64, and what int() reads but the format refuses
+_INT_TEXT = st.integers(-(2**70), 2**70).map(str)
+_ODD_TEXT = st.sampled_from(["+5", "1_0", "-", "", "x", "\uff13", "\u0663", "0x1", "--1",
+                             "1 2", "\xa01", "2\xa0", "\x85", "1\x1c"])
+_PAD = st.text(alphabet=" \t\x0b\x0c\r", max_size=2)
+_NOT_A_ROW = st.sampled_from(["", " ", "\t\r", "\x0b", "\r", "# a note_+\u00e9",
+                              "  # 1,2,3", "\u3000", "#"])
+
+
+def _cell(value=_INT_TEXT):
+    return st.tuples(_PAD, value, _PAD).map("".join)
+
+
+def _row(width):
+    return st.lists(_cell(), min_size=width, max_size=width).map(",".join)
+
+
+@st.composite
+def relation_bodies(draw):
+    """A relation file's body: rows of arity 1-4 with padding and comments,
+    blank lines, and up to two faults: a row of the wrong width, or a row
+    with one odd value."""
+    n = draw(st.integers(1, 4))
+    line = st.one_of(_row(n), _row(n).map(lambda r: r + " # note"), _NOT_A_ROW)
+    lines = draw(st.lists(line, max_size=25))
+    odd_row = st.tuples(st.lists(_cell(), min_size=n - 1, max_size=n - 1), _cell(_ODD_TEXT),
+                        st.integers(0, n - 1))
+    odd_row = odd_row.map(lambda t: ",".join(t[0][:t[2]] + [t[1]] + t[0][t[2]:]))
+    wrong_width = st.integers(1, 5).filter(lambda w: w != n).flatmap(_row)
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.one_of(odd_row, wrong_width)))
+    return tuple("ABCD"[:n]), "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except QueryFormatError as e:
+        return str(e)
+
+
+@given(relation_bodies())
+def test_bulk_row_parse_matches_the_line_parse(case):
+    cols, body = case
+    assert _outcome(_parse_rows, body, cols) == _outcome(parse_rows_by_line, body, cols)
 
 
 def test_format_relation_sorts_and_dedups():
