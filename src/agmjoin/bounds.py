@@ -140,10 +140,10 @@ def min_cover_lp(h: Hypergraph, sizes: Sequence[int]) -> BoundReport:
     are the 0/1 vertex-edge incidence as ints, so the tableau needs no
     row scaling; only the costs log2 |R_F| carry denominators.  They are
     never negative, so the dual simplex minimizes the log-size objective
-    from the all-surplus basis with no phase 1; then each weight in turn
-    is minimized from the basis the previous pass ended in, over the
-    columns that can still be non-zero at an optimum.  The result is
-    certified by re-evaluating its cover through ``agm_bound``.
+    from the all-surplus basis with no phase 1; its ratio ties are broken
+    on the weights' own reduced costs, first weight first, so the one
+    pass ends at the lex-least optimal cover.  The result is certified
+    by re-evaluating its cover through ``agm_bound``.
     """
     sizes = _check_sizes(h, sizes)
     m = len(h.edges)

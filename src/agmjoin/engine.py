@@ -54,6 +54,7 @@ execution here is single-threaded and deterministic.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,7 +63,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .bounds import FractionalCover, is_cover, min_cover_lp
-from .errors import InfeasibleCoverError, InvalidPartitionError
+from .errors import InfeasibleCoverError, InvalidPartitionError, SchemaError
 from .relational import Attribute, JoinQuery, Relation, Row
 from .trie import (
     CostMeter,
@@ -515,8 +516,12 @@ def run_join(
             )
     ctx = _Ctx(q, meter, audit=audit)
     slots = [(e, ctx.trie_for(e, r.schema), 0) for e, r in enumerate(q.relations)]
-    plan = _compile(ctx, slots, attrs, blocks, cover.weights)
-    rows = _run(ctx, plan, [s[1].root for s in slots])
+    try:
+        plan = _compile(ctx, slots, attrs, blocks, cover.weights)
+        rows = _run(ctx, plan, [s[1].root for s in slots])
+    except RecursionError:  # the plan nests about one level per attribute
+        raise SchemaError(f"a query of {len(attrs)} attributes nests deeper than "
+                          f"Python's recursion limit ({sys.getrecursionlimit()})") from None
     out = Relation(attrs, tuple(rows))
     meter.emits += len(out)
     return JoinRun(out, meter, strat, cover)

@@ -28,6 +28,7 @@ the path when a relation file is read from disk.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import islice, repeat
 from operator import lt
 from pathlib import Path
@@ -47,6 +48,12 @@ _VALUE = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)  # an optional '-', then ASCII 
 
 def _fail(msg: str, line: int, col: int) -> "QueryFormatError":
     return QueryFormatError(f"line {line}, column {col}: {msg}")
+
+
+def _too_long(digits: str) -> str:
+    """The message for a digit string that ``int`` refuses for its length alone."""
+    n = len(digits.strip().lstrip("-"))
+    return f"value too long: {n} digits, and Python reads at most {sys.get_int_max_str_digits()}"
 
 
 # --------------------------------------------------------------------------
@@ -115,9 +122,14 @@ def _first_bad_row(lines: list[str], n: int) -> QueryFormatError:
                 raise ValueError
             list(map(int, parts))
         except ValueError:
-            k = next(i for i, p in enumerate(parts) if not _VALUE.fullmatch(p))
-            col = 1 + sum(len(p) + 1 for p in parts[:k])
-            return _fail(f"not an integer: {parts[k].strip()!r}", ln, col)
+            for k, p in enumerate(parts):
+                col = 1 + sum(len(q) + 1 for q in parts[:k])
+                if not _VALUE.fullmatch(p):
+                    return _fail(f"not an integer: {p.strip()!r}", ln, col)
+                try:
+                    int(p)
+                except ValueError:  # digits only, so refused for their number
+                    return _fail(_too_long(p), ln, col)
     raise ValueError("the bulk parse refused rows that every line holds")
 
 
@@ -239,6 +251,15 @@ def _parse_atom(sc: _Scanner, allow_empty: bool) -> Atom:
         sc.literal(",")
 
 
+def _position(m: re.Match[str], g: int, line: int, pad: int) -> int:
+    """Group ``g`` of a dependency line's match, a position; ``pad`` is the
+    line's indent, which the match did not see."""
+    try:
+        return int(m.group(g))
+    except ValueError:  # digits only, so refused for their number
+        raise _fail(_too_long(m.group(g)), line, pad + m.start(g) + 1) from None
+
+
 def parse_query_text(text: str) -> ConjunctiveQuery:
     """Parse one rule (and any dependency lines) into a query."""
     rule: tuple[int, str] | None = None
@@ -252,7 +273,8 @@ def parse_query_text(text: str) -> ConjunctiveQuery:
             m = _FD_LINE.match(stripped)
             if not m:
                 raise _fail("malformed dependency, expected 'fd R: i -> j'", ln, 1)
-            src, dst = int(m.group(2)), int(m.group(3))
+            pad = len(body) - len(body.lstrip())
+            src, dst = (_position(m, g, ln, pad) for g in (2, 3))
             if src < 1 or dst < 1:
                 raise _fail("dependency positions are 1-based", ln, 1)
             if src == dst:

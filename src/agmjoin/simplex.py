@@ -16,17 +16,23 @@ Fractions are made only for the result.
 Because ``den`` > 0, every sign test reads the integer's own sign, and
 every ratio test compares two quotients by cross-multiplication, so
 the tableau takes exactly the pivots of the rational tableau it stands
-for.  Bland's smallest-index rule keeps the pivoting finite (Bland,
-Math. Oper. Res. 1977).  The cover programs this package solves have a
-handful of variables, so a dense tableau is the right tool.
+for.  The cover programs this package solves have a handful of
+variables, so a dense tableau is the right tool.  Costs are never
+negative, so the all-surplus basis is dual feasible: no phase 1.
 
-Costs are never negative, so the basis of all surplus columns is dual
-feasible from the start: the dual simplex needs no phase 1 and no
-artificial columns.  The lex-least optimum is refined on the optimal
-tableau it leaves: one warm-started primal pass per coordinate, each
-over the previous stage's optimal face (the columns whose reduced cost
-is zero).  No row is ever appended, so the 45-digit cost coefficients
-stay in the objective row and never enter the constraint rows.
+The lex-least optimum comes from the same loop by the lexicographic
+rule (Dantzig, Orden and Wolfe, Pacific J. Math. 1955): columns that
+tie on c's ratio are compared on their ratios for the cost x_0, then
+x_1, and so on.  That is the dual simplex on c + eps e_0 + eps^2 e_1 +
+... for an infinitesimal eps > 0, for which the surplus basis is dual
+feasible too.  Bland's smallest-index rule picks the leaving row and
+breaks the ties left after x_(n-1) (surplus columns only), so the loop
+is finite (Bland, Math. Oper. Res. 1977, over the ordered field of
+polynomials in eps).  It ends optimal for c at the point that
+minimizes x_0 among c's optima, then x_1, and so on, which is unique.
+x_i's reduced cost at column j is read off the tableau, as ``den`` at
+j == i less the entry at j of the row where x_i is basic, and only on
+a tie: rows kept for it would cost every pivot.
 """
 
 from __future__ import annotations
@@ -92,35 +98,20 @@ def _eliminate(row: list[int], prow: list[int], p: int, col: int, den: int) -> l
     return [p * v // den for v in row]
 
 
-def _run_simplex(rows: list[list[int]], obj: list[int], basis: list[int], ncols: int, den: int) -> int:
-    """Primal simplex, Bland's rule: enter lowest negative-reduced-cost column.
-
-    Returns the final denominator.  Only unit costs are minimised here,
-    and they are bounded below by 0, so some row always limits the step.
-    """
-    while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
-        if enter is None:
-            return den
-        # least ratio rhs / entry over positive entries, then the lowest basic column
-        leave = -1
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a > 0 and (leave < 0 or (row[-1] * rows[leave][enter], basis[i])
-                          < (rows[leave][-1] * a, basis[leave])):
-                leave = i
-        den = _pivot(rows, obj, basis, leave, enter, den)
+def _lex_costs(rows: list[list[int]], where: dict[int, int], den: int, n: int, j: int, f: int) -> list[int]:
+    """f * den * the reduced costs of x_0 .. x_(n-1) at column j; ``where`` maps basic columns to rows."""
+    return [((den if j == i else 0) - (rows[where[i]][j] if i in where else 0)) * f for i in range(n)]
 
 
-def _solve(lp: LinearProgram) -> tuple[list[list[int]], list[int], list[int], int, Fraction]:
-    """Dual simplex from the surplus basis: an optimal tableau and the optimal value.
+def _solve(lp: LinearProgram, lex: bool) -> tuple[Fraction, Vector]:
+    """Dual simplex from the surplus basis: (optimal value, basic optimal point).
 
-    Returns (rows, basis, objective row, den, value).  Columns are the n
-    variables, then one surplus per row, then the right-hand side; every
-    row has one basic column.  Row k starts as -a_k.x + s_k = -b_k with
-    s_k basic and the objective row is c, which is dual feasible because
-    c >= 0.  Each pivot keeps every reduced cost >= 0; the tableau is
-    optimal once no right-hand side is negative.
+    Columns are the n variables, then one surplus per row, then the
+    right-hand side; every row has one basic column.  Row k starts as
+    -a_k.x + s_k = -b_k with s_k basic and the objective row is c, which
+    is dual feasible because c >= 0.  Each pivot keeps every reduced
+    cost >= 0; the tableau is optimal once no right-hand side is
+    negative.  ``lex`` breaks ratio ties by the lexicographic rule.
     """
     n = len(lp.c)
     m = len(lp.ge_rows)
@@ -132,64 +123,46 @@ def _solve(lp: LinearProgram) -> tuple[list[list[int]], list[int], list[int], in
     basis = [n + k for k in range(m)]
     cs = lcm(*(cj.denominator for cj in lp.c))
     obj = [cj.numerator * (cs // cj.denominator) * den for cj in lp.c] + [0] * (m + 1)
-    while True:
+    while infeasible := [i for i, row in enumerate(rows) if row[-1] < 0]:
         # Bland: of the rows with a negative right-hand side, the lowest basic column leaves
-        infeasible = [i for i, row in enumerate(rows) if row[-1] < 0]
-        if not infeasible:
-            return rows, basis, obj, den, Fraction(-obj[-1], den * cs)
         r = min(infeasible, key=basis.__getitem__)
         row = rows[r]
-        # the least ratio obj[j] / -row[j] keeps every reduced cost >= 0; ties keep the lowest j
+        # the least ratio obj[j] / -row[j] keeps every reduced cost >= 0; a tie
+        # keeps the lowest j, or under ``lex`` goes to the least ratios for x_0, x_1, ...
         enter = -1
+        where = None  # basic column -> row, built at this pivot's first tie under ``lex``
         for j in range(n + m):
             a = row[j]
-            if a < 0 and (enter < 0 or obj[j] * row[enter] > obj[enter] * a):
-                enter = j
+            if a >= 0:
+                continue
+            if enter >= 0:
+                e = row[enter]
+                u, v = obj[j] * e, obj[enter] * a
+                if lex and u == v:
+                    where = where or {b: i for i, b in enumerate(basis)}
+                    u, v = _lex_costs(rows, where, den, n, j, e), _lex_costs(rows, where, den, n, enter, a)
+                if u <= v:
+                    continue
+            enter = j
         if enter < 0:  # no entry < 0, so over x, s >= 0 the row cannot sum to its rhs < 0
             raise InfeasibleProgramError(f"row {r} has a negative right-hand side and no negative entry")
         den = _pivot(rows, obj, basis, r, enter, den)
+    x = [Fraction(0)] * n
+    for row, j in zip(rows, basis):
+        if j < n:
+            x[j] = Fraction(row[-1], den)
+    return Fraction(-obj[-1], den * cs), tuple(x)
 
 
 def minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
     """Solve the program, returning (optimal value, a basic optimal point)."""
-    n = len(lp.c)
-    rows, basis, _, den, value = _solve(lp)
-    x = [Fraction(0)] * (n + len(lp.ge_rows))
-    for i, row in enumerate(rows):
-        x[basis[i]] = Fraction(row[-1], den)
-    return value, tuple(x[:n])
+    return _solve(lp, lex=False)
 
 
 def lexmin_minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
     """Optimal value plus the lexicographically smallest optimal point.
 
-    The dual simplex on ``c``; then, for each coordinate i in turn, the
-    primal simplex on the objective x_i, warm-started from the basis the
-    previous stage ended in.  Between stages every column with a
-    strictly positive reduced cost is deleted: by complementary
-    slackness that variable is 0 on every optimum of the stage, and the
-    remaining columns span exactly the stage's optimal face.  The final
-    basic point is the unique lex-least optimum.
+    The same dual simplex, its ratio ties broken by the lexicographic
+    rule of the module docstring.
     """
-    n = len(lp.c)
-    rows, basis, obj, den, value = _solve(lp)
-    cols = list(range(n + len(lp.ge_rows)))  # the variable behind each column
-    for i in range(n):
-        # reduced costs are >= 0 here; a positive one pins its variable to 0
-        keep = [j for j in range(len(cols)) if obj[j] == 0]
-        if len(keep) < len(cols):
-            at = {j: k for k, j in enumerate(keep)}
-            rows = [[row[j] for j in keep] + [row[-1]] for row in rows]
-            basis = [at[j] for j in basis]
-            cols = [cols[j] for j in keep]
-        # the objective x_i, priced: den * e_i minus the row where x_i is basic
-        obj = [den if v == i else 0 for v in cols] + [0]
-        for r, j in enumerate(basis):
-            if cols[j] == i:
-                obj = [u - w for u, w in zip(obj, rows[r])]
-        den = _run_simplex(rows, obj, basis, len(cols), den)
-    x = [Fraction(0)] * n
-    for r, j in enumerate(basis):
-        if cols[j] < n:
-            x[cols[j]] = Fraction(rows[r][-1], den)
-    return value, tuple(x)
+    return _solve(lp, lex=True)

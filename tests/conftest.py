@@ -2,6 +2,7 @@ import math
 import os
 import random
 import re
+import sys
 from itertools import islice, product
 
 import pytest
@@ -25,6 +26,8 @@ from agmjoin import (
 settings.register_profile(
     "ci", max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+# HYPOTHESIS_PROFILE=deep: CI runs tests/test_simplex.py's reference properties under it
+settings.register_profile("deep", max_examples=2000, parent=settings.get_profile("ci"))
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
@@ -141,10 +144,15 @@ def parse_rows_by_line(text: str, cols: tuple[str, ...]) -> tuple[tuple[int, ...
                 raise ValueError  # int() reads these, the format does not
             rows.append(tuple(map(int, parts)))
         except ValueError:
-            k = next(i for i, p in enumerate(parts) if not _VALUE.fullmatch(p))
-            col = 1 + sum(len(p) + 1 for p in parts[:k])
-            raise QueryFormatError(f"line {ln}, column {col}: "
-                                   f"not an integer: {parts[k].strip()!r}") from None
+            for k, p in enumerate(parts):
+                col = 1 + sum(len(q) + 1 for q in parts[:k])
+                if not _VALUE.fullmatch(p):
+                    raise QueryFormatError(f"line {ln}, column {col}: "
+                                           f"not an integer: {p.strip()!r}") from None
+                digits, limit = len(p.strip().lstrip("-")), sys.get_int_max_str_digits()
+                if 0 < limit < digits:
+                    raise QueryFormatError(f"line {ln}, column {col}: value too long: "
+                                           f"{digits} digits, and Python reads at most {limit}") from None
     return tuple(rows)
 
 

@@ -334,6 +334,39 @@ def test_run_malformed_named_table_exits_2_naming_its_file(triangle_dir, capsys)
     assert "not an integer: 'foo'" in err
 
 
+def test_values_past_pythons_digit_limit_exit_2(triangle_dir, tmp_path, capsys):
+    with open(triangle_dir / "R1.rel", "a", encoding="utf-8") as f:
+        f.write("1," + "9" * 5000 + "\n")
+    code, out, err = run_cli(capsys, str(triangle_dir / "query.txt"), str(triangle_dir))
+    assert (code, out) == (2, "")
+    assert "R1.rel: line" in err and "value too long: 5000 digits" in err
+    q = tmp_path / "q.txt"
+    q.write_text("fd R: " + "2" * 5000 + " -> 1\nQ(A) :- R(A,B).\n")
+    assert main(["bound", str(q), "--sizes", "16"]) == 2
+    assert "line 1, column 7: value too long" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo,code", [("leapfrog", 3), ("nprr", 0)])
+def test_run_past_the_recursion_limit_exits_3(tmp_path, algo, code):
+    """Leapfrog's plan nests about one level per attribute, so a wide query
+    overflows the stack; that exits 3 naming the attribute count, while
+    nprr answers.  The limit is lowered so 250 attributes are enough."""
+    cols = ",".join(f"A{i}" for i in range(250))
+    write_relation_file(tmp_path / "R.rel", "R", cols.split(","), [tuple(range(250))])
+    (tmp_path / "q.txt").write_text(f"Q({cols}) :- R({cols}).\n")
+    script = "import sys; sys.setrecursionlimit(200); from agmjoin.cli import main; sys.exit(main(sys.argv[1:]))"
+    path = [str(Path(agmjoin.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", script, "run", str(tmp_path / "q.txt"), str(tmp_path),
+                           "--algo", algo, "--out", "-"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert "a query of 250 attributes nests deeper than Python's recursion limit" in proc.stderr
+    else:
+        assert ",".join(map(str, range(250))) + "\n" in proc.stdout
+
+
 def test_run_table_declared_twice_exits_2_even_when_unnamed(triangle_dir, capsys):
     (triangle_dir / "zz.rel").write_text("# relation Z schema A\n1\n", encoding="utf-8")
     (triangle_dir / "zzz.rel").write_text("# relation Z schema A\n2\n", encoding="utf-8")

@@ -48,6 +48,15 @@ def test_parse_relation_errors_carry_positions():
         parse_relation_text("")
 
 
+def test_parse_relation_refuses_a_value_past_pythons_digit_limit():
+    # every field is digits, but int() reads at most sys.get_int_max_str_digits() of them
+    long = "7" * 5000
+    with pytest.raises(QueryFormatError, match=r"line 3, column 3: value too long: 5000 digits"):
+        parse_relation_text(f"# relation R schema A,B\n0,1\n1,-{long}\n")
+    with pytest.raises(QueryFormatError, match=r"line 2, column 1: not an integer: 'x'"):
+        parse_relation_text(f"# relation R schema A,B\nx,{long}\n")
+
+
 # field text: decimal integers past 2**64, and what int() reads but the format refuses
 _INT_TEXT = st.integers(-(2**70), 2**70).map(str)
 _ODD_TEXT = st.sampled_from(["+5", "1_0", "-", "", "x", "\uff13", "\u0663", "0x1", "--1",
@@ -254,6 +263,14 @@ def test_parse_query_fd_line_errors():
         parse_query_text("fd R: 2 -> 2\nQ(A) :- R(A,B).")
     with pytest.raises(QueryFormatError, match="1-based"):
         parse_query_text("fd R: 0 -> 2\nQ(A) :- R(A,B).")
+
+
+def test_parse_query_fd_position_past_pythons_digit_limit():
+    long = "1" * 5000
+    with pytest.raises(QueryFormatError, match=r"line 2, column 9: value too long: 5000 digits"):
+        parse_query_text(f"Q(A) :- R(A,B).\n  fd R: {long} -> 2\n")
+    with pytest.raises(QueryFormatError, match=r"line 1, column 12: value too long"):
+        parse_query_text(f"fd R: 1 -> {long}\nQ(A) :- R(A,B).")
 
 
 @pytest.mark.parametrize("text,symbols", [

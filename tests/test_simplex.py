@@ -7,8 +7,10 @@ stands for exactly that tableau, so it must take the same pivots and
 return the same value and basic point.  ``lexmin_minimize`` re-solves
 the program with ``fraction_minimize`` from scratch once per coordinate,
 each time pinning one more optimal value as an equality (a pair of >=
-rows).  It is slow but plainly correct, and the one-tableau refinement
-in ``agmjoin.simplex`` must return exactly what it returns.
+rows).  It is slow but plainly correct, and ``agmjoin.simplex``'s one
+dual simplex with the lexicographic ratio test must return exactly what
+it returns.  ``HYPOTHESIS_PROFILE=deep`` runs each property on 2,000
+programs.
 """
 
 from fractions import Fraction
