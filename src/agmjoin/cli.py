@@ -72,7 +72,7 @@ from .instances import (
     gen_triangle_bad,
 )
 from .bounds import min_cover_lp
-from .plans import PlanTrace, PlanTree, agm_join_project_traced, execute_plan, join, leaf
+from .plans import PlanTree, agm_join_project_traced, execute_plan, join, leaf
 from .relational import JoinQuery, Relation, active_domains, oracle_join
 from .relational import relation  # noqa: F401  uncalled since HeadJoin.bind; kept for perfbench/tracing.py's wrap
 from .rewrite import Atom, ConjunctiveQuery, normalize, project_to_head
@@ -182,8 +182,7 @@ def _run_algo(kind: str, payload, q: JoinQuery, budget: float | None,
             out, trace = execute_plan(_left_deep(payload, len(q.relations)), q.relations,
                                       meter=meter)
         else:  # agm
-            out, records = agm_join_project_traced(q, meter=meter)
-            trace = PlanTrace.of(records)
+            out, trace = agm_join_project_traced(q, meter=meter)
     except TimeBudgetExceeded:
         return CellResult("timeout")  # partial counts would read as a finished run's
     if kind == "wcoj":
@@ -191,8 +190,8 @@ def _run_algo(kind: str, payload, q: JoinQuery, budget: float | None,
                           emits=meter.emits, recursions=meter.recursions,
                           total_ops=meter.total_ops)
     return CellResult("ok", output=out, emits=len(out),
-                      intermediate_max=trace.intermediate_max if trace else None,
-                      total_ops=trace.total_work if trace else None)
+                      intermediate_max=None if trace is None else trace.intermediate_max,
+                      total_ops=None if trace is None else trace.total_work)
 
 
 def _csv(columns: Sequence[str], rows: Iterable[Mapping]) -> str:

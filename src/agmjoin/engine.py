@@ -176,11 +176,12 @@ class _Split:
                  i_attrs: tuple[Attribute, ...], i_blocks, j_blocks, weights: _Weights):
         i_set = set(i_attrs)
         j_attrs = tuple(a for a in attrs if a not in i_set)
-        ipos = {a: k for k, a in enumerate(i_attrs)}
+        pos = {a: k for k, a in enumerate(i_attrs + j_attrs)}  # a group plus a J row
+        rank = {a: k for k, a in enumerate(attrs)}
         active, seats, i_slots, i_sub, extenders, descents, j_sub = [], [], [], [], [], [], []
         for k, (edge, trie, depth) in enumerate(slots):
             es = ctx.edge_sets[edge]
-            act = tuple(a for a in attrs if a in es)
+            act = tuple(sorted((a for a in es if a in rank), key=rank.__getitem__))
             active.append((edge, act))
             fi = tuple(a for a in act if a in i_set)
             fj = tuple(a for a in act if a not in i_set)
@@ -199,10 +200,10 @@ class _Split:
                 if fi and len(i_attrs) == 1:  # the I side's intersect finds its key
                     opened = len(i_slots) - 1
                 elif fi:
-                    descents.append((len(extenders), [ipos[a] for a in fi]))
+                    descents.append((len(extenders), [pos[a] for a in fi]))
                 extenders.append((k, opened))
                 j_sub.append((edge, trie, depth + len(fi)))
-        perm = [ipos[a] if a in i_set else len(i_attrs) + j_attrs.index(a) for a in attrs]
+        perm = [pos[a] for a in attrs]
         self.active, self.attrs, self.i_attrs, self.weights = active, attrs, i_attrs, weights
         self.seats, self.i_slots, self.extenders, self.descents = seats, i_slots, extenders, descents
         self.n_open = sum(opened is not None for _, opened in extenders)
@@ -250,7 +251,7 @@ class _Tail:
         self.others = [k for k, s in enumerate(slots) if s[0] != j_edge]
         pos = {a: i for i, a in enumerate(attrs)}
         es = ctx.edge_sets
-        self.scan = [(k, [pos[a] for a in attrs if a in es[slots[k][0]]]) for k in self.others]
+        self.scan = [(k, sorted(pos[a] for a in es[slots[k][0]] if a in pos)) for k in self.others]
         self.row_scan = [(k, [i + d for i in idxs]) for k, idxs in self.scan]
         self.sizing = self.log_p = self.probe = self.probe_args = None
         x_j = weights[j_edge]
@@ -350,10 +351,10 @@ def _run(ctx: _Ctx, plan, nodes: Sequence[Node]) -> list[Row]:
     for t, j_nodes in zip(groups, zip(*cols)):
         meter.check_deadline()
         meter.probes += n_open  # an opened child costs the one probe of the descent it skips
-        if descents:
-            j_nodes = _descend_group(j_nodes, t, descents, meter)
-            if j_nodes is None:
-                continue
+        if descents:  # never misses: the I side joined t from each descending extender's node
+            j_nodes = list(j_nodes)
+            for x, idxs in descents:
+                j_nodes[x] = descend(j_nodes[x], [t[i] for i in idxs], meter)
         if j_plan is None:
             j_plan = plan.j_plan = _compile(ctx, *plan.j_args)
         if j_plan is _BASE:  # the last attribute: its values extend t
@@ -363,18 +364,6 @@ def _run(ctx: _Ctx, plan, nodes: Sequence[Node]) -> list[Row]:
             rows = map(t.__add__, _run(ctx, j_plan, j_nodes))
         out += rows if perm is None else map(perm, rows)
     return out
-
-
-def _descend_group(j_nodes: Sequence[Node], t: Row, descents, meter: CostMeter) -> list[Node] | None:
-    """Narrow each descending extender's node by the group's values at its
-    positions; None at the first absent path, so later ones are not probed."""
-    j_nodes = list(j_nodes)
-    for x, idxs in descents:
-        node = descend(j_nodes[x], [t[i] for i in idxs], meter)
-        if node is None:
-            return None
-        j_nodes[x] = node
-    return j_nodes
 
 
 def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: Sequence[Node]) -> list[Row]:

@@ -1,11 +1,12 @@
 """Classical two-way join plans, with intermediate-size accounting.
 
 These are the comparison baselines: binary join trees over the query's
-atoms (optionally with projections), evaluated bottom-up on numpy arrays
-by one binary-search join.  The point of the accounting is the quantity
-a plan cannot avoid — the cardinality of each intermediate result — so
-``PlanTrace`` records every join node's output size and the summed
-row footprint, not wall-clock time.
+atoms (optionally with projections), evaluated by one post-order loop
+(``PlanTree.walk``) on numpy arrays with one binary-search join.  The
+point of the accounting is the quantity a plan cannot avoid — the
+cardinality of each intermediate result — so a run returns a
+``PlanTrace``, the tuple of its ``JoinRecord``s, which reads off each
+join's output size and the summed row footprint, not wall-clock time.
 
 ``agm_join_project_traced`` runs the one join-project plan that bounds its
 intermediates by construction: for k = 1..n, join every relation
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PlanError
 from .relational import Attribute, JoinQuery, Relation
@@ -59,26 +60,22 @@ class PlanTree:
     def is_leaf(self) -> bool:
         return self.ref is not None
 
+    def walk(self) -> Iterator[PlanTree]:
+        """Every node in post-order: each join after its left and then its
+        right subtree.  By loop, as a plan can outgrow the recursion limit."""
+        order, todo = [], [self]
+        while todo:
+            node = todo.pop()
+            order.append(node)
+            if not node.is_leaf:
+                todo += (node.left, node.right)
+        return reversed(order)
+
     def leaf_refs(self) -> list[int]:
-        if self.is_leaf:
-            return [self.ref]
-        return self.left.leaf_refs() + self.right.leaf_refs()
+        return [n.ref for n in self.walk() if n.is_leaf]
 
     def has_projection(self) -> bool:
-        if self.keep is not None:
-            return True
-        if self.is_leaf:
-            return False
-        return self.left.has_projection() or self.right.has_projection()
-
-    def describe(self, names: Sequence[str] | None = None) -> str:
-        if self.is_leaf:
-            body = names[self.ref] if names else f"#{self.ref}"
-        else:
-            body = f"({self.left.describe(names)} >< {self.right.describe(names)})"
-        if self.keep is not None:
-            body = f"pi[{','.join(a.name for a in self.keep)}]{body}"
-        return body
+        return any(n.keep is not None for n in self.walk())
 
 
 def leaf(ref: int, keep: Iterable[Attribute] | None = None) -> PlanTree:
@@ -91,21 +88,24 @@ def join(left: PlanTree, right: PlanTree, keep: Iterable[Attribute] | None = Non
     )
 
 
-class PlanTrace(NamedTuple):
-    """What a plan execution touched: one size entry per join node."""
+class PlanTrace(tuple):
+    """What a plan execution touched: its ``JoinRecord``s in execution order."""
 
-    intermediate_sizes: tuple[tuple[int, int], ...]  # (post-order node id, cardinality)
-    total_work: int  # sum over joins of |left| + |right| + |output|
+    __slots__ = ()
+
+    @property
+    def intermediate_sizes(self) -> tuple[tuple[int, int], ...]:
+        """(join index, cardinality) of every join."""
+        return tuple(enumerate(rec.size for rec in self))
 
     @property
     def intermediate_max(self) -> int:
-        return max((n for _, n in self.intermediate_sizes), default=0)
+        return max((rec.size for rec in self), default=0)
 
-    @classmethod
-    def of(cls, records: Sequence["JoinRecord"]) -> "PlanTrace":
-        """The trace of the joins ``records`` lists, in execution order."""
-        return cls(tuple((i, rec.size) for i, rec in enumerate(records)),
-                   sum(rec.left_size + rec.right_size + rec.size for rec in records))
+    @property
+    def total_work(self) -> int:
+        """The sum over joins of |left| + |right| + |output|."""
+        return sum(rec.left_size + rec.right_size + rec.size for rec in self)
 
 
 class JoinRecord(NamedTuple):
@@ -139,10 +139,10 @@ def _project(schema, arr, keep: tuple[Attribute, ...]):
     return keep, sub
 
 
-def _keys(schema, arr, shared: Sequence[Attribute], radices: Sequence[int]) -> np.ndarray:
+def _keys(arr, cols: Sequence[int], radices: Sequence[int]) -> np.ndarray:
     key = np.zeros(len(arr), dtype=np.int64)
-    for a, radix in zip(shared, radices):
-        key = key * radix + arr[:, schema.index(a)]
+    for c, radix in zip(cols, radices):
+        key = key * radix + arr[:, c]
     return key
 
 
@@ -154,59 +154,58 @@ def _merge_join(lsch, larr, rsch, rarr):
     ``np.repeat`` expands the runs into row indices.  With no shared
     attribute every key is 0, so the cross product is the same code.
     """
-    shared = [a for a in lsch if a in set(rsch)]
-    out_schema = tuple(sorted(set(lsch) | set(rsch)))
+    lpos = {a: i for i, a in enumerate(lsch)}
+    rpos = {a: i for i, a in enumerate(rsch)}
+    shared = [a for a in lsch if a in rpos]
+    out_schema = tuple(sorted(lpos.keys() | rpos.keys()))
     if len(larr) == 0 or len(rarr) == 0:
         return out_schema, np.empty((0, len(out_schema)), dtype=np.int64)
-    radices = [int(max(larr[:, lsch.index(a)].max(), rarr[:, rsch.index(a)].max())) + 1
-               for a in shared]
+    lcols, rcols = [lpos[a] for a in shared], [rpos[a] for a in shared]
+    radices = [int(max(larr[:, lc].max(), rarr[:, rc].max())) + 1
+               for lc, rc in zip(lcols, rcols)]
     if math.prod(radices) > _MAX_KEY // 2:
         raise PlanError("join key space exceeds 63 bits")
-    rkey = _keys(rsch, rarr, shared, radices)
+    rkey = _keys(rarr, rcols, radices)
     order = np.argsort(rkey, kind="stable")
     rkey = rkey[order]
-    lkey = _keys(lsch, larr, shared, radices)
+    lkey = _keys(larr, lcols, radices)
     lo = np.searchsorted(rkey, lkey, side="left")
     counts = np.searchsorted(rkey, lkey, side="right") - lo
     lidx = np.repeat(np.arange(len(larr)), counts)
     # Left row i's run begins at output position cumsum(counts)[i] - counts[i].
     ridx = order[np.arange(len(lidx)) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
-    cols = [larr[lidx, lsch.index(a)] if a in lsch else rarr[ridx, rsch.index(a)]
-            for a in out_schema]
+    cols = [larr[lidx, lpos[a]] if a in lpos else rarr[ridx, rpos[a]] for a in out_schema]
     return out_schema, np.column_stack(cols)
 
 
-def _run_node(node, arrays, sink, meter):
-    spine = [node]  # by loop: the AGM plan's left spine can outgrow the recursion limit
-    while not spine[-1].is_leaf:
-        spine.append(spine[-1].left)
-    if not 0 <= spine[-1].ref < len(arrays):
-        raise PlanError(f"plan leaf #{spine[-1].ref} names no atom")
-    schema, arr = arrays[spine[-1].ref]
-    for n in reversed(spine):
-        if not n.is_leaf:
-            rsch, rarr = _run_node(n.right, arrays, sink, meter)
-            lsch, larr = schema, arr
-            schema, arr = _merge_join(lsch, larr, rsch, rarr)
-            sink.append(JoinRecord(lsch, rsch, len(larr), len(rarr), len(arr)))
-            if meter is not None:
-                meter.check_deadline()
-        if n.keep is not None:
-            schema, arr = _project(schema, arr, n.keep)
-    return schema, arr
-
-
-def _evaluate(p, bindings, meter):
+def _evaluate(p: PlanTree, bindings: Sequence[Relation], meter: CostMeter
+              ) -> tuple[Relation, PlanTrace]:
+    """Run ``p``'s walk on a stack of (schema, array) results."""
     global np
     import numpy as np
 
-    records: list[JoinRecord] = []
-    schema, arr = _run_node(p, [_to_array(r) for r in bindings], records, meter)
-    return Relation(schema, tuple(map(tuple, arr.tolist()))), records
+    arrays = [_to_array(r) for r in bindings]
+    stack, records = [], []
+    for node in p.walk():
+        if node.is_leaf:
+            if not 0 <= node.ref < len(arrays):
+                raise PlanError(f"plan leaf #{node.ref} names no atom")
+            stack.append(arrays[node.ref])
+        else:
+            rsch, rarr = stack.pop()
+            lsch, larr = stack.pop()
+            schema, arr = _merge_join(lsch, larr, rsch, rarr)
+            records.append(JoinRecord(lsch, rsch, len(larr), len(rarr), len(arr)))
+            stack.append((schema, arr))
+            meter.check_deadline()
+        if node.keep is not None:
+            stack[-1] = _project(*stack[-1], node.keep)
+    schema, arr = stack.pop()
+    return Relation(schema, tuple(map(tuple, arr.tolist()))), PlanTrace(records)
 
 
 def execute_plan(p: PlanTree, bindings: Sequence[Relation],
-                 meter: CostMeter | None = None) -> tuple[Relation, PlanTrace]:
+                 meter: CostMeter) -> tuple[Relation, PlanTrace]:
     """Evaluate a join tree bottom-up and record every intermediate size.
 
     Join-only plans (no projections anywhere) must reference distinct
@@ -218,8 +217,7 @@ def execute_plan(p: PlanTree, bindings: Sequence[Relation],
         refs = p.leaf_refs()
         if len(refs) != len(set(refs)):
             raise PlanError(f"join-only plan repeats atoms: {refs}")
-    out, records = _evaluate(p, bindings, meter)
-    return out, PlanTrace.of(records)
+    return _evaluate(p, bindings, meter)
 
 
 def _agm_plan(q: JoinQuery) -> PlanTree:
@@ -233,8 +231,7 @@ def _agm_plan(q: JoinQuery) -> PlanTree:
     return tree
 
 
-def agm_join_project_traced(q: JoinQuery, meter: CostMeter | None = None
-                            ) -> tuple[Relation, list[JoinRecord]]:
+def agm_join_project_traced(q: JoinQuery, meter: CostMeter) -> tuple[Relation, PlanTrace]:
     """Size-bounded join-project evaluation, returning the joins it ran.
 
     Runs ``_agm_plan(q)``: level k joins the projections of every
@@ -246,6 +243,6 @@ def agm_join_project_traced(q: JoinQuery, meter: CostMeter | None = None
     ``execute_plan``.
     """
     if any(len(r) == 0 for r in q.relations):
-        return Relation(q.attrs, ()), []
+        return Relation(q.attrs, ()), PlanTrace()
     return _evaluate(_agm_plan(q), q.relations, meter)
 

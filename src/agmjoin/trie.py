@@ -152,15 +152,14 @@ def count(node: Node, d: int) -> int:
     return hi - lo
 
 
-def descend(node: Node, vals: Iterable[int], meter: CostMeter | None = None) -> Node | None:
+def descend(node: Node, vals: Iterable[int], meter: CostMeter) -> Node | None:
     """Follow ``vals`` down from ``node``; None when the path is absent.
 
     Metered at one probe per level examined, so a miss stops the count
     at the level where the path ends.
     """
     for v in vals:
-        if meter is not None:
-            meter.probes += 1
+        meter.probes += 1
         (ks, offs, nxt), lo, hi = node
         i = bisect_left(ks, v, lo, hi)
         if i == hi or ks[i] != v:
@@ -240,7 +239,7 @@ def _answer(out: list[int], hits: list[tuple[int, ...]], k: int, positions: bool
     return out, (list(zip(*hits)) if hits else [()] * k)
 
 
-def intersect(nodes: Sequence[Node], meter: CostMeter | None = None, positions: bool = False
+def intersect(nodes: Sequence[Node], meter: CostMeter, positions: bool = False
               ) -> list[int] | tuple[list[int], list[Sequence[int]]]:
     """Sorted k-way intersection of the nodes' keys, driven by the first
     smallest node; the others are searched in input order.
@@ -294,9 +293,8 @@ def intersect(nodes: Sequence[Node], meter: CostMeter | None = None, positions: 
         else:
             out.append(v)
             hits.append(tuple(at))
-        if meter is not None:
-            meter.probes += probes
-            meter.advances += advances
+        meter.probes += probes
+        meter.advances += advances
         return _answer(out, hits, k, positions)
     (ks, _, _), lo, hi = nodes[pivot_i]
     others = [(j, n[0][0], n[2]) for j, n in enumerate(nodes) if j != pivot_i]
@@ -304,7 +302,7 @@ def intersect(nodes: Sequence[Node], meter: CostMeter | None = None, positions: 
     probes = advances = 0
     try:
         for start in range(lo, hi, 1024):
-            if start != lo and meter is not None:
+            if start != lo:
                 meter.probes += probes
                 meter.advances += advances
                 probes = advances = 0
@@ -331,6 +329,5 @@ def intersect(nodes: Sequence[Node], meter: CostMeter | None = None, positions: 
                         hits.append(tuple(pos))
         return _answer(out, hits, k, positions)
     finally:
-        if meter is not None:
-            meter.probes += probes
-            meter.advances += advances
+        meter.probes += probes
+        meter.advances += advances

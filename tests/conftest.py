@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from agmjoin import (
+    CostMeter,
     FractionalCover,
     JoinQuery,
     PlanError,
@@ -82,7 +83,7 @@ def walk(ix, prefix, meter=None):
     None when the path is absent.  A prefix longer than the trie is an error."""
     if len(prefix) > ix.depth:
         raise SchemaError(f"prefix {prefix} longer than trie depth {ix.depth}")
-    return descend(ix.root, prefix, meter)
+    return descend(ix.root, prefix, CostMeter() if meter is None else meter)
 
 
 def keys(node):

@@ -16,6 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from agmjoin import (
+    CostMeter,
     Hypergraph,
     PlanError,
     agm_bound,
@@ -71,10 +72,10 @@ def test_c01_all_engines_agree_with_the_oracle_on_200_instances():
         q, want = solved(seed)
         assert run_join(q, nprr_strategy()).output == want, seed
         assert run_join(q, leapfrog_strategy()).output == want, seed
-        assert agm_join_project_traced(q)[0] == want, seed
+        assert agm_join_project_traced(q, CostMeter())[0] == want, seed
         for plan in all_join_plans(len(q.relations)):
-            got, _ = execute_plan(plan, q.relations)
-            assert got == want, (seed, plan.describe())
+            got, _ = execute_plan(plan, q.relations, CostMeter())
+            assert got == want, (seed, repr(plan))
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -110,8 +111,8 @@ def test_c01_engines_answer_or_refuse_on_adversarial_values_and_shapes(q):
     want = oracle_join(q)
     assert run_join(q, nprr_strategy()).output == want
     assert run_join(q, leapfrog_strategy()).output == want
-    runs = [("agm-plan", lambda: agm_join_project_traced(q)[0])]
-    runs += [(p.describe(), lambda p=p: execute_plan(p, q.relations)[0])
+    runs = [("agm-plan", lambda: agm_join_project_traced(q, CostMeter())[0])]
+    runs += [(repr(p), lambda p=p: execute_plan(p, q.relations, CostMeter())[0])
              for p in all_join_plans(len(q.relations))]
     for name, run in runs:
         try:
@@ -188,7 +189,7 @@ def test_c05_triangle_family_separates_wcoj_from_every_pairwise_plan():
             assert len(run.output) == 3 * m + 1, (name, m)
             wcoj_ops[name].append(run.meter.total_ops)
         for i, plan in enumerate(all_join_plans(3)):
-            _, trace = execute_plan(plan, q.relations)
+            _, trace = execute_plan(plan, q.relations, CostMeter())
             assert trace.intermediate_max >= m * m, (i, m)
             plan_work[i].append(trace.total_work)
     for name, ops in wcoj_ops.items():
@@ -239,7 +240,7 @@ def test_c07_simple_relation_family_is_linear_for_wcoj_quadratic_pairwise():
             # every first join a pairwise plan can make blows up to at
             # least (1 + d)^2 rows, whichever pair of tables it picks
             for plan in all_join_plans(n):
-                _, trace = execute_plan(plan, q.relations)
+                _, trace = execute_plan(plan, q.relations, CostMeter())
                 nodes = []
                 _join_nodes_postorder(plan, nodes)
                 sizes = dict(trace.intermediate_sizes)

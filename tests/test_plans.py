@@ -1,10 +1,16 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import agmjoin
 from agmjoin import (
+    CostMeter,
     PlanError,
     PlanTree,
     agm_join_project_traced,
@@ -19,6 +25,7 @@ from agmjoin import (
     oracle_join,
     relation,
 )
+from agmjoin.formats import write_relation_file
 from conftest import all_join_plans, is_simple, random_instance
 
 A, B, C, D = make_attrs("A", "B", "C", "D")
@@ -45,18 +52,18 @@ def test_plan_node_is_leaf_xor_join():
         PlanTree(left=leaf(0))
 
 
-def test_leaf_refs_and_describe():
-    p = join(join(leaf(0), leaf(2)), leaf(1))
+def test_walk_leaf_refs_and_has_projection():
+    inner = join(leaf(0), leaf(2))
+    p = join(inner, leaf(1))
+    assert list(p.walk()) == [leaf(0), leaf(2), inner, leaf(1), p]  # post-order
     assert p.leaf_refs() == [0, 2, 1]
-    assert p.describe() == "((#0 >< #2) >< #1)"
-    assert p.describe(["R", "S", "T"]) == "((R >< T) >< S)"
     assert not p.has_projection()
     assert join(leaf(0), leaf(1), keep=[A]).has_projection()
 
 
 def test_execute_single_leaf_is_identity():
     r = relation([A, B], [(0, 1), (2, 3)])
-    out, trace = execute_plan(leaf(0), [r])
+    out, trace = execute_plan(leaf(0), [r], CostMeter())
     assert out == r
     assert trace.intermediate_sizes == ()
     assert trace.intermediate_max == 0
@@ -68,7 +75,7 @@ def test_triangle_plans_match_the_oracle(seed):
     q = random_triangle(seed)
     want = oracle_join(q)
     for p in all_join_plans(3):
-        out, trace = execute_plan(p, q.relations)
+        out, trace = execute_plan(p, q.relations, CostMeter())
         assert out == want
         assert len(trace.intermediate_sizes) == 2
         assert trace.intermediate_max >= len(want)
@@ -76,7 +83,7 @@ def test_triangle_plans_match_the_oracle(seed):
 
 def test_trace_records_sizes_and_work():
     q = triangle_query([(0, 1), (0, 2)], [(1, 5), (2, 5)], [(0, 5)])
-    out, trace = execute_plan(join(join(leaf(0), leaf(1)), leaf(2)), q.relations)
+    out, trace = execute_plan(join(join(leaf(0), leaf(1)), leaf(2)), q.relations, CostMeter())
     assert set(out.rows) == {(0, 1, 5), (0, 2, 5)}
     # First join: R >< S has two matches; then 2 >< 1 -> 2.
     assert trace.intermediate_sizes == ((0, 2), (1, 2))
@@ -94,7 +101,7 @@ def test_all_join_plans_counts():
 
 def test_all_join_plans_are_distinct_and_cover_all_atoms():
     plans = all_join_plans(4)
-    assert len({p.describe() for p in plans}) == 15
+    assert len(set(plans)) == 15
     for p in plans:
         assert sorted(p.leaf_refs()) == [0, 1, 2, 3]
 
@@ -104,26 +111,26 @@ def test_every_shape_of_plan_agrees(seed):
     q = random_instance(seed, max_m=4, max_rows=8)
     want = oracle_join(q)
     for p in all_join_plans(len(q.relations)):
-        out, _ = execute_plan(p, q.relations)
-        assert out == want, (seed, p.describe())
+        out, _ = execute_plan(p, q.relations, CostMeter())
+        assert out == want, (seed, repr(p))
 
 
 def test_join_only_plans_must_not_repeat_atoms():
     q = random_triangle(0)
     with pytest.raises(PlanError):
-        execute_plan(join(leaf(0), leaf(0)), q.relations)
+        execute_plan(join(leaf(0), leaf(0)), q.relations, CostMeter())
 
 
 def test_leaf_out_of_range():
     q = random_triangle(0)
     with pytest.raises(PlanError):
-        execute_plan(join(leaf(0), leaf(7)), q.relations)
+        execute_plan(join(leaf(0), leaf(7)), q.relations, CostMeter())
 
 
 def test_projection_nodes_allow_repeats_and_shrink_schemas():
     r = relation([A, B], [(0, 1), (0, 2), (3, 1)])
     p = join(leaf(0, keep=[A]), leaf(0, keep=[B]))
-    out, _ = execute_plan(p, [r])
+    out, _ = execute_plan(p, [r], CostMeter())
     assert out.schema == (A, B)
     assert len(out) == 2 * 2  # pi_A x pi_B cross product
 
@@ -131,14 +138,14 @@ def test_projection_nodes_allow_repeats_and_shrink_schemas():
 def test_projection_validation():
     r = relation([A, B], [(0, 1)])
     with pytest.raises(PlanError):
-        execute_plan(leaf(0, keep=[C]), [r])
+        execute_plan(leaf(0, keep=[C]), [r], CostMeter())
     with pytest.raises(PlanError):
-        execute_plan(leaf(0, keep=[]), [r])
+        execute_plan(leaf(0, keep=[]), [r], CostMeter())
 
 
 def test_cross_product_when_schemas_are_disjoint():
     q = join_query([relation([A], [(0,), (1,)]), relation([B], [(5,), (6,), (7,)])])
-    out, trace = execute_plan(join(leaf(0), leaf(1)), q.relations)
+    out, trace = execute_plan(join(leaf(0), leaf(1)), q.relations, CostMeter())
     assert out == oracle_join(q)
     assert trace.intermediate_max == 6
 
@@ -148,29 +155,94 @@ def test_key_space_overflow_guard():
     r = relation([A, B], [(big, big)])
     s = relation([A, B], [(big, big)])
     with pytest.raises(PlanError):
-        execute_plan(join(leaf(0), leaf(1)), [r, s])
+        execute_plan(join(leaf(0), leaf(1)), [r, s], CostMeter())
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_join_project_chain_matches_the_oracle(seed):
     q = random_instance(seed, max_rows=10)
-    assert agm_join_project_traced(q)[0] == oracle_join(q)
+    assert agm_join_project_traced(q, CostMeter())[0] == oracle_join(q)
 
 
 def test_join_project_with_empty_relation():
     q = triangle_query([], [(0, 0)], [(0, 0)])
-    out, records = agm_join_project_traced(q)
+    out, records = agm_join_project_traced(q, CostMeter())
     assert len(out) == 0
-    assert records == []
+    assert records == ()
 
 
 def test_join_project_runs_a_left_spine_deeper_than_the_recursion_limit():
     # A 45-atom chain: the plan's left spine holds 1,079 joins.
     xs = make_attrs(*(f"X{i:02d}" for i in range(46)))
     q = join_query([relation((xs[i], xs[i + 1]), [(0, 0), (1, 1)]) for i in range(45)])
-    out, records = agm_join_project_traced(q)
+    out, records = agm_join_project_traced(q, CostMeter())
     assert out.rows == ((0,) * 46, (1,) * 46)
     assert len(records) == 1079
+
+
+def run_below_a_recursion_limit_of_200(code, *args):
+    """Run ``code`` in a new interpreter after ``sys.setrecursionlimit(200)``."""
+    path = [str(Path(agmjoin.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    script = "import sys; sys.setrecursionlimit(200)\n" + code
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_plans_deeper_than_the_recursion_limit_match_the_oracle():
+    code = """
+from agmjoin import CostMeter, execute_plan, join, join_query, leaf, make_attrs, oracle_join, relation
+xs = make_attrs(*(f"X{i}" for i in range(251)))
+q = join_query([relation((xs[i], xs[i + 1]), [(0, 0)]) for i in range(250)])
+left, right = leaf(0), leaf(249)
+for i in range(1, 250):
+    left, right = join(left, leaf(i)), join(leaf(249 - i), right)
+want = oracle_join(q)
+for p in (left, right):
+    assert execute_plan(p, q.relations, CostMeter())[0] == want
+"""
+    proc = run_below_a_recursion_limit_of_200(code)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("algo, code", [
+    pytest.param("pairwise:" + "-".join(map(str, range(250))), 0, id="pairwise"),
+    pytest.param("leapfrog", 3, id="leapfrog"),
+])
+def test_run_a_pairwise_plan_deeper_than_the_recursion_limit(tmp_path, algo, code):
+    """`agmjoin run` answers a 250-atom path under a pairwise plan with the
+    oracle's bytes, while leapfrog's plan nests too deep and exits 3."""
+    for i in range(250):
+        write_relation_file(tmp_path / f"R{i}.rel", f"R{i}", [f"X{i}", f"X{i + 1}"], [(0, 0)])
+    head = ",".join(f"X{i}" for i in range(251))
+    body = ", ".join(f"R{i}(X{i},X{i + 1})" for i in range(250))
+    (tmp_path / "q.txt").write_text(f"Q({head}) :- {body}.\n")
+    cli = "from agmjoin.cli import main; sys.exit(main(sys.argv[1:]))"
+    run = lambda a: run_below_a_recursion_limit_of_200(  # noqa: E731
+        cli, "run", str(tmp_path / "q.txt"), str(tmp_path), "--algo", a, "--out", "-")
+    proc = run(algo)
+    assert proc.returncode == code, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+    if code:
+        assert b"a query of 251 attributes nests deeper than Python's recursion limit" in proc.stderr
+    else:
+        assert proc.stdout == run("oracle").stdout
+        assert proc.stdout.endswith(b",".join([b"0"] * 251) + b"\n")
+
+
+def test_a_left_deep_plan_over_a_wide_chain_answers_in_time():
+    # The left input's schema grows to 601 attributes; scanning it per
+    # column made the 600 joins cubic in the attribute count (15 s).
+    xs = make_attrs(*(f"X{i}" for i in range(601)))
+    q = join_query([relation((xs[i], xs[i + 1]), [(0, 0), (1, 1)]) for i in range(600)])
+    plan = leaf(0)
+    for i in range(1, 600):
+        plan = join(plan, leaf(i))
+    m = CostMeter()
+    m.start_deadline(5)
+    out, trace = execute_plan(plan, q.relations, m)
+    assert out.rows == ((0,) * 601, (1,) * 601)
+    assert trace.intermediate_max == 2
 
 
 def level_one_joins(q):
@@ -199,7 +271,7 @@ def test_join_project_level_results_respect_the_size_bound(seed):
     if any(len(r) == 0 for r in q.relations) or len(q.attrs) < 2:
         return
     bound = float(min_cover_lp(q.hypergraph, q.sizes).bound)
-    _, records = agm_join_project_traced(q)
+    _, records = agm_join_project_traced(q, CostMeter())
     for rec in level_end_records(q, records):
         assert rec.size <= math.ceil(bound) + 1e-9, (seed, rec)
 
@@ -212,9 +284,9 @@ def test_join_project_levels_stay_bounded_where_pairwise_plans_blow_up():
     bound = float(min_cover_lp(q.hypergraph, q.sizes).bound)
     assert abs(bound - 27.0) < 1e-9
     for p in all_join_plans(3):
-        _, trace = execute_plan(p, q.relations)
+        _, trace = execute_plan(p, q.relations, CostMeter())
         assert trace.intermediate_sizes[0][1] == 29
-    out, records = agm_join_project_traced(q)
+    out, records = agm_join_project_traced(q, CostMeter())
     assert len(out) == 13
     for rec in level_end_records(q, records):
         assert rec.size <= 27
@@ -247,7 +319,7 @@ def test_plan_traces_are_pinned():
     for q in pin_corpus():
         for p in all_join_plans(len(q.relations)):
             try:
-                out, trace = execute_plan(p, q.relations)
+                out, trace = execute_plan(p, q.relations, CostMeter())
                 item = (out.rows, trace.intermediate_sizes, trace.total_work)
             except PlanError as e:
                 item = ("PlanError", str(e))
@@ -258,7 +330,7 @@ def test_plan_traces_are_pinned():
 def test_agm_records_are_pinned():
     digest = hashlib.sha256()
     for q in pin_corpus():
-        out, records = agm_join_project_traced(q)
+        out, records = agm_join_project_traced(q, CostMeter())
         l1 = level_one_joins(q)
         first = (q.attrs[0],)
         assert all(r.left_attrs == r.right_attrs == first for r in records[:l1])

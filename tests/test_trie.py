@@ -92,27 +92,27 @@ def test_descend_meters_one_probe_per_level_up_to_the_first_miss():
         m = CostMeter()
         descend(ix.root, vals, m)
         assert m.probes == probes, vals
-    assert descend(ix.root, (0, 9, 3)) is None  # no meter: nothing counted, same answer
+    assert descend(ix.root, (0, 9, 3), CostMeter()) is None
 
 
 def test_descend_from_an_inner_node():
     ix = build_trie(relation([A, B, C], [(0, 1, 2), (0, 1, 3), (4, 5, 6)]))
-    inner = descend(ix.root, (0,))
+    inner = descend(ix.root, (0,), CostMeter())
     m = CostMeter()
     node = descend(inner, (1,), m)
     assert m.probes == 1
     assert node == walk(ix, (0, 1))
     assert keys(node) == (2, 3)
-    assert descend(inner, (1, 3)) is walk(ix, (0, 1, 3))
-    assert descend(inner, ()) is inner
+    assert descend(inner, (1, 3), CostMeter()) is walk(ix, (0, 1, 3))
+    assert descend(inner, (), CostMeter()) is inner
 
 
 def test_descend_returns_none_on_an_absent_path():
     ix = build_trie(relation([A, B], fig_r(3)))
-    assert descend(ix.root, (3, 3)) is None  # first level present, second absent
-    assert descend(ix.root, (8,)) is None
-    assert descend(descend(ix.root, (1,)), (1,)) is None
-    assert descend(descend(ix.root, (1, 0)), (0,)) is None  # below a leaf
+    assert descend(ix.root, (3, 3), CostMeter()) is None  # first level present, second absent
+    assert descend(ix.root, (8,), CostMeter()) is None
+    assert descend(descend(ix.root, (1,), CostMeter()), (1,), CostMeter()) is None
+    assert descend(descend(ix.root, (1, 0), CostMeter()), (0,), CostMeter()) is None  # below a leaf
 
 
 def test_children_and_child_counts():
@@ -166,7 +166,7 @@ def test_intersect_matches_set_intersection(lists):
     want = set(lists[0])
     for xs in lists[1:]:
         want &= set(xs)
-    assert intersect([one_level(xs) for xs in lists]) == sorted(want)
+    assert intersect([one_level(xs) for xs in lists], CostMeter()) == sorted(want)
 
 
 @given(st.lists(sorted_list, min_size=2, max_size=4))
@@ -182,9 +182,9 @@ def test_intersect_advance_budget(lists):
 
 def test_intersect_edge_cases():
     with pytest.raises(SchemaError):
-        intersect([])
-    assert intersect([one_level([1, 2, 3])]) == [1, 2, 3]
-    assert intersect([one_level([1, 2]), one_level([])]) == []
+        intersect([], CostMeter())
+    assert intersect([one_level([1, 2, 3])], CostMeter()) == [1, 2, 3]
+    assert intersect([one_level([1, 2]), one_level([])], CostMeter()) == []
     m = CostMeter()
     assert intersect([one_level([1, 2]), one_level([]), one_level([0])], m) == []
     assert m.total_ops == 0  # empty input short-circuits before any work
@@ -314,7 +314,7 @@ def open_cases(draw):
         ix = build_trie(r, draw(st.permutations(r.schema)))
         node = ix.root
         if arity == 3 and r.rows and draw(st.booleans()):
-            node = descend(node, (draw(st.sampled_from(keys(node))),))
+            node = descend(node, (draw(st.sampled_from(keys(node))),), CostMeter())
         nodes.append(node)
     return nodes
 
@@ -323,10 +323,10 @@ def open_cases(draw):
 def test_an_opened_child_is_the_descent_to_it(nodes):
     """A child range opened at the index ``intersect`` reports is the node
     a one-level descent by the matched value reaches."""
-    vals, at = intersect(nodes, positions=True)
+    vals, at = intersect(nodes, CostMeter(), positions=True)
     for node, idx in zip(nodes, at):
         opened = list(children(node[0], idx))
-        assert opened == [descend(node, (v,)) for v in vals]
+        assert opened == [descend(node, (v,), CostMeter()) for v in vals]
 
 
 def test_intersect_checks_the_deadline_every_1024_pivot_keys():
@@ -343,9 +343,9 @@ def test_intersect_checks_the_deadline_every_1024_pivot_keys():
 
 def test_intersect_searches_only_inside_each_node_range():
     ix = build_trie(relation([A, B], [(0, 1), (0, 5), (0, 9), (1, 2), (1, 5), (2, 5), (2, 9)]))
-    got = intersect([walk(ix, (0,)), walk(ix, (1,)), walk(ix, (2,))])
+    got = intersect([walk(ix, (0,)), walk(ix, (1,)), walk(ix, (2,))], CostMeter())
     assert got == [5]
-    assert intersect([walk(ix, (0,)), walk(ix, (2,))]) == [5, 9]
+    assert intersect([walk(ix, (0,)), walk(ix, (2,))], CostMeter()) == [5, 9]
 
 
 def _prefixes(rows, n):
@@ -412,7 +412,7 @@ def test_values_past_64_bits_build_walk_and_join(r_rows, s_rows, t_rows):
     r = relation([A, B], r_rows)
     ix = build_trie(r, (B, A))
     for a, b in r.rows:
-        assert walk(ix, (b, a)) == descend(walk(ix, (b,)), (a,))
+        assert walk(ix, (b, a)) == descend(walk(ix, (b,)), (a,), CostMeter())
         assert walk(ix, (b, a)) is not None
     assert walk(ix, (HUGE + 3,)) is None
     assert list(iter_leaves(ix.root, 2)) == sorted((b, a) for a, b in r.rows)
