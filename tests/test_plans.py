@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from agmjoin import (
     CostMeter,
     PlanError,
     PlanTree,
+    TimeBudgetExceeded,
     agm_join_project_traced,
     execute_plan,
     gen_lw_bad,
@@ -107,12 +110,18 @@ def test_all_join_plans_are_distinct_and_cover_all_atoms():
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_every_shape_of_plan_agrees(seed):
+def test_every_shape_of_plan_agrees(seed, monkeypatch):
+    """Every plan answers as the oracle does, with the same trace at probe blocks of 1, 2 and 7 rows."""
     q = random_instance(seed, max_m=4, max_rows=8)
     want = oracle_join(q)
-    for p in all_join_plans(len(q.relations)):
-        out, _ = execute_plan(p, q.relations, CostMeter())
+    plans = all_join_plans(len(q.relations))
+    default = [execute_plan(p, q.relations, CostMeter()) for p in plans]
+    for p, (out, _) in zip(plans, default):
         assert out == want, (seed, repr(p))
+    for block in (1, 2, 7):
+        monkeypatch.setattr(agmjoin.plans, "_BLOCK", block)
+        for p, run in zip(plans, default):
+            assert execute_plan(p, q.relations, CostMeter()) == run, (seed, block, repr(p))
 
 
 def test_join_only_plans_must_not_repeat_atoms():
@@ -141,13 +150,24 @@ def test_projection_validation():
         execute_plan(leaf(0, keep=[C]), [r], CostMeter())
     with pytest.raises(PlanError):
         execute_plan(leaf(0, keep=[]), [r], CostMeter())
+    # Columns cannot carry the row count of a relation of zero attributes.
+    with pytest.raises(PlanError):
+        execute_plan(join(leaf(0), leaf(1)), [r, relation([], [()])], CostMeter())
 
 
-def test_cross_product_when_schemas_are_disjoint():
+def test_cross_product_when_schemas_are_disjoint(monkeypatch):
     q = join_query([relation([A], [(0,), (1,)]), relation([B], [(5,), (6,), (7,)])])
-    out, trace = execute_plan(join(leaf(0), leaf(1)), q.relations, CostMeter())
-    assert out == oracle_join(q)
-    assert trace.intermediate_max == 6
+    empty = relation([C], [])
+    for block in (1, 2, 7, 1 << 16):
+        monkeypatch.setattr(agmjoin.plans, "_BLOCK", block)
+        out, trace = execute_plan(join(leaf(0), leaf(1)), q.relations, CostMeter())
+        assert out == oracle_join(q)
+        assert trace.intermediate_max == 6
+        # An empty side, either way round, gives an empty product and a zero-size record.
+        for p in (join(leaf(0), leaf(1)), join(leaf(1), leaf(0))):
+            out, trace = execute_plan(p, [empty, q.relations[1]], CostMeter())
+            assert out == relation([B, C], [])
+            assert trace.intermediate_sizes == ((0, 0),)
 
 
 def test_key_space_overflow_guard():
@@ -156,6 +176,59 @@ def test_key_space_overflow_guard():
     s = relation([A, B], [(big, big)])
     with pytest.raises(PlanError):
         execute_plan(join(leaf(0), leaf(1)), [r, s], CostMeter())
+
+
+@pytest.mark.parametrize("v", [2**62 - 1, 2**62, 2**63 - 1])
+def test_one_shared_attribute_up_to_the_largest_int64_joins(v):
+    """The packed key of one shared attribute is the value itself, so every
+    value that fits in 63 bits joins under both plans."""
+    q = join_query([relation([A, B], [(0, v)]), relation([B, C], [(v, 1)])])
+    want = oracle_join(q)
+    assert want.rows == ((0, v, 1),)
+    assert execute_plan(join(leaf(0), leaf(1)), q.relations, CostMeter())[0] == want
+    assert agm_join_project_traced(q, CostMeter())[0] == want
+
+
+def test_an_expired_deadline_stops_a_join_after_its_first_probe_block(monkeypatch):
+    # Ten left rows in blocks of two: the deadline is seen after the
+    # first block has been keyed, before any further block is.
+    monkeypatch.setattr(agmjoin.plans, "_BLOCK", 2)
+    packed = []
+
+    def keys(*args):
+        key = pack(*args)
+        packed.append(len(key))
+        return key
+
+    pack = agmjoin.plans._keys
+    monkeypatch.setattr(agmjoin.plans, "_keys", keys)
+    r = relation([A, B], [(i, i % 3) for i in range(10)])
+    s = relation([B, C], [(0, 0), (1, 1), (2, 2)])
+    m = CostMeter()
+    m.start_deadline(0)
+    time.sleep(0.01)
+    with pytest.raises(TimeBudgetExceeded):
+        execute_plan(join(leaf(0), leaf(1)), [r, s], m)
+    assert packed == [3, 2]  # the right side's keys, then one block's
+
+
+def test_plan_memory_peaks_near_the_largest_intermediate():
+    """On triangle-bad m=1000 both plans build a 1,003,001-row intermediate
+    of three int64 columns; the traced peak of a whole run stays within
+    1.5 times its size."""
+    q = gen_triangle_bad(1000).query
+    runs = [lambda: agm_join_project_traced(q, CostMeter()),
+            lambda: execute_plan(join(join(leaf(0), leaf(1)), leaf(2)), q.relations, CostMeter())]
+    for run in runs:
+        run()
+        tracemalloc.start()
+        try:
+            _, trace = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.intermediate_max == 1_003_001
+        assert peak <= 1.5 * 1_003_001 * 3 * 8
 
 
 @pytest.mark.parametrize("seed", range(12))
