@@ -25,10 +25,10 @@ Conventions, fixed so output is diffable:
   overrides it.  Every algorithm stops on its deadline: run exits 1 and
   bench marks the cell "timeout" and leaves its probes, advances, emits,
   intermediate_max and total_ops empty, whatever the algorithm.  A numpy
-  plan checks it after each probe block of a two-way join, so it can
-  overrun by at most one block, whose output can still be large.  bench
-  marks an oracle cell with an obviously hopeless candidate space
-  "skipped".
+  plan checks it after each probe block of a two-way join and after each
+  join, so it can overrun by at most one block, whose output can still
+  be large.  bench marks an oracle cell with an obviously hopeless
+  candidate space "skipped".
 
 The exponent fit is least squares of log(total_ops) against log(param)
 over the largest half of the parameters (rounded up), which is where

@@ -125,26 +125,26 @@ class JoinRecord(NamedTuple):
     size: int
 
 
-def _columns(r: Relation) -> tuple[tuple[Attribute, ...], tuple[np.ndarray, ...]]:
-    if not r.schema:
-        raise PlanError("a relation of zero attributes is not part of any plan here")
+def _columns(r: Relation) -> tuple[tuple[Attribute, ...], tuple[np.ndarray, ...], int]:
+    """A relation as (schema, columns, row count); the count is carried
+    because a relation of zero attributes has no column to read it from."""
     try:
         arr = np.array(r.rows, dtype=np.int64).reshape(len(r), r.arity)
     except OverflowError:
         names = ",".join(a.name for a in r.schema)
         raise PlanError(f"a value in ({names}) does not fit in 63 bits") from None
-    return r.schema, tuple(arr.T.copy())
+    return r.schema, tuple(arr.T.copy()), len(r)
 
 
-def _project(schema, cols, keep: tuple[Attribute, ...]):
+def _project(schema, cols, n: int, keep: tuple[Attribute, ...]):
     if not set(keep) <= set(schema):
         raise PlanError(f"projection {keep} is not within schema {schema}")
     if not keep:
         raise PlanError("projection to zero attributes is not part of any plan here")
     sub = [cols[schema.index(a)] for a in keep]
-    if len(sub[0]):
+    if n:
         sub = np.unique(np.stack(sub, axis=1), axis=0).T.copy()
-    return keep, tuple(sub)
+    return keep, tuple(sub), len(sub[0])
 
 
 def _keys(cols: Sequence[np.ndarray], radices: Sequence[int], n: int) -> np.ndarray:
@@ -160,8 +160,9 @@ def _keys(cols: Sequence[np.ndarray], radices: Sequence[int], n: int) -> np.ndar
     return key
 
 
-def _merge_join(lsch, lcols, rsch, rcols, meter: CostMeter):
-    """Natural join of two deduplicated column tuples; every call is a recorded join.
+def _merge_join(left, right, meter: CostMeter):
+    """Natural join of two deduplicated (schema, columns, row count)
+    triples; every call is a recorded join.
 
     The right side's composite join keys are sorted once, with its
     right-only columns in the same order, and its distinct keys mark the
@@ -172,13 +173,13 @@ def _merge_join(lsch, lcols, rsch, rcols, meter: CostMeter):
     ``meter``'s deadline is checked after each block.  With no shared
     attribute every key is 0, so the cross product is the same code.
     """
+    (lsch, lcols, nl), (rsch, rcols, nr) = left, right
     lpos = {a: i for i, a in enumerate(lsch)}
     rpos = {a: i for i, a in enumerate(rsch)}
     shared = [a for a in lsch if a in rpos]
     out_schema = tuple(sorted(lpos.keys() | rpos.keys()))
-    nl, nr = len(lcols[0]), len(rcols[0])
     if nl == 0 or nr == 0:
-        return out_schema, tuple(np.empty(0, dtype=np.int64) for _ in out_schema)
+        return out_schema, tuple(np.empty(0, dtype=np.int64) for _ in out_schema), 0
     lkeyed, rkeyed, radices = [], [], []
     for a in shared:
         lc, rc = lcols[lpos[a]], rcols[rpos[a]]
@@ -199,7 +200,7 @@ def _merge_join(lsch, lcols, rsch, rcols, meter: CostMeter):
     starts = np.flatnonzero(np.concatenate(([True], rkey[1:] != rkey[:-1])))
     ukeys = rkey[starts]
     runs = np.diff(starts, append=nr)
-    pieces = {a: [] for a in out_schema}
+    pieces, size = {a: [] for a in out_schema}, 0
     for b in range(0, nl, _BLOCK):
         block = slice(b, min(b + _BLOCK, nl))
         lkey = _keys([lc[block] for lc in lkeyed], radices, block.stop - b)
@@ -214,6 +215,7 @@ def _merge_join(lsch, lcols, rsch, rcols, meter: CostMeter):
         lo -= np.cumsum(counts)
         ridx = np.repeat(lo, counts)
         ridx += np.arange(len(ridx))
+        size += len(ridx)
         for a, col in right_only.items():
             pieces[a].append(col[ridx])
         del ridx  # before the left columns grow, so the peak stays one column over
@@ -224,12 +226,15 @@ def _merge_join(lsch, lcols, rsch, rcols, meter: CostMeter):
     for a in out_schema:
         p = pieces.pop(a)
         cols.append(p[0] if len(p) == 1 else np.concatenate(p))
-    return out_schema, tuple(cols)
+    return out_schema, tuple(cols), size
 
 
 def _evaluate(p: PlanTree, bindings: Sequence[Relation], meter: CostMeter
               ) -> tuple[Relation, PlanTrace]:
-    """Run ``p``'s walk on a stack of (schema, columns) results."""
+    """Run ``p``'s walk on a stack of (schema, columns, row count) results.
+
+    ``meter``'s deadline is checked after each join as well as inside it,
+    so a join that returns early on an empty side is no escape."""
     global np
     import numpy as np
 
@@ -241,15 +246,17 @@ def _evaluate(p: PlanTree, bindings: Sequence[Relation], meter: CostMeter
                 raise PlanError(f"plan leaf #{node.ref} names no atom")
             stack.append(leaves[node.ref])
         else:
-            rsch, rcols = stack.pop()
-            lsch, lcols = stack.pop()
-            schema, cols = _merge_join(lsch, lcols, rsch, rcols, meter)
-            records.append(JoinRecord(lsch, rsch, len(lcols[0]), len(rcols[0]), len(cols[0])))
-            stack.append((schema, cols))
+            right = stack.pop()
+            left = stack.pop()
+            out = _merge_join(left, right, meter)
+            records.append(JoinRecord(left[0], right[0], left[2], right[2], out[2]))
+            stack.append(out)
+            meter.check_deadline()
         if node.keep is not None:
             stack[-1] = _project(*stack[-1], node.keep)
-    schema, cols = stack.pop()
-    return Relation(schema, tuple(zip(*(c.tolist() for c in cols)))), PlanTrace(records)
+    schema, cols, n = stack.pop()
+    rows = tuple(zip(*(c.tolist() for c in cols))) if cols else ((),) * n
+    return Relation(schema, rows), PlanTrace(records)
 
 
 def execute_plan(p: PlanTree, bindings: Sequence[Relation],
@@ -258,10 +265,11 @@ def execute_plan(p: PlanTree, bindings: Sequence[Relation],
 
     Join-only plans (no projections anywhere) must reference distinct
     atoms; join-project plans may revisit them.  ``meter``'s deadline is
-    checked after each probe block of ``_BLOCK`` left rows; numpy cannot
-    be interrupted inside a block, so the plan can overrun its budget by
-    at most one block of one two-way join, whose own output can still be
-    large (one left row may match every right row).
+    checked after each probe block of ``_BLOCK`` left rows and after
+    each join; numpy cannot be interrupted inside a block, so the plan
+    can overrun its budget by at most one block of one two-way join,
+    whose own output can still be large (one left row may match every
+    right row).
     """
     if not p.has_projection():
         refs = p.leaf_refs()

@@ -150,9 +150,26 @@ def test_projection_validation():
         execute_plan(leaf(0, keep=[C]), [r], CostMeter())
     with pytest.raises(PlanError):
         execute_plan(leaf(0, keep=[]), [r], CostMeter())
-    # Columns cannot carry the row count of a relation of zero attributes.
-    with pytest.raises(PlanError):
-        execute_plan(join(leaf(0), leaf(1)), [r, relation([], [()])], CostMeter())
+
+
+def test_relations_of_zero_attributes_join():
+    """A relation of zero attributes holds the empty row or nothing: joined
+    with R it gives R or the empty relation, and alone it answers itself."""
+    r = relation([A, B], [(0, 1), (2, 3)])
+    unit, none = relation([], [()]), relation([], [])
+    cases = [
+        (join(leaf(0), leaf(1)), [r, unit], r, [2]),
+        (join(leaf(0), leaf(1)), [unit, r], r, [2]),
+        (join(leaf(0), leaf(1)), [r, none], relation([A, B], []), [0]),
+        (join(leaf(0), leaf(1)), [unit, unit], unit, [1]),
+        (join(leaf(0), leaf(1)), [none, unit], none, [0]),
+        (leaf(0), [unit], unit, []),
+        (leaf(0), [none], none, []),
+    ]
+    for p, bindings, want, sizes in cases:
+        out, trace = execute_plan(p, bindings, CostMeter())
+        assert out == want, (repr(p), bindings)
+        assert [rec.size for rec in trace] == sizes
 
 
 def test_cross_product_when_schemas_are_disjoint(monkeypatch):
@@ -187,6 +204,29 @@ def test_one_shared_attribute_up_to_the_largest_int64_joins(v):
     assert want.rows == ((0, v, 1),)
     assert execute_plan(join(leaf(0), leaf(1)), q.relations, CostMeter())[0] == want
     assert agm_join_project_traced(q, CostMeter())[0] == want
+
+
+def test_shared_attributes_that_are_all_zero_leave_the_key():
+    """A shared column that is 0 on both sides is left out of the packed
+    key, so its radix of 1 never multiplies one of 2^63 past int64."""
+    v = 2**63 - 1
+    q = join_query([relation([A, B], [(0, v)]), relation([A, B], [(0, v)])])
+    want = oracle_join(q)
+    assert want.rows == ((0, v),)
+    assert execute_plan(join(leaf(0), leaf(1)), q.relations, CostMeter())[0] == want
+    assert agm_join_project_traced(q, CostMeter())[0] == want
+
+
+def test_an_expired_deadline_stops_a_plan_after_a_join_with_an_empty_side():
+    """A join with an empty side returns before its probe loop, so the
+    deadline is also checked after each join: an expired budget stops the
+    plan at its first join rather than running every later one."""
+    bindings = [relation([A, B], []), relation([B, C], [(5, 6)]), relation([A, C], [(0, 6)])]
+    m = CostMeter()
+    m.start_deadline(0)
+    time.sleep(0.01)
+    with pytest.raises(TimeBudgetExceeded):
+        execute_plan(join(join(leaf(0), leaf(1)), leaf(2)), bindings, m)
 
 
 def test_an_expired_deadline_stops_a_join_after_its_first_probe_block(monkeypatch):
