@@ -46,6 +46,19 @@ yields.  Each step is metered as the step it replaces: an inlined base
 level adds the recursion it skips, and an opened child the one probe of
 the descent it skips, so the counts are those of a subproblem per level.
 
+Two groups that reach the same J nodes get the same J result, so a split
+computes it once and reuses it, as Minesweeper and trie-join caching
+avoid re-solving a subproblem.  The compile knows the attributes bound
+above each subproblem and gives each split one of three modes: once per
+call, when no extender's relation has an I attribute, so every group of
+a call reaches the call's own J nodes; a memo for the run keyed by the
+extenders' node offsets, when some bound or I attribute is in no
+extender's relation, so groups that differ only there meet; otherwise
+none, and no key is built.  A reuse is charged one probe, the membership
+test of its lookup, and counted in ``CostMeter.reuses``.  The memo holds
+only lists that metered misses built, so it needs no cap, and it goes
+with the plan when the run ends.
+
 The outer loop over partial tuples reads only immutable tries, so it
 could run in parallel with per-worker meters merged by summation;
 execution here is single-threaded and deterministic.
@@ -129,7 +142,7 @@ _Weights = Sequence[Fraction] | Mapping[int, Fraction]
 class _Ctx:
     """Per-invocation state: the query, the meter, and the trie cache."""
 
-    __slots__ = ("q", "meter", "edge_sets", "tries", "audit")
+    __slots__ = ("q", "meter", "edge_sets", "tries", "audit", "permuted")
 
     def __init__(self, q: JoinQuery, meter: CostMeter, audit: bool = False):
         self.q = q
@@ -137,6 +150,7 @@ class _Ctx:
         self.edge_sets = [frozenset(e) for e in q.hypergraph.edges]
         self.tries: dict[tuple[int, tuple[Attribute, ...]], TrieIndex] = {}
         self.audit = audit
+        self.permuted = False  # some split compiled so far has a perm
 
     def trie_for(self, edge: int, order: tuple[Attribute, ...]) -> TrieIndex:
         got = self.tries.get((edge, order))
@@ -148,6 +162,7 @@ class _Ctx:
 
 
 _BASE = object()  # one attribute left: a k-way intersection of the slots' child lists
+_ONCE = object()  # every group of a call reaches the same J nodes
 
 
 class _Split:
@@ -167,13 +182,26 @@ class _Split:
     first use, from ``j_args``.  ``active`` (each slot's edge and its
     attributes here), ``attrs``, ``i_attrs`` and ``weights`` are kept
     for the audit.
+
+    ``reuse`` says where two groups can reach the same J nodes, and so
+    the same J result.  An extender's nodes depend only on the values
+    its relation has of ``bound`` (the attributes bound above this
+    subproblem) and of I.  ``_ONCE`` when no extender's relation has an
+    I attribute: every group of a call reaches the call's own nodes.
+    Else a dict, the run's memo of J results keyed by the extenders'
+    node offsets, when some attribute of ``bound`` or I is in no
+    extender's relation, so groups that differ only there meet.  An
+    extender's level is fixed per plan node, and a level's nodes are
+    disjoint, nonempty child ranges (or one root), so ``lo`` names the
+    node.  Else None: each group reaches nodes of its own.
     """
 
     __slots__ = ("active", "attrs", "i_attrs", "weights", "seats", "i_slots", "extenders",
-                 "descents", "n_open", "perm", "i_plan", "j_plan", "j_args")
+                 "descents", "n_open", "perm", "i_plan", "j_plan", "j_args", "reuse")
 
     def __init__(self, ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
-                 i_attrs: tuple[Attribute, ...], i_blocks, j_blocks, weights: _Weights):
+                 i_attrs: tuple[Attribute, ...], i_blocks, j_blocks, weights: _Weights,
+                 bound: frozenset[Attribute]):
         i_set = set(i_attrs)
         j_attrs = tuple(a for a in attrs if a not in i_set)
         pos = {a: k for k, a in enumerate(i_attrs + j_attrs)}  # a group plus a J row
@@ -208,9 +236,17 @@ class _Split:
         self.seats, self.i_slots, self.extenders, self.descents = seats, i_slots, extenders, descents
         self.n_open = sum(opened is not None for _, opened in extenders)
         self.perm = None if perm == list(range(len(perm))) else itemgetter(*perm)
-        self.i_plan = _compile(ctx, i_sub, i_attrs, i_blocks, weights)
+        ctx.permuted |= self.perm is not None
+        j_rels = set().union(*(ctx.edge_sets[slots[k][0]] for k, _ in extenders))
+        if not self.n_open and not descents:  # no extender meets I
+            self.reuse = _ONCE
+        elif not j_rels.issuperset(bound) or not j_rels.issuperset(i_attrs):
+            self.reuse = {}
+        else:
+            self.reuse = None
+        self.i_plan = _compile(ctx, i_sub, i_attrs, i_blocks, weights, bound)
         self.j_plan = None
-        self.j_args = (j_sub, j_attrs, j_blocks, weights)
+        self.j_args = (j_sub, j_attrs, j_blocks, weights, bound | i_set)
 
 
 def _seat(old: TrieIndex, new: TrieIndex, depth: int) -> tuple[list[int], list[int], Level]:
@@ -237,14 +273,14 @@ class _Tail:
     slot's positions in a J leaf, and ``row_scan`` the same positions in
     a row of J's trie, which holds the ``d`` bound values first.
     ``probe`` is the sub-plan joining the other slots, compiled on first
-    use from ``probe_args``.
+    use from ``probe_args`` under the tail's own ``bound``.
     """
 
     __slots__ = ("j", "k", "d", "log_p", "sizing", "scan", "row_scan", "others", "probe",
                  "probe_args")
 
     def __init__(self, ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
-                 j_edge: int, weights: _Weights):
+                 j_edge: int, weights: _Weights, bound: frozenset[Attribute]):
         self.j = next(k for k, s in enumerate(slots) if s[0] == j_edge)
         self.k = len(attrs)
         self.d = d = slots[self.j][2]
@@ -261,14 +297,16 @@ class _Tail:
             rescale = 1 / (1 - x_j)
             rescaled = {slots[k][0]: weights[slots[k][0]] * rescale for k in self.others}
             self.sizing = [(k, len(pos), float(rescaled[slots[k][0]])) for k, pos in self.scan]
-            self.probe_args = ([slots[k] for k in self.others], attrs, None, rescaled)
+            self.probe_args = ([slots[k] for k in self.others], attrs, None, rescaled, bound)
 
 
 def _compile(ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
-             blocks: tuple[tuple[Attribute, ...], ...] | None, weights: _Weights):
+             blocks: tuple[tuple[Attribute, ...], ...] | None, weights: _Weights,
+             bound: frozenset[Attribute]):
     """Plan the join of ``slots`` over ``attrs``; ``blocks`` is None for
     nprr, else the remaining block sequence.  ``weights[e]`` is the cover
-    weight of every slot's edge."""
+    weight of every slot's edge, and ``bound`` the attributes that the
+    groups above have bound."""
     if len(attrs) == 1:
         return _BASE
     if blocks is None:
@@ -276,7 +314,7 @@ def _compile(ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
         jset = ctx.edge_sets[j_edge]
         i_attrs = tuple(a for a in attrs if a not in jset)
         if not i_attrs:
-            return _Tail(ctx, slots, attrs, j_edge, weights)
+            return _Tail(ctx, slots, attrs, j_edge, weights, bound)
         i_blocks = j_blocks = None
     elif len(blocks) == 1:
         i_attrs = attrs[:1]
@@ -284,7 +322,7 @@ def _compile(ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
     else:
         i_attrs = blocks[0]
         i_blocks, j_blocks = (i_attrs,), blocks[1:]
-    return _Split(ctx, slots, attrs, i_attrs, i_blocks, j_blocks, weights)
+    return _Split(ctx, slots, attrs, i_attrs, i_blocks, j_blocks, weights, bound)
 
 
 def _audit_split(plan: _Split, nodes: Sequence[Node]) -> None:
@@ -335,7 +373,10 @@ def _run(ctx: _Ctx, plan, nodes: Sequence[Node]) -> list[Row]:
         vals, at = intersect(i_nodes, meter, positions=True)
         groups = zip(vals)
     else:
-        groups, at = _run(ctx, plan.i_plan, i_nodes), None
+        groups = vals = _run(ctx, plan.i_plan, i_nodes)
+        at = None
+    if not vals:  # no group: J is neither compiled nor run
+        return []
 
     # Column x yields extender x's node for each group in turn: the child
     # range opened where the intersect found the group's key, else the
@@ -347,6 +388,13 @@ def _run(ctx: _Ctx, plan, nodes: Sequence[Node]) -> list[Row]:
     n_open, descents = plan.n_open, plan.descents
     perm = plan.perm
     j_plan = plan.j_plan
+    if j_plan is None:
+        j_plan = plan.j_plan = _compile(ctx, *plan.j_args)
+    base = j_plan is _BASE  # the last attribute: its values extend t
+    memo = plan.reuse
+    keyed = memo is not _ONCE
+    if not keyed:  # the call's one J result, under a constant key
+        memo = {}
     out: list[Row] = []
     for t, j_nodes in zip(groups, zip(*cols)):
         meter.check_deadline()
@@ -355,13 +403,22 @@ def _run(ctx: _Ctx, plan, nodes: Sequence[Node]) -> list[Row]:
             j_nodes = list(j_nodes)
             for x, idxs in descents:
                 j_nodes[x] = descend(j_nodes[x], [t[i] for i in idxs], meter)
-        if j_plan is None:
-            j_plan = plan.j_plan = _compile(ctx, *plan.j_args)
-        if j_plan is _BASE:  # the last attribute: its values extend t
-            meter.recursions += 1
-            rows = map(t.__add__, zip(intersect(j_nodes, meter)))
-        else:
-            rows = map(t.__add__, _run(ctx, j_plan, j_nodes))
+        js = None
+        if memo is not None:
+            key = tuple([node[1] for node in j_nodes]) if keyed else None
+            js = memo.get(key)
+            if js is not None:  # a lookup is a membership test: one probe
+                meter.probes += 1
+                meter.reuses += 1
+        if js is None:  # J's values (one attribute) or rows on these nodes
+            if base:
+                meter.recursions += 1
+                js = intersect(j_nodes, meter)
+            else:
+                js = _run(ctx, j_plan, j_nodes)
+            if memo is not None:
+                memo[key] = js
+        rows = map(t.__add__, zip(js) if base else js)
         out += rows if perm is None else map(perm, rows)
     return out
 
@@ -506,11 +563,13 @@ def run_join(
     ctx = _Ctx(q, meter, audit=audit)
     slots = [(e, ctx.trie_for(e, r.schema), 0) for e, r in enumerate(q.relations)]
     try:
-        plan = _compile(ctx, slots, attrs, blocks, cover.weights)
+        plan = _compile(ctx, slots, attrs, blocks, cover.weights, frozenset())
         rows = _run(ctx, plan, [s[1].root for s in slots])
     except RecursionError:  # the plan nests about one level per attribute
         raise SchemaError(f"a query of {len(attrs)} attributes nests deeper than "
                           f"Python's recursion limit ({sys.getrecursionlimit()})") from None
+    if ctx.permuted:  # rows leave each level sorted unless a perm reorders them
+        rows.sort()  # distinct by construction; Relation still checks
     out = Relation(attrs, tuple(rows))
     meter.emits += len(out)
     return JoinRun(out, meter, strat, cover)

@@ -46,6 +46,14 @@ opened child the one probe of the one-level descent it skips.  So every
 count is that of one subproblem per level and one descent per child.
 Reading a node's leaves is metered by its caller, at one probe per leaf,
 whether they come as a slice of the rows or from the column walk.
+
+A split whose groups reach the same J nodes computes J on the first and
+reuses it: once per call when no J relation has an I attribute, or
+through a per-run memo keyed by the J nodes' offsets when some attribute
+bound above or in I is in no J relation.  A reuse is charged one probe,
+since its lookup is a membership test, so every group still costs at
+least one op.  ``reuses`` counts them; they are already in ``probes``,
+and ``total_ops`` does not add them again.
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ class CostMeter:
     advances: int = 0
     emits: int = 0
     recursions: int = 0
+    reuses: int = 0  # J results reused, each also counted as one probe
     deadline: float | None = field(default=None, compare=False)
 
     @property

@@ -303,3 +303,26 @@ def test_c09_op_counts_are_a_faithful_stand_in_for_run_time():
     assert series == again
     exponent, residual = fit_exponent(ms, series)
     assert math.isfinite(exponent) and math.isfinite(residual)
+
+
+def test_c10_leapfrog_is_linear_on_a_dangling_path():
+    # R(A,B) = {(a,0)}, S(B,C) = {(0,2c)}, T(C,D) = {(2d+1,d)}: S's and T's C
+    # values interleave and nothing joins.  The subproblem below B meets R
+    # only through B, so every A value reaches the same S and T nodes: one
+    # intersection of S[B=0].C with T.C, reused, where repeating it for each
+    # A costs Theta(n^2) (322,402 ops at n = 400, now 3,202).
+    a, b, c, d = make_attrs("A", "B", "C", "D")
+    ns = [100, 200, 400, 800]
+    ops = []
+    for n in ns:
+        q = join_query([
+            relation([a, b], [(i, 0) for i in range(n)]),
+            relation([b, c], [(0, 2 * i) for i in range(n)]),
+            relation([c, d], [(2 * i + 1, i) for i in range(n)]),
+        ])
+        run = run_join(q, leapfrog_strategy())
+        assert len(run.output) == 0
+        assert run.meter.reuses == n - 1
+        ops.append(run.meter.total_ops)
+    exponent, _ = fit_exponent(ns, ops)
+    assert exponent <= 1.1, exponent  # measured 0.9995

@@ -18,16 +18,20 @@ from agmjoin import (
     build_trie,
     cover,
     fixed_sequence_strategy,
+    gen_chase_witness,
     gen_clique_query,
     gen_lw_bad,
+    gen_lw_query,
     gen_triangle_bad,
     iter_leaves,
     join_query,
     leapfrog_strategy,
     make_attrs,
     min_cover_lp,
+    normalize,
     nprr_strategy,
     oracle_join,
+    project_to_head,
     relation,
     run_join,
 )
@@ -342,8 +346,9 @@ def test_audit_leaves_outputs_and_meters_alone():
 
 
 # sha256 over repr((output rows, probes, advances, emits, recursions)) of
-# every run in test_c01_instances_are_pinned, in loop order.
-C01_DIGEST = "c021e2d92af0e7c711fb28a28440a61529f930aace76373dccdbf700d6bf3f4a"
+# every run in test_c01_instances_are_pinned, in loop order.  The runs reuse
+# a J side 840 times, each charged one probe in place of the work it skips.
+C01_DIGEST = "2b0a03f37422eb169389a871e141a8bca5fa0defc47d98c58ad649429cad46ed"
 
 
 def test_c01_instances_are_pinned():
@@ -369,6 +374,98 @@ def test_time_budget_is_checked_after_each_trie_build():
     with pytest.raises(TimeBudgetExceeded):
         run_join(q, meter=m)
     assert m.recursions == 0  # raised by the first build, before the recursion starts
+
+
+# ---------------------------------------------------------------- reused J sides
+
+
+def chase_witness_query(n):
+    b = gen_chase_witness(n)
+    return project_to_head(normalize(b.query)).bind(b.relations)
+
+
+def test_chase_witness_reuses_one_j_side_per_x():
+    # nprr joins I = {X, Y} into 300 groups (0, y); J = {W} meets R(W,X) and
+    # R(W,W) but not Y, so every group after the first reuses the first's
+    # intersection of R[X=0].W with R(W,W).W (135,902 ops without the memo).
+    q = chase_witness_query(300)
+    run = run_join(q, nprr_strategy())
+    assert run.output == oracle_join(q)
+    m = run.meter
+    assert m.reuses == 299
+    assert (m.probes, m.advances, m.emits, m.recursions) == (1349, 149, 45000, 3)
+    assert m.total_ops == 46501
+
+
+def _splits(monkeypatch):
+    """Every ``_Split`` compiled from here on, in compile order."""
+    splits = []
+
+    class Spy(engine._Split):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            splits.append(self)
+
+    monkeypatch.setattr(engine, "_Split", Spy)
+    return splits
+
+
+@pytest.mark.parametrize("bundle", [gen_clique_query(3, 200, 1), gen_clique_query(4, 40, 2),
+                                    gen_lw_query(4, 200, 1)], ids=["triangle", "clique4", "lw4"])
+def test_leapfrog_keeps_no_memo_where_each_group_reaches_its_own_nodes(monkeypatch, bundle):
+    # Each level's bound attributes and I all meet a relation of its J side,
+    # so no two groups reach the same J nodes: no split keys a memo.
+    splits = _splits(monkeypatch)
+    run = run_join(bundle.query, leapfrog_strategy())
+    assert splits and all(s.reuse is None for s in splits)
+    assert run.meter.reuses == 0
+    assert run.output == oracle_join(bundle.query)
+
+
+def test_the_three_reuse_modes_are_compiled_where_they_can_hit(monkeypatch):
+    splits = _splits(monkeypatch)
+    q = join_query([relation([A], [(a,) for a in range(5)]), relation([B], [(1,), (2,)])])
+    run = run_join(q, leapfrog_strategy())  # no I attribute meets S(B): once per call
+    assert [s.reuse for s in splits] == [engine._ONCE]
+    assert run.meter.reuses == 4 and len(run.output) == 10
+    splits.clear()
+    run_join(chase_witness_query(8), nprr_strategy())  # Y meets no J relation: a memo
+    assert [type(s.reuse) for s in splits] == [dict]
+
+
+@pytest.mark.parametrize("strat, q", [
+    (leapfrog_strategy(), join_query([relation([A], [(a,) for a in range(50)]),
+                                      relation([B], [(b,) for b in range(50)])])),
+    (nprr_strategy(), chase_witness_query(300)),
+], ids=["once", "memo"])
+def test_an_expired_deadline_stops_a_run_whose_groups_reuse(strat, q):
+    class ExpiresOnReuse(CostMeter):
+        def check_deadline(self):
+            if self.reuses:
+                raise TimeBudgetExceeded("deadline")
+
+    m = ExpiresOnReuse()
+    with pytest.raises(TimeBudgetExceeded):
+        run_join(q, strat, meter=m)
+    assert m.reuses == 1  # the group after the first reuse checks the deadline
+
+
+def test_permuted_rows_reach_relation_sorted(monkeypatch):
+    # nprr emits chase-witness rows as (X, Y) groups plus W, so a perm
+    # reorders them; run_join sorts them before Relation checks them.
+    seen = []
+    make = engine.Relation
+
+    def spy(schema, rows):
+        seen.append(list(rows) == sorted(rows))
+        return make(schema, rows)
+
+    monkeypatch.setattr(engine, "Relation", spy)
+    q = chase_witness_query(40)
+    assert run_join(q, nprr_strategy()).output == oracle_join(q)
+    assert seen == [True]
 
 
 # ---------------------------------------------------------------- the two-choices filter
