@@ -83,7 +83,6 @@ from .relational import (
     oracle_join,
     project,
     relation,
-    select,
     semijoin,
 )
 from .rewrite import (

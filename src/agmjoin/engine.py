@@ -142,14 +142,13 @@ _Weights = Sequence[Fraction] | Mapping[int, Fraction]
 class _Ctx:
     """Per-invocation state: the query, the meter, and the trie cache."""
 
-    __slots__ = ("q", "meter", "edge_sets", "tries", "audit", "permuted")
+    __slots__ = ("q", "meter", "edge_sets", "tries", "permuted")
 
-    def __init__(self, q: JoinQuery, meter: CostMeter, audit: bool = False):
+    def __init__(self, q: JoinQuery, meter: CostMeter):
         self.q = q
         self.meter = meter
         self.edge_sets = [frozenset(e) for e in q.hypergraph.edges]
         self.tries: dict[tuple[int, tuple[Attribute, ...]], TrieIndex] = {}
-        self.audit = audit
         self.permuted = False  # some split compiled so far has a perm
 
     def trie_for(self, edge: int, order: tuple[Attribute, ...]) -> TrieIndex:
@@ -179,9 +178,8 @@ class _Split:
     opened extenders.  ``perm`` maps a group tuple
     plus a J row to an output row, None when that is plain
     concatenation.  The I sub-plan is compiled here; the J sub-plan on
-    first use, from ``j_args``.  ``active`` (each slot's edge and its
-    attributes here), ``attrs``, ``i_attrs`` and ``weights`` are kept
-    for the audit.
+    first use, from ``j_args``.  A subproblem's attributes are in global
+    order, so a slot's I and J attributes are its edge's, sorted.
 
     ``reuse`` says where two groups can reach the same J nodes, and so
     the same J result.  An extender's nodes depend only on the values
@@ -196,23 +194,20 @@ class _Split:
     node.  Else None: each group reaches nodes of its own.
     """
 
-    __slots__ = ("active", "attrs", "i_attrs", "weights", "seats", "i_slots", "extenders",
-                 "descents", "n_open", "perm", "i_plan", "j_plan", "j_args", "reuse")
+    __slots__ = ("seats", "i_slots", "extenders", "descents", "n_open", "perm", "i_plan",
+                 "j_plan", "j_args", "reuse")
 
     def __init__(self, ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
                  i_attrs: tuple[Attribute, ...], i_blocks, j_blocks, weights: _Weights,
                  bound: frozenset[Attribute]):
-        i_set = set(i_attrs)
+        i_set = frozenset(i_attrs)
         j_attrs = tuple(a for a in attrs if a not in i_set)
-        pos = {a: k for k, a in enumerate(i_attrs + j_attrs)}  # a group plus a J row
-        rank = {a: k for k, a in enumerate(attrs)}
-        active, seats, i_slots, i_sub, extenders, descents, j_sub = [], [], [], [], [], [], []
+        j_set = frozenset(j_attrs)
+        pos = {a: k for k, a in enumerate(i_attrs)}  # an I attribute's place in a group
+        seats, i_slots, i_sub, extenders, descents, j_sub = [], [], [], [], [], []
         for k, (edge, trie, depth) in enumerate(slots):
             es = ctx.edge_sets[edge]
-            act = tuple(sorted((a for a in es if a in rank), key=rank.__getitem__))
-            active.append((edge, act))
-            fi = tuple(a for a in act if a in i_set)
-            fj = tuple(a for a in act if a not in i_set)
+            fi, fj = tuple(sorted(es & i_set)), tuple(sorted(es & j_set))
             if fi:
                 front = fi + fj
                 rest = trie.order[depth:]
@@ -231,12 +226,13 @@ class _Split:
                     descents.append((len(extenders), [pos[a] for a in fi]))
                 extenders.append((k, opened))
                 j_sub.append((edge, trie, depth + len(fi)))
-        perm = [pos[a] for a in attrs]
-        self.active, self.attrs, self.i_attrs, self.weights = active, attrs, i_attrs, weights
         self.seats, self.i_slots, self.extenders, self.descents = seats, i_slots, extenders, descents
         self.n_open = sum(opened is not None for _, opened in extenders)
-        self.perm = None if perm == list(range(len(perm))) else itemgetter(*perm)
-        ctx.permuted |= self.perm is not None
+        self.perm = None
+        if i_attrs + j_attrs != attrs:  # a group plus a J row is not in global order
+            at = {a: k for k, a in enumerate(i_attrs + j_attrs)}
+            self.perm = itemgetter(*[at[a] for a in attrs])
+            ctx.permuted = True
         j_rels = set().union(*(ctx.edge_sets[slots[k][0]] for k, _ in extenders))
         if not self.n_open and not descents:  # no extender meets I
             self.reuse = _ONCE
@@ -325,26 +321,6 @@ def _compile(ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
     return _Split(ctx, slots, attrs, i_attrs, i_blocks, j_blocks, weights, bound)
 
 
-def _audit_split(plan: _Split, nodes: Sequence[Node]) -> None:
-    """Debug-mode check of the per-level group inequality."""
-    from .bounds import decomposition_check
-    from .relational import Hypergraph
-
-    edges = []
-    rels = []
-    ws = []
-    for (edge, act), node in zip(plan.active, nodes):
-        edges.append(act)
-        rels.append(Relation(act, tuple(iter_leaves(node, len(act)))))
-        ws.append(plan.weights[edge])
-    sub = JoinQuery(Hypergraph(plan.attrs, tuple(edges)), tuple(rels))
-    side = decomposition_check(sub, FractionalCover(tuple(ws)), plan.i_attrs)
-    if not side.holds(1e-9):
-        raise AssertionError(
-            f"group inequality violated at I={plan.i_attrs}: lhs={side.lhs} rhs={side.rhs}"
-        )
-
-
 def _run(ctx: _Ctx, plan, nodes: Sequence[Node]) -> list[Row]:
     """Execute ``plan`` on the slots' current trie nodes, ``nodes[k]``
     sitting on level ``depth`` of slot k's trie."""
@@ -357,8 +333,6 @@ def _run(ctx: _Ctx, plan, nodes: Sequence[Node]) -> list[Row]:
     if type(plan) is _Tail:
         return _nprr_tail(ctx, plan, nodes)
 
-    if ctx.audit:
-        _audit_split(plan, nodes)
     if plan.seats:  # index preparation, unmetered like the trie builds
         nodes = list(nodes)
         for k, old, new, level in plan.seats:
@@ -526,8 +500,6 @@ def run_join(
     strat: PartitionStrategy | None = None,
     cover: FractionalCover | None = None,
     meter: CostMeter | None = None,
-    *,
-    audit: bool = False,
 ) -> JoinRun:
     """Join all relations of ``q`` exactly, metering the work done.
 
@@ -560,7 +532,7 @@ def run_join(
             raise InvalidPartitionError(
                 f"blocks {blocks} do not partition the attributes {attrs}"
             )
-    ctx = _Ctx(q, meter, audit=audit)
+    ctx = _Ctx(q, meter)
     slots = [(e, ctx.trie_for(e, r.schema), 0) for e, r in enumerate(q.relations)]
     try:
         plan = _compile(ctx, slots, attrs, blocks, cover.weights, frozenset())

@@ -136,25 +136,16 @@ def project(r: Relation, attrs: Iterable[Attribute]) -> Relation:
     return Relation(target, tuple({tuple(t[i] for i in idx) for t in r.rows}))
 
 
-def select(r: Relation, bindings: Mapping[Attribute, int]) -> Relation:
-    """Keep rows matching every binding exactly."""
-    for a in bindings:
-        if a not in r.schema:
-            raise SchemaError(f"selection on {a} outside schema {r.schema}")
-    items = [(r.schema.index(a), v) for a, v in bindings.items()]
-    return Relation(r.schema, tuple(t for t in r.rows if all(t[i] == v for i, v in items)))
-
-
 def semijoin(r: Relation, t: Mapping[Attribute, int]) -> Relation:
     """Rows of ``r`` that agree with ``t`` on the shared attributes.
 
     Attributes of ``t`` outside ``r.schema`` impose no constraint, so a
     disjoint binding returns ``r`` unchanged.
     """
-    shared = {a: v for a, v in t.items() if a in r.schema}
-    if not shared:
+    items = [(r.schema.index(a), v) for a, v in t.items() if a in r.schema]
+    if not items:
         return r
-    return select(r, shared)
+    return Relation(r.schema, tuple(u for u in r.rows if all(u[i] == v for i, v in items)))
 
 
 @dataclass(frozen=True)
@@ -182,8 +173,13 @@ class Hypergraph:
 
     @cached_property
     def _incidence(self) -> dict[Attribute, tuple[int, ...]]:
-        """Each vertex's edge indices, computed once per hypergraph."""
-        return {a: tuple(i for i, e in enumerate(self.edges) if a in e) for a in self.vertices}
+        """Each vertex's edge indices, ascending, computed once per hypergraph
+        in one pass over the edges."""
+        incidence: dict[Attribute, list[int]] = {a: [] for a in self.vertices}
+        for i, e in enumerate(self.edges):
+            for a in e:
+                incidence[a].append(i)
+        return {a: tuple(ix) for a, ix in incidence.items()}
 
     def edges_with(self, a: Attribute) -> tuple[int, ...]:
         return self._incidence.get(a, ())

@@ -12,9 +12,13 @@ from hypothesis import strategies as st
 from agmjoin import (
     CostMeter,
     FractionalCover,
+    Hypergraph,
     InfeasibleCoverError,
     InvalidPartitionError,
+    JoinQuery,
+    Relation,
     TimeBudgetExceeded,
+    attrs_sorted,
     build_trie,
     cover,
     fixed_sequence_strategy,
@@ -36,6 +40,7 @@ from agmjoin import (
     run_join,
 )
 from agmjoin import engine
+from agmjoin.bounds import decomposition_check
 from agmjoin.engine import _filter, _seat
 from agmjoin.trie import leaf_rows
 from conftest import random_feasible_cover, random_instance, walk
@@ -60,8 +65,57 @@ def random_partition(attrs, rng):
     return blocks
 
 
+def _check_group_inequality(plan, nodes):
+    """``decomposition_check`` at one split, on the relations that its
+    slots' trie nodes hold (``plan.args`` as the ``_splits`` spy keeps
+    them).  A subproblem's attributes are in global order, and so is
+    each slot's node below its bound prefix."""
+    ctx, slots, attrs, i_attrs, _, _, weights, _ = plan.args
+    edges, rels, ws = [], [], []
+    for (edge, _, _), node in zip(slots, nodes):
+        act = attrs_sorted(ctx.edge_sets[edge] & set(attrs))
+        edges.append(act)
+        rels.append(Relation(act, tuple(iter_leaves(node, len(act)))))
+        ws.append(weights[edge])
+    sub = JoinQuery(Hypergraph(attrs, tuple(edges)), tuple(rels))
+    side = decomposition_check(sub, FractionalCover(tuple(ws)), i_attrs)
+    assert side.holds(1e-9), f"group inequality violated at I={i_attrs}: {side}"
+
+
+def _check_every_split(monkeypatch):
+    """Check the group inequality at each split that ``_run`` executes
+    from here on.  Returns the splits compiled and a count
+    ``[splits run, splits checked]``; the caller resets both per run."""
+    splits = _splits(monkeypatch)
+    counts = [0, 0]
+    run = engine._run
+
+    def checked_run(ctx, plan, nodes):
+        if isinstance(plan, engine._Split):
+            counts[0] += 1
+            _check_group_inequality(plan, nodes)
+            counts[1] += 1
+        return run(ctx, plan, nodes)
+
+    monkeypatch.setattr(engine, "_run", checked_run)
+    return splits, counts
+
+
+def _run_checked(q, strat, splits, counts, **kw):
+    """``run_join`` with every split checked; each compiled split runs at
+    least once, and the two fixed-order strategies split any query of two
+    or more attributes (nprr runs only a two-choices tail when its
+    heaviest edge holds every attribute)."""
+    splits.clear()
+    counts[:] = [0, 0]
+    run = run_join(q, strat, **kw)
+    assert counts[1] == counts[0] >= len(splits), (strat.kind, counts, len(splits))
+    assert counts[0] > 0 or (strat.kind == "nprr" and not splits), strat.kind
+    return run
+
+
 @pytest.mark.parametrize("seed", range(30))
-def test_every_strategy_matches_the_oracle(seed):
+def test_every_strategy_matches_the_oracle(monkeypatch, seed):
     q = random_instance(seed)
     want = oracle_join(q)
     rng = random.Random(seed)
@@ -70,8 +124,9 @@ def test_every_strategy_matches_the_oracle(seed):
         leapfrog_strategy(),
         fixed_sequence_strategy(random_partition(q.attrs, rng)),
     ]
+    splits, counts = _check_every_split(monkeypatch)
     for strat in strategies:
-        run = run_join(q, strat, audit=True)
+        run = _run_checked(q, strat, splits, counts)
         assert run.output == want, (seed, strat.kind)
         assert run.meter.emits == len(run.output)
     # leapfrog is the one-block sequence, down to every counted operation
@@ -80,13 +135,14 @@ def test_every_strategy_matches_the_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_strategies_accept_any_feasible_cover(seed):
+def test_strategies_accept_any_feasible_cover(monkeypatch, seed):
     q = random_instance(seed, max_rows=8)
     want = oracle_join(q)
     rng = random.Random(seed * 31 + 1)
     x = random_feasible_cover(q, rng)
+    splits, counts = _check_every_split(monkeypatch)
     for strat in (nprr_strategy(), leapfrog_strategy()):
-        assert run_join(q, strat, cover=x, audit=True).output == want
+        assert _run_checked(q, strat, splits, counts, cover=x).output == want
 
 
 def test_default_cover_is_the_lp_optimum():
@@ -337,14 +393,6 @@ def test_trie_builds_are_pinned(monkeypatch):
     assert got == PINNED_TRIE_BUILDS
 
 
-def test_audit_leaves_outputs_and_meters_alone():
-    for name, q, strat, x in _pinned_runs():
-        plain = run_join(q, strat, cover=x)
-        audited = run_join(q, strat, cover=x, audit=True)
-        assert audited.output == plain.output, name
-        assert audited.meter == plain.meter, name
-
-
 # sha256 over repr((output rows, probes, advances, emits, recursions)) of
 # every run in test_c01_instances_are_pinned, in loop order.  The runs reuse
 # a J side 840 times, each charged one probe in place of the work it skips.
@@ -398,14 +446,16 @@ def test_chase_witness_reuses_one_j_side_per_x():
 
 
 def _splits(monkeypatch):
-    """Every ``_Split`` compiled from here on, in compile order."""
+    """Every ``_Split`` compiled from here on, in compile order, each with
+    the arguments it was compiled from as ``args``."""
     splits = []
 
     class Spy(engine._Split):
-        __slots__ = ()
+        __slots__ = ("args",)
 
         def __init__(self, *args):
             super().__init__(*args)
+            self.args = args
             splits.append(self)
 
     monkeypatch.setattr(engine, "_Split", Spy)

@@ -16,7 +16,6 @@ from agmjoin import (
     oracle_join,
     project,
     relation,
-    select,
     semijoin,
 )
 
@@ -99,7 +98,7 @@ def test_project_to_nothing_is_boolean():
 @given(rows2, st.integers(0, 5))
 def test_select_and_semijoin_agree_with_filters(rows, v):
     r = relation([A, B], rows)
-    assert set(select(r, {A: v}).rows) == {t for t in r.rows if t[0] == v}
+    assert set(semijoin(r, {A: v}).rows) == {t for t in r.rows if t[0] == v}
     # Semijoin against a binding mentioning B and an attribute r lacks.
     kept = semijoin(r, {B: v, C: 9})
     assert set(kept.rows) == {t for t in r.rows if t[1] == v}
@@ -159,6 +158,19 @@ def test_hypergraph_validation():
     h = Hypergraph((A, B), ((A, B), (A, B)))  # duplicate edges are allowed
     assert len(h.edges) == 2
     assert h.edges_with(A) == (0, 1)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=6))))
+def test_incidence_matches_vertex_edge_containment(shape):
+    n, picks = shape
+    vs = make_attrs(*(f"V{i}" for i in range(n)))
+    covered = set().union(*picks)
+    picks = picks + [{i} for i in range(n) if i not in covered]  # no isolated vertex
+    edges = tuple(tuple(vs[i] for i in sorted(p)) for p in picks)
+    h = Hypergraph(vs, edges)
+    for a in vs:
+        assert h.edges_with(a) == tuple(i for i, e in enumerate(edges) if a in e)
 
 
 def test_join_query_reads_hypergraph_off_schemas():
