@@ -505,8 +505,14 @@ _EXIT_CODES = ((QueryFormatError, 2), (SchemaError, 3), (PlanError, 3),
                (OSError, 2), (UnicodeDecodeError, 2))
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first ``main`` call
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except tuple(t for t, _ in _EXIT_CODES) as e:

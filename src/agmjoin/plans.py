@@ -2,13 +2,20 @@
 
 These are the comparison baselines: binary join trees over the query's
 atoms (optionally with projections), evaluated by one post-order loop
-(``PlanTree.walk``) on columns.  Every result is a tuple of contiguous
-int64 arrays, one per attribute, and one binary-search join probes its
-left input in blocks of ``_BLOCK`` rows, repeating each left column and
-gathering each right-only column once, with no row array or stacked
-copy.  On triangle-bad with m=1000 a whole plan run peaks at about 1.1
-times the bytes of its 1,003,001-row intermediate (tracemalloc; row
-arrays took 2.7 times).  The point of the accounting is the quantity a
+(``PlanTree.walk``) on columns.  A run first rank-encodes its bindings:
+each attribute gets one sorted active domain, and each column holds its
+values' ranks in the narrowest of uint8, uint16 and uint32 that holds
+them (int64 past that), so any non-negative integer joins, 2^63 and up
+included.  Ranks keep value order, so only the final result is decoded
+back to values.  Every result is a tuple of contiguous rank columns, one
+per attribute, and one binary-search join probes its left input in
+blocks of ``_BLOCK`` rows, repeating each left column and gathering each
+right-only column once, with no row array or stacked copy.  On
+triangle-bad with m=1000 a whole plan run peaks at about 10 MB under
+tracemalloc, 0.42 times the bytes its 1,003,001-row intermediate would
+take as int64 columns (1.1 times with int64 columns, 2.7 with row
+arrays); the int64 gather index of the block that makes it is most of
+that.  The point of the accounting is the quantity a
 plan cannot avoid — the cardinality of each intermediate result — so a
 run returns a ``PlanTrace``, the tuple of its ``JoinRecord``s, which
 reads off each join's output size and the summed row footprint, not
@@ -31,7 +38,6 @@ import time or memory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -125,15 +131,42 @@ class JoinRecord(NamedTuple):
     size: int
 
 
-def _columns(r: Relation) -> tuple[tuple[Attribute, ...], tuple[np.ndarray, ...], int]:
-    """A relation as (schema, columns, row count); the count is carried
-    because a relation of zero attributes has no column to read it from."""
+def _rank_dtype(d: int):
+    """The narrowest unsigned dtype that holds ranks 0..d-1, else int64."""
+    for t in (np.uint8, np.uint16, np.uint32):
+        if d <= np.iinfo(t).max + 1:
+            return t
+    return np.int64
+
+
+def _values(col: tuple[int, ...]) -> np.ndarray:
+    """One column's values as int64, or as Python ints where one passes 2^63."""
     try:
-        arr = np.array(r.rows, dtype=np.int64).reshape(len(r), r.arity)
+        return np.array(col, dtype=np.int64)
     except OverflowError:
-        names = ",".join(a.name for a in r.schema)
-        raise PlanError(f"a value in ({names}) does not fit in 63 bits") from None
-    return r.schema, tuple(arr.T.copy()), len(r)
+        return np.array(col, dtype=object)
+
+
+def _encode(bindings: Sequence[Relation]):
+    """Every binding as (schema, rank columns, row count), and each
+    attribute's sorted active domain over all of them.
+
+    A value's rank is its position in its attribute's domain, so ranks
+    keep value order; every leaf that holds an attribute shares its
+    domain.  The row count is carried because a relation of zero
+    attributes has no column to read it from."""
+    columns: dict[Attribute, list[np.ndarray]] = {}
+    for r in bindings:
+        for a, c in zip(r.schema, list(zip(*r.rows)) or [()] * r.arity):
+            columns.setdefault(a, []).append(_values(c))
+    domains, ranks = {}, {}
+    for a, cols in columns.items():
+        domains[a], rank = np.unique(np.concatenate(cols), return_inverse=True)
+        rank = rank.astype(_rank_dtype(len(domains[a])))
+        # Each binding's share of the ranks, taken in binding order below.
+        ranks[a] = iter(np.split(rank, np.cumsum([len(c) for c in cols[:-1]])))
+    leaves = [(r.schema, tuple(next(ranks[a]) for a in r.schema), len(r)) for r in bindings]
+    return leaves, domains
 
 
 def _project(schema, cols, n: int, keep: tuple[Attribute, ...]):
@@ -143,56 +176,96 @@ def _project(schema, cols, n: int, keep: tuple[Attribute, ...]):
         raise PlanError("projection to zero attributes is not part of any plan here")
     sub = [cols[schema.index(a)] for a in keep]
     if n:
-        sub = np.unique(np.stack(sub, axis=1), axis=0).T.copy()
+        # Sort the rows, then keep each that differs from its predecessor.
+        order = np.lexsort(sub[::-1])
+        sub = [c[order] for c in sub]
+        new = np.zeros(n, dtype=bool)
+        new[0] = True
+        for c in sub:
+            new[1:] |= c[1:] != c[:-1]
+        sub = [c[new] for c in sub]
     return keep, tuple(sub), len(sub[0])
 
 
-def _keys(cols: Sequence[np.ndarray], radices: Sequence[int], n: int) -> np.ndarray:
-    """Pack ``cols`` into one int64 key per row; a lone column is its own key."""
+def _keys(cols: Sequence[np.ndarray], radices: Sequence[int], n: int,
+          tables: dict[int, np.ndarray]) -> np.ndarray:
+    """Pack ``cols`` into one int64 key per row; a lone column is its own key.
+
+    Where one more radix would take the key space past ``_MAX_KEY``, the
+    partial key is re-ranked first.  The right side's call, which comes
+    first, ranks it among its own distinct partial keys and stores them
+    in ``tables``; a left block's call ranks it against those, and a
+    partial key the right side lacks, which can match nothing, takes the
+    one rank past them.  Keys stay int64: numpy widens uint64 mixed with
+    int64 to float64.
+    """
     if not cols:
         return np.zeros(n, dtype=np.int64)
     if len(cols) == 1:
         return cols[0]
-    key = cols[0].copy()
-    for col, radix in zip(cols[1:], radices[1:]):
-        key *= radix
-        key += col
+    key, span = cols[0].astype(np.int64), radices[0]
+    for i in range(1, len(cols)):
+        if span * radices[i] - 1 > _MAX_KEY:
+            if i not in tables:
+                tables[i], key = np.unique(key, return_inverse=True)
+            else:
+                table = tables[i]
+                pos = np.searchsorted(table, key)
+                np.minimum(pos, len(table) - 1, out=pos)
+                pos[table[pos] != key] = len(table)
+                key = pos
+            span = len(tables[i]) + 1
+        key *= radices[i]
+        key += cols[i]
+        span *= radices[i]
     return key
 
 
-def _merge_join(left, right, meter: CostMeter):
-    """Natural join of two deduplicated (schema, columns, row count)
+def _gather_index(starts, pos, counts) -> np.ndarray:
+    """The sorted right row behind each output row of one probe block.
+
+    Left row i's matches are the ``counts[i]`` rows from ``starts[pos[i]]``
+    on, so the index is a run of +1 steps with a jump where each left
+    row's matches begin: one int64 array of ones, the jumps written at
+    each run's first output row, then summed in place.
+    """
+    hit = np.flatnonzero(counts)
+    lo, n = starts[pos[hit]], counts[hit]
+    jump = lo.copy()
+    jump[1:] -= lo[:-1] + n[:-1] - 1  # from the previous run's last row
+    ridx = np.ones(int(n.sum()), dtype=np.int64)
+    ridx[np.cumsum(n) - n] = jump
+    return np.cumsum(ridx, out=ridx)
+
+
+def _merge_join(left, right, radix: dict[Attribute, int], meter: CostMeter):
+    """Natural join of two deduplicated (schema, rank columns, row count)
     triples; every call is a recorded join.
 
-    The right side's composite join keys are sorted once, with its
-    right-only columns in the same order, and its distinct keys mark the
-    runs of equal keys.  The left side is probed in blocks of ``_BLOCK``
-    rows: one binary search over the distinct keys gives each left row
-    its run of matching right rows (or none), ``np.repeat`` expands the
-    left columns, and one index array gathers the right-only columns.
+    ``radix`` holds each attribute's domain size.  The right side's
+    composite join keys are sorted once, with its right-only columns in
+    the same order, and its distinct keys mark the runs of equal keys.
+    The left side is probed in blocks of ``_BLOCK`` rows: one binary
+    search over the distinct keys gives each left row its run of
+    matching right rows (or none), ``np.repeat`` expands the left
+    columns, and one index array gathers the right-only columns.
     ``meter``'s deadline is checked after each block.  With no shared
     attribute every key is 0, so the cross product is the same code.
+    Every output column keeps its input's dtype.
     """
     (lsch, lcols, nl), (rsch, rcols, nr) = left, right
     lpos = {a: i for i, a in enumerate(lsch)}
     rpos = {a: i for i, a in enumerate(rsch)}
-    shared = [a for a in lsch if a in rpos]
     out_schema = tuple(sorted(lpos.keys() | rpos.keys()))
     if nl == 0 or nr == 0:
-        return out_schema, tuple(np.empty(0, dtype=np.int64) for _ in out_schema), 0
-    lkeyed, rkeyed, radices = [], [], []
-    for a in shared:
-        lc, rc = lcols[lpos[a]], rcols[rpos[a]]
-        radix = int(max(lc.max(), rc.max())) + 1
-        # A column that is all 0 on both sides adds nothing to the key;
-        # dropping it keeps every radix that multiplies a key below 2^63.
-        if radix > 1:
-            lkeyed.append(lc)
-            rkeyed.append(rc)
-            radices.append(radix)
-    if math.prod(radices) - 1 > _MAX_KEY:
-        raise PlanError("join key space exceeds 63 bits")
-    rkey = _keys(rkeyed, radices, nr)
+        return out_schema, tuple((lcols[lpos[a]] if a in lpos else rcols[rpos[a]])[:0]
+                                 for a in out_schema), 0
+    # An attribute of one value adds nothing to the key.
+    shared = [a for a in lsch if a in rpos and radix[a] > 1]
+    lkeyed = [lcols[lpos[a]] for a in shared]
+    radices = [radix[a] for a in shared]
+    tables = {}
+    rkey = _keys([rcols[rpos[a]] for a in shared], radices, nr, tables)
     order = np.argsort(rkey, kind="stable")
     rkey = rkey[order]
     right_only = {a: rcols[rpos[a]][order] for a in out_schema if a not in lpos}
@@ -203,18 +276,12 @@ def _merge_join(left, right, meter: CostMeter):
     pieces, size = {a: [] for a in out_schema}, 0
     for b in range(0, nl, _BLOCK):
         block = slice(b, min(b + _BLOCK, nl))
-        lkey = _keys([lc[block] for lc in lkeyed], radices, block.stop - b)
+        lkey = _keys([lc[block] for lc in lkeyed], radices, block.stop - b, tables)
         pos = np.searchsorted(ukeys, lkey)
         np.minimum(pos, len(ukeys) - 1, out=pos)
         counts = runs[pos]
         counts[ukeys[pos] != lkey] = 0
-        # Left row i's run begins at output position cumsum(counts)[i] - counts[i],
-        # so the k-th output row reads sorted right row k + starts[pos[i]] - that start.
-        lo = starts[pos]
-        lo += counts
-        lo -= np.cumsum(counts)
-        ridx = np.repeat(lo, counts)
-        ridx += np.arange(len(ridx))
+        ridx = _gather_index(starts, pos, counts)
         size += len(ridx)
         for a, col in right_only.items():
             pieces[a].append(col[ridx])
@@ -231,14 +298,16 @@ def _merge_join(left, right, meter: CostMeter):
 
 def _evaluate(p: PlanTree, bindings: Sequence[Relation], meter: CostMeter
               ) -> tuple[Relation, PlanTrace]:
-    """Run ``p``'s walk on a stack of (schema, columns, row count) results.
+    """Run ``p``'s walk on a stack of (schema, rank columns, row count)
+    results, and decode the last one back to values.
 
     ``meter``'s deadline is checked after each join as well as inside it,
     so a join that returns early on an empty side is no escape."""
     global np
     import numpy as np
 
-    leaves = [_columns(r) for r in bindings]
+    leaves, domains = _encode(bindings)
+    radix = {a: len(dom) for a, dom in domains.items()}
     stack, records = [], []
     for node in p.walk():
         if node.is_leaf:
@@ -248,14 +317,15 @@ def _evaluate(p: PlanTree, bindings: Sequence[Relation], meter: CostMeter
         else:
             right = stack.pop()
             left = stack.pop()
-            out = _merge_join(left, right, meter)
+            out = _merge_join(left, right, radix, meter)
             records.append(JoinRecord(left[0], right[0], left[2], right[2], out[2]))
             stack.append(out)
             meter.check_deadline()
         if node.keep is not None:
             stack[-1] = _project(*stack[-1], node.keep)
     schema, cols, n = stack.pop()
-    rows = tuple(zip(*(c.tolist() for c in cols))) if cols else ((),) * n
+    values = [domains[a][c].tolist() for a, c in zip(schema, cols)]
+    rows = tuple(zip(*values)) if cols else ((),) * n
     return Relation(schema, rows), PlanTrace(records)
 
 

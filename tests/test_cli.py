@@ -279,21 +279,19 @@ def test_run_arity_mismatch_exits_3(tmp_path, triangle_dir, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("algo,code", [("agm-plan", 3), ("pairwise:0-1-2", 3), ("nprr", 0)])
-def test_run_value_beyond_63_bits(tmp_path, capsys, algo, code):
-    """The numpy plans refuse a value >= 2^63 with exit 3; the trie engines answer."""
+@pytest.mark.parametrize("algo", ["agm-plan", "pairwise:0-1-2"])
+def test_run_value_beyond_63_bits(tmp_path, capsys, algo):
+    """The numpy plans answer a value >= 2^63 with nprr's bytes."""
     inst = gen_dir(tmp_path, "--family", "triangle-bad", "--m", "3")
     big = 2**63
     for name in ("R0", "R1", "R2"):
         with open(inst / f"{name}.rel", "a", encoding="utf-8") as f:
             f.write(f"{big},{big}\n")
-    got, out, err = run_cli(capsys, str(inst / "query.txt"), str(inst), "--algo", algo)
-    assert got == code
-    if code:
-        assert "63 bits" in err
-        assert "Traceback" not in err
-    else:
-        assert f"{big},{big},{big}\n" in out
+    want = run_cli(capsys, str(inst / "query.txt"), str(inst), "--algo", "nprr")
+    got = run_cli(capsys, str(inst / "query.txt"), str(inst), "--algo", algo)
+    assert want[0] == got[0] == 0
+    assert f"{big},{big},{big}\n" in want[1]
+    assert got[1] == want[1]
 
 
 def test_run_rows_narrower_than_the_atom_exit_3(tmp_path, triangle_dir, capsys):
@@ -681,6 +679,39 @@ def test_bound_ambiguous_sizes_exit_2(triangle_dir, capsys, sizes):
 def test_bound_non_positive_sizes_exit_2(triangle_dir, capsys, sizes):
     assert main(["bound", str(triangle_dir / "query.txt"), "--sizes", sizes]) == 2
     assert "at least 1" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call_in_a_process(triangle_dir, capsys, monkeypatch):
+    """``main`` builds its parser once per process.  Alternating bound, run
+    and a parse failure (exit 2) through it, each call prints and exits as
+    it does through a freshly built parser."""
+    q, d = str(triangle_dir / "query.txt"), str(triangle_dir)
+    calls = [["bound", q, "--sizes", "16"], ["run", q, d, "--algo", "agm-plan"],
+             ["run", q, "--algo", "nprr"], ["bound", q, "--sizes", "R0=2,R1=3,R2=5"],
+             ["run", q, d], ["bound", q, "--sizes"]]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    builds = []
+    build = agmjoin.cli.build_parser
+    monkeypatch.setattr(agmjoin.cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(agmjoin.cli, "_PARSER", None)
+    shared = [call(argv) for argv in calls]
+    assert len(builds) == 1
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(agmjoin.cli, "_PARSER", None)
+        fresh.append(call(argv))
+    assert len(builds) == 1 + len(calls)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 2]
+    assert "usage: agmjoin run" in shared[2][2]
 
 
 # -------------------------------------------------------------- bench

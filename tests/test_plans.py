@@ -23,10 +23,12 @@ from agmjoin import (
     join,
     join_query,
     leaf,
+    leapfrog_strategy,
     make_attrs,
     min_cover_lp,
     oracle_join,
     relation,
+    run_join,
 )
 from agmjoin.formats import write_relation_file
 from conftest import all_join_plans, is_simple, random_instance
@@ -187,18 +189,35 @@ def test_cross_product_when_schemas_are_disjoint(monkeypatch):
             assert trace.intermediate_sizes == ((0, 0),)
 
 
-def test_key_space_overflow_guard():
+def test_key_space_overflow_guard(monkeypatch):
+    """Where one more radix would take a packed key past ``_MAX_KEY``, the
+    partial key is re-ranked against the right side's distinct ones, and
+    a left key the right side lacks matches nothing."""
     big = 1 << 40
-    r = relation([A, B], [(big, big)])
-    s = relation([A, B], [(big, big)])
-    with pytest.raises(PlanError):
-        execute_plan(join(leaf(0), leaf(1)), [r, s], CostMeter())
+    cases = [[relation([A, B], [(big, big)])] * 2,
+             [relation([A, B, C], [(0, 0, 0), (0, 1, 2), (1, 1, 1), (2, 0, 1), (big, 1, big)]),
+              relation([A, B, C], [(0, 1, 2), (1, 0, 1), (2, 0, 1), (2, 2, 2), (big, 1, big)]),
+              relation([C, D], [(1, 0), (2, 5), (big, 1)])]]
+    cases += [random_instance(seed, max_m=4, max_rows=8).relations for seed in range(20)]
+    runs = []
+    for bindings in cases:
+        want = oracle_join(join_query(bindings))
+        for p in all_join_plans(len(bindings)):
+            runs.append((p, bindings, want, execute_plan(p, bindings, CostMeter())[1]))
+    keys = agmjoin.plans._keys
+    for max_key in (0, 3, 40):
+        monkeypatch.setattr(agmjoin.plans, "_MAX_KEY", max_key)
+        tables = []  # each join's re-rank tables, filled by its right side's keys
+        monkeypatch.setattr(agmjoin.plans, "_keys", lambda *a: tables.append(a[3]) or keys(*a))
+        for p, bindings, want, trace in runs:
+            assert execute_plan(p, bindings, CostMeter()) == (want, trace), (max_key, repr(p))
+        assert any(tables), max_key
 
 
-@pytest.mark.parametrize("v", [2**62 - 1, 2**62, 2**63 - 1])
+@pytest.mark.parametrize("v", [2**62 - 1, 2**62, 2**63 - 1, 2**63, 2**64])
 def test_one_shared_attribute_up_to_the_largest_int64_joins(v):
-    """The packed key of one shared attribute is the value itself, so every
-    value that fits in 63 bits joins under both plans."""
+    """The packed key of one shared attribute is the value's rank, so a
+    value joins under both plans whether or not it fits in 63 bits."""
     q = join_query([relation([A, B], [(0, v)]), relation([B, C], [(v, 1)])])
     want = oracle_join(q)
     assert want.rows == ((0, v, 1),)
@@ -207,8 +226,8 @@ def test_one_shared_attribute_up_to_the_largest_int64_joins(v):
 
 
 def test_shared_attributes_that_are_all_zero_leave_the_key():
-    """A shared column that is 0 on both sides is left out of the packed
-    key, so its radix of 1 never multiplies one of 2^63 past int64."""
+    """A shared attribute of one value has a radix of 1 and is left out
+    of the packed key."""
     v = 2**63 - 1
     q = join_query([relation([A, B], [(0, v)]), relation([A, B], [(0, v)])])
     want = oracle_join(q)
@@ -254,8 +273,9 @@ def test_an_expired_deadline_stops_a_join_after_its_first_probe_block(monkeypatc
 
 def test_plan_memory_peaks_near_the_largest_intermediate():
     """On triangle-bad m=1000 both plans build a 1,003,001-row intermediate
-    of three int64 columns; the traced peak of a whole run stays within
-    1.5 times its size."""
+    of three columns, 24 MB if they were int64; as uint16 ranks, with the
+    gather index summed in place, the traced peak of a whole run stays
+    within half of that."""
     q = gen_triangle_bad(1000).query
     runs = [lambda: agm_join_project_traced(q, CostMeter()),
             lambda: execute_plan(join(join(leaf(0), leaf(1)), leaf(2)), q.relations, CostMeter())]
@@ -268,7 +288,35 @@ def test_plan_memory_peaks_near_the_largest_intermediate():
         finally:
             tracemalloc.stop()
         assert trace.intermediate_max == 1_003_001
-        assert peak <= 1.5 * 1_003_001 * 3 * 8
+        assert peak <= 0.5 * 1_003_001 * 3 * 8
+
+
+@pytest.mark.parametrize("d, dtype", [(255, "uint8"), (256, "uint8"), (257, "uint16"),
+                                      (65_535, "uint16"), (65_536, "uint16"),
+                                      (65_537, "uint32")])
+def test_rank_dtypes_switch_at_their_boundaries(monkeypatch, d, dtype):
+    """Domains of d distinct values, three of them at or past 2^63, on
+    either side of the uint8, uint16 and uint32 switch points: both plans
+    answer as leapfrog does, with the same trace at probe blocks of 1, 2
+    and 7 rows."""
+    vals = [*range(d - 3), 2**63, 2**63 + 1, 2**64]
+    r = relation([A, B], [(v, vals[i % 3 - 3]) for i, v in enumerate(vals)])
+    s = relation([A, B], [r.rows[0], r.rows[d // 2], r.rows[-1], (2**64, 5)])
+    t = relation([B, C], [(vals[i % 4 - 4], v) for i, v in enumerate(vals)])
+    q = join_query([s, r, t])
+    want = run_join(q, leapfrog_strategy()).output
+    assert len(want) > d // 2
+    plan = join(join(leaf(0), leaf(1)), leaf(2))
+    runs = [lambda: execute_plan(plan, q.relations, CostMeter()),
+            lambda: agm_join_project_traced(q, CostMeter())]
+    default = [run() for run in runs]
+    assert [out for out, _ in default] == [want, want]
+    leaves, _ = agmjoin.plans._encode(q.relations)
+    dtypes = [str(c.dtype) for _, cols, _ in leaves for c in cols]
+    assert dtypes == [dtype, "uint8", dtype, "uint8", "uint8", dtype]  # S(A,B), R(A,B), T(B,C)
+    for block in (1, 2, 7):
+        monkeypatch.setattr(agmjoin.plans, "_BLOCK", block)
+        assert [run() for run in runs] == default, block
 
 
 @pytest.mark.parametrize("seed", range(12))
