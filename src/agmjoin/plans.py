@@ -22,11 +22,11 @@ reads off each join's output size and the summed row footprint, not
 wall-clock time.
 
 ``agm_join_project_traced`` runs the one join-project plan that bounds its
-intermediates by construction: for k = 1..n, join every relation
-projected onto the first k attributes, left-deep.  It is a ``PlanTree``
-run by the same executor as the pairwise plans.  Each level's completed
-result stays within the fractional-cover size bound of the full query,
-at the price of re-touching each relation once per level.  The partial
+intermediates by construction: for k = 1..n, join each relation holding
+the k-th attribute, projected onto the first k, left-deep, by the
+pairwise plans' executor.  Each level's completed result stays within
+the fractional-cover size bound of the full query, at the price of
+re-touching each relation once per attribute it holds.  The partial
 joins inside a level are not bounded: on triangle-bad with m=1000 one
 of them holds 1,003,001 rows against a bound of about 89,500.
 
@@ -349,28 +349,28 @@ def execute_plan(p: PlanTree, bindings: Sequence[Relation],
 
 
 def _agm_plan(q: JoinQuery) -> PlanTree:
-    """Left-deep: for k = 1..n, each relation meeting the first k attributes, projected."""
+    """Left-deep: for each attribute a in order, each relation holding a,
+    projected onto its attributes up to a: Σ arity − 1 joins."""
     tree = None
-    for k in range(1, len(q.attrs) + 1):
-        for i, r in enumerate(q.relations):
-            keep = set(q.attrs[:k]).intersection(r.schema)
-            if keep:
-                tree = leaf(i, keep) if tree is None else join(tree, leaf(i, keep))
+    for a in q.attrs:
+        for i in q.hypergraph.edges_with(a):
+            schema = q.relations[i].schema
+            node = leaf(i, schema[: schema.index(a) + 1])
+            tree = node if tree is None else join(tree, node)
     return tree
 
 
 def agm_join_project_traced(q: JoinQuery, meter: CostMeter) -> tuple[Relation, PlanTrace]:
     """Size-bounded join-project evaluation, returning the joins it ran.
 
-    Runs ``_agm_plan(q)``: level k joins the projections of every
-    relation onto the first k attributes, left-deep, and level 1's joins
-    of unary projections are recorded like every other.  Each level's
-    completed output extends the previous one by one attribute and never
-    escapes the size bound of the full query; the partial joins inside a
-    level carry no such bound.  ``meter``'s deadline is checked as in
-    ``execute_plan``.
+    Runs ``_agm_plan(q)``.  Level k joins each relation holding the k-th
+    attribute, projected onto the first k; a relation without it would
+    add what an earlier level joined.  Each join outputs exactly the
+    first w attributes, w its width, so level k ends at its last record
+    of width k.  That result never escapes the size bound of the full
+    query; the partial joins inside a level carry no such bound.
+    ``meter``'s deadline is checked as in ``execute_plan``.
     """
     if any(len(r) == 0 for r in q.relations):
         return Relation(q.attrs, ()), PlanTrace()
     return _evaluate(_agm_plan(q), q.relations, meter)
-

@@ -30,6 +30,7 @@ from agmjoin import (
     relation,
     run_join,
 )
+from agmjoin.cli import main
 from agmjoin.formats import write_relation_file
 from conftest import all_join_plans, is_simple, random_instance
 
@@ -332,15 +333,6 @@ def test_join_project_with_empty_relation():
     assert records == ()
 
 
-def test_join_project_runs_a_left_spine_deeper_than_the_recursion_limit():
-    # A 45-atom chain: the plan's left spine holds 1,079 joins.
-    xs = make_attrs(*(f"X{i:02d}" for i in range(46)))
-    q = join_query([relation((xs[i], xs[i + 1]), [(0, 0), (1, 1)]) for i in range(45)])
-    out, records = agm_join_project_traced(q, CostMeter())
-    assert out.rows == ((0,) * 46, (1,) * 46)
-    assert len(records) == 1079
-
-
 def run_below_a_recursion_limit_of_200(code, *args):
     """Run ``code`` in a new interpreter after ``sys.setrecursionlimit(200)``."""
     path = [str(Path(agmjoin.__file__).parents[1]), os.environ.get("PYTHONPATH")]
@@ -366,6 +358,30 @@ for p in (left, right):
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_join_project_runs_a_left_spine_deeper_than_the_recursion_limit():
+    # A 101-atom chain: Σ arity − 1 = 201 joins on the plan's left spine.
+    code = """
+from agmjoin import CostMeter, agm_join_project_traced, join_query, make_attrs, relation
+xs = make_attrs(*(f"X{i:03d}" for i in range(102)))
+q = join_query([relation((xs[i], xs[i + 1]), [(0, 0), (1, 1)]) for i in range(101)])
+out, records = agm_join_project_traced(q, CostMeter())
+assert out.rows == ((0,) * 102, (1,) * 102)
+assert len(records) == 201 == sum(r.arity for r in q.relations) - 1
+"""
+    proc = run_below_a_recursion_limit_of_200(code)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def write_path(d, n, rows):
+    """The query file d/q.txt of an n-atom path R_i(X_i, X_i+1), each
+    table holding ``rows``."""
+    for i in range(n):
+        write_relation_file(d / f"R{i}.rel", f"R{i}", [f"X{i}", f"X{i + 1}"], rows)
+    head = ",".join(f"X{i}" for i in range(n + 1))
+    body = ", ".join(f"R{i}(X{i},X{i + 1})" for i in range(n))
+    (d / "q.txt").write_text(f"Q({head}) :- {body}.\n")
+
+
 @pytest.mark.parametrize("algo, code", [
     pytest.param("pairwise:" + "-".join(map(str, range(250))), 0, id="pairwise"),
     pytest.param("leapfrog", 3, id="leapfrog"),
@@ -373,11 +389,7 @@ for p in (left, right):
 def test_run_a_pairwise_plan_deeper_than_the_recursion_limit(tmp_path, algo, code):
     """`agmjoin run` answers a 250-atom path under a pairwise plan with the
     oracle's bytes, while leapfrog's plan nests too deep and exits 3."""
-    for i in range(250):
-        write_relation_file(tmp_path / f"R{i}.rel", f"R{i}", [f"X{i}", f"X{i + 1}"], [(0, 0)])
-    head = ",".join(f"X{i}" for i in range(251))
-    body = ", ".join(f"R{i}(X{i},X{i + 1})" for i in range(250))
-    (tmp_path / "q.txt").write_text(f"Q({head}) :- {body}.\n")
+    write_path(tmp_path, 250, [(0, 0)])
     cli = "from agmjoin.cli import main; sys.exit(main(sys.argv[1:]))"
     run = lambda a: run_below_a_recursion_limit_of_200(  # noqa: E731
         cli, "run", str(tmp_path / "q.txt"), str(tmp_path), "--algo", a, "--out", "-")
@@ -389,6 +401,21 @@ def test_run_a_pairwise_plan_deeper_than_the_recursion_limit(tmp_path, algo, cod
     else:
         assert proc.stdout == run("oracle").stdout
         assert proc.stdout.endswith(b",".join([b"0"] * 251) + b"\n")
+
+
+def test_agm_plan_answers_a_400_atom_path_within_its_budget(tmp_path, capsys):
+    """The join-project plan over a 400-atom path makes 799 joins, one per
+    attribute incidence less one, so `run --algo agm-plan --timeout 10`
+    answers with leapfrog's bytes."""
+    write_path(tmp_path, 400, [(0, 0), (1, 1)])
+    outs = {}
+    for algo in ("agm-plan", "leapfrog"):
+        code = main(["run", str(tmp_path / "q.txt"), str(tmp_path), "--algo", algo,
+                     "--timeout", "10"])
+        assert code == 0, (algo, capsys.readouterr().err)
+        outs[algo] = capsys.readouterr().out
+    assert outs["agm-plan"] == outs["leapfrog"]
+    assert outs["agm-plan"].endswith(",".join(["1"] * 401) + "\n")
 
 
 def test_a_left_deep_plan_over_a_wide_chain_answers_in_time():
@@ -406,24 +433,15 @@ def test_a_left_deep_plan_over_a_wide_chain_answers_in_time():
     assert trace.intermediate_max == 2
 
 
-def level_one_joins(q):
-    """How many recorded joins of unary projections open the join-project plan."""
-    if any(len(r) == 0 for r in q.relations):
-        return 0
-    return sum(1 for r in q.relations if q.attrs[0] in r.schema) - 1
+def width(rec):
+    return len(set(rec.left_attrs) | set(rec.right_attrs))
 
 
-def level_end_records(q, records):
-    """The record finishing each level: after it, the level-k prefix join is complete.
-
-    Level 1 is recorded too: one join per further relation meeting the first attribute.
-    """
-    idx, ends = level_one_joins(q), []
-    for k in range(2, len(q.attrs) + 1):
-        prefix = set(q.attrs[:k])
-        idx += sum(1 for r in q.relations if set(r.schema) & prefix)
-        ends.append(records[idx - 1])
-    return ends
+def level_end_records(records):
+    """The record finishing each level: a join-project record's output is
+    exactly the first w attributes, w its width, so level k ends at its
+    last record of width k."""
+    return list({width(rec): rec for rec in records}.values())
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -433,7 +451,8 @@ def test_join_project_level_results_respect_the_size_bound(seed):
         return
     bound = float(min_cover_lp(q.hypergraph, q.sizes).bound)
     _, records = agm_join_project_traced(q, CostMeter())
-    for rec in level_end_records(q, records):
+    assert [width(rec) for rec in level_end_records(records)][-1] == len(q.attrs)
+    for rec in level_end_records(records):
         assert rec.size <= math.ceil(bound) + 1e-9, (seed, rec)
 
 
@@ -449,7 +468,8 @@ def test_join_project_levels_stay_bounded_where_pairwise_plans_blow_up():
         assert trace.intermediate_sizes[0][1] == 29
     out, records = agm_join_project_traced(q, CostMeter())
     assert len(out) == 13
-    for rec in level_end_records(q, records):
+    assert [width(rec) for rec in level_end_records(records)] == [1, 2, 3]
+    for rec in level_end_records(records):
         assert rec.size <= 27
 
 
@@ -470,9 +490,8 @@ def names(attrs):
 PLAN_DIGEST = "7f136a2c1259e329be2db4a491a2b62122e7cafaca815f408ccfc1a968efdc07"
 
 # sha256 over repr((output schema, output rows, record tuples)) of every
-# agm_join_project_traced run over pin_corpus(), recorded before level 1's
-# joins were; the test slices those off.
-AGM_DIGEST = "a6c34325277d80397c01d65191610c4774ff2654593e9d0bdacc520c5969cf6a"
+# agm_join_project_traced run over pin_corpus().
+AGM_DIGEST = "9beeac257f9426ada93903a54f0596593c10fd68a01f2364378040a0ec4f6c44"
 
 
 def test_plan_traces_are_pinned():
@@ -492,14 +511,22 @@ def test_agm_records_are_pinned():
     digest = hashlib.sha256()
     for q in pin_corpus():
         out, records = agm_join_project_traced(q, CostMeter())
-        l1 = level_one_joins(q)
-        first = (q.attrs[0],)
-        assert all(r.left_attrs == r.right_attrs == first for r in records[:l1])
-        records = records[l1:]
         recs = tuple((names(r.left_attrs), names(r.right_attrs), r.left_size, r.right_size,
                       r.size) for r in records)
         digest.update(repr((names(out.schema), out.rows, recs)).encode())
     assert digest.hexdigest() == AGM_DIGEST
+
+
+def test_join_project_runs_one_join_per_attribute_incidence():
+    """Σ arity − 1 joins, each of whose outputs is a prefix of the attributes."""
+    for q in pin_corpus():
+        _, records = agm_join_project_traced(q, CostMeter())
+        if any(len(r) == 0 for r in q.relations):
+            assert records == ()
+            continue
+        assert len(records) == sum(r.arity for r in q.relations) - 1
+        for rec in records:
+            assert set(rec.left_attrs) | set(rec.right_attrs) == set(q.attrs[:width(rec)])
 
 
 def test_is_simple():
