@@ -25,9 +25,9 @@ Conventions, fixed so output is diffable:
   overrides it.  Every algorithm stops on its deadline: run exits 1 and
   bench marks the cell "timeout" and leaves its probes, advances, emits,
   intermediate_max and total_ops empty, whatever the algorithm.  A numpy
-  plan checks it after each probe block of a two-way join and after each
-  join, so it can overrun by at most one block, whose output can still
-  be large.  bench marks an oracle cell with an obviously hopeless
+  plan checks it after each chunk that a two-way join yields or
+  finishes, so it can overrun by at most one chunk of ``_BLOCK`` (65,536)
+  output rows.  bench marks an oracle cell with an obviously hopeless
   candidate space "skipped".
 
 The exponent fit is least squares of log(total_ops) against log(param)

@@ -7,19 +7,24 @@ each attribute gets one sorted active domain, and each column holds its
 values' ranks in the narrowest of uint8, uint16 and uint32 that holds
 them (int64 past that), so any non-negative integer joins, 2^63 and up
 included.  Ranks keep value order, so only the final result is decoded
-back to values.  Every result is a tuple of contiguous rank columns, one
-per attribute, and one binary-search join probes its left input in
-blocks of ``_BLOCK`` rows, repeating each left column and gathering each
-right-only column once, with no row array or stacked copy.  On
-triangle-bad with m=1000 a whole plan run peaks at about 10 MB under
-tracemalloc, 0.42 times the bytes its 1,003,001-row intermediate would
-take as int64 columns (1.1 times with int64 columns, 2.7 with row
-arrays); the int64 gather index of the block that makes it is most of
-that.  The point of the accounting is the quantity a
-plan cannot avoid — the cardinality of each intermediate result — so a
-run returns a ``PlanTrace``, the tuple of its ``JoinRecord``s, which
-reads off each join's output size and the summed row footprint, not
-wall-clock time.
+back to values.  Every intermediate is a tuple of contiguous rank
+columns, one per attribute, but a join's left input is never held
+whole: it streams through the join in chunks of at most ``_BLOCK``
+rows, and the join's output streams on, in chunks of at most ``_BLOCK``
+rows, into the next join up the left spine (the pipelining of a
+left-deep tree in a Volcano-style engine).  Only a join's right side, a
+projection's input and the result are drained to whole columns.  Each
+join sorts and keys its right side once; a left key finds its run of
+matches by direct address in a slot table where the key span is small,
+and by binary search elsewhere.  On triangle-bad with m=1000 a whole
+plan run peaks at about 3.5 MiB under tracemalloc, 2 MB of it the last
+join's slot table, and at m=3000, whose intermediate is nine times
+larger, no higher.  So a ``JoinRecord`` counts the rows a join
+computed, not rows held at once.  The point of the accounting is the
+quantity a plan cannot avoid computing — the cardinality of each
+intermediate result — so a run returns a ``PlanTrace``, the tuple of
+its ``JoinRecord``s, which reads off each join's output size and the
+summed row footprint, not wall-clock time.
 
 ``agm_join_project_traced`` runs the one join-project plan that bounds its
 intermediates by construction: for k = 1..n, join each relation holding
@@ -28,7 +33,7 @@ pairwise plans' executor.  Each level's completed result stays within
 the fractional-cover size bound of the full query, at the price of
 re-touching each relation once per attribute it holds.  The partial
 joins inside a level are not bounded: on triangle-bad with m=1000 one
-of them holds 1,003,001 rows against a bound of about 89,500.
+of them computes 1,003,001 rows against a bound of about 89,500.
 
 numpy is imported by the first plan run, not with the module: the
 package imports this module, and a process that runs no plan (the
@@ -38,6 +43,7 @@ import time or memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -48,7 +54,8 @@ from .trie import CostMeter
 np = None  # bound to numpy by ``_evaluate``, the one import site
 
 _MAX_KEY = 2**63 - 1  # the largest int64
-_BLOCK = 1 << 16  # left rows per probe block of a two-way join
+_BLOCK = 1 << 16  # rows per chunk that streams into or out of a join
+_DIRECT = 1 << 21  # the largest key span a join probes by direct address
 
 
 @dataclass(frozen=True)
@@ -188,22 +195,26 @@ def _project(schema, cols, n: int, keep: tuple[Attribute, ...]):
 
 
 def _keys(cols: Sequence[np.ndarray], radices: Sequence[int], n: int,
-          tables: dict[int, np.ndarray]) -> np.ndarray:
-    """Pack ``cols`` into one int64 key per row; a lone column is its own key.
+          tables: dict[int, np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """Pack ``cols`` into one int64 key per row, written into ``out`` if
+    given; without it, a lone column is its own key.
 
     Where one more radix would take the key space past ``_MAX_KEY``, the
     partial key is re-ranked first.  The right side's call, which comes
     first, ranks it among its own distinct partial keys and stores them
-    in ``tables``; a left block's call ranks it against those, and a
+    in ``tables``; a left chunk's call ranks it against those, and a
     partial key the right side lacks, which can match nothing, takes the
     one rank past them.  Keys stay int64: numpy widens uint64 mixed with
     int64 to float64.
     """
-    if not cols:
-        return np.zeros(n, dtype=np.int64)
-    if len(cols) == 1:
+    if len(cols) == 1 and out is None:
         return cols[0]
-    key, span = cols[0].astype(np.int64), radices[0]
+    key = np.empty(n, dtype=np.int64) if out is None else out
+    if not cols:
+        key.fill(0)
+        return key
+    key[...] = cols[0]
+    span = radices[0]
     for i in range(1, len(cols)):
         if span * radices[i] - 1 > _MAX_KEY:
             if i not in tables:
@@ -221,88 +232,191 @@ def _keys(cols: Sequence[np.ndarray], radices: Sequence[int], n: int,
     return key
 
 
-def _gather_index(starts, pos, counts) -> np.ndarray:
-    """The sorted right row behind each output row of one probe block.
+def _gather_index(lo, counts, steps) -> np.ndarray:
+    """The sorted right row behind each output row of one chunk.
 
-    Left row i's matches are the ``counts[i]`` rows from ``starts[pos[i]]``
-    on, so the index is a run of +1 steps with a jump where each left
-    row's matches begin: one int64 array of ones, the jumps written at
-    each run's first output row, then summed in place.
+    Run j's matches are the ``counts[j]`` rows from ``lo[j]`` on, so
+    output row k of run j reads row lo[j] - first[j] + k, first[j] the
+    run's first output row: one repeat of each run's offset, plus
+    ``steps`` (0, 1, 2, ... in the same dtype), summed in place.  That
+    dtype is the narrowest of uint8, uint16 and uint32 that holds the
+    right side's row indices (int64 past that); a negative offset wraps,
+    and the sum wraps back exactly, as every index is below the right
+    side's row count.
     """
-    hit = np.flatnonzero(counts)
-    lo, n = starts[pos[hit]], counts[hit]
-    jump = lo.copy()
-    jump[1:] -= lo[:-1] + n[:-1] - 1  # from the previous run's last row
-    ridx = np.ones(int(n.sum()), dtype=np.int64)
-    ridx[np.cumsum(n) - n] = jump
-    return np.cumsum(ridx, out=ridx)
+    first = np.cumsum(counts) - counts
+    idx = np.repeat((lo - first).astype(steps.dtype), counts)
+    idx += steps[: len(idx)]
+    return idx
 
 
-def _merge_join(left, right, radix: dict[Attribute, int], meter: CostMeter):
-    """Natural join of two deduplicated (schema, rank columns, row count)
-    triples; every call is a recorded join.
+class _Join:
+    """One two-way join, through which its left input streams in chunks.
 
-    ``radix`` holds each attribute's domain size.  The right side's
-    composite join keys are sorted once, with its right-only columns in
-    the same order, and its distinct keys mark the runs of equal keys.
-    The left side is probed in blocks of ``_BLOCK`` rows: one binary
-    search over the distinct keys gives each left row its run of
-    matching right rows (or none), ``np.repeat`` expands the left
-    columns, and one index array gathers the right-only columns.
-    ``meter``'s deadline is checked after each block.  With no shared
-    attribute every key is 0, so the cross product is the same code.
-    Every output column keeps its input's dtype.
+    Built once from the left side's schema and dtypes and the whole right
+    side, a (schema, rank columns, row count) triple; ``radix`` holds
+    each attribute's domain size.  The right side's composite join keys
+    are sorted once, with its right-only columns in the same order, and
+    its distinct keys mark the runs of equal keys.  Where the key span
+    (the product of the key radices) is at most ``_DIRECT``, the
+    ``slot`` table maps each key to 1 + its run's rank (0 where the right
+    side lacks it), so a left key finds its run by one gather; sparser
+    spans binary-search the distinct keys.  With no shared attribute
+    every key is 0, so the cross product is the same code.  Every output
+    column keeps its input's dtype.  ``left_size`` and ``size`` count the
+    rows that stream in and out, and ``record`` is the join's slot in
+    the plan's records.
     """
-    (lsch, lcols, nl), (rsch, rcols, nr) = left, right
-    lpos = {a: i for i, a in enumerate(lsch)}
-    rpos = {a: i for i, a in enumerate(rsch)}
-    out_schema = tuple(sorted(lpos.keys() | rpos.keys()))
-    if nl == 0 or nr == 0:
-        return out_schema, tuple((lcols[lpos[a]] if a in lpos else rcols[rpos[a]])[:0]
-                                 for a in out_schema), 0
-    # An attribute of one value adds nothing to the key.
-    shared = [a for a in lsch if a in rpos and radix[a] > 1]
-    lkeyed = [lcols[lpos[a]] for a in shared]
-    radices = [radix[a] for a in shared]
-    tables = {}
-    rkey = _keys([rcols[rpos[a]] for a in shared], radices, nr, tables)
-    order = np.argsort(rkey, kind="stable")
-    rkey = rkey[order]
-    right_only = {a: rcols[rpos[a]][order] for a in out_schema if a not in lpos}
-    # Each distinct right key, where its run of sorted right rows starts, and its length.
-    starts = np.flatnonzero(np.concatenate(([True], rkey[1:] != rkey[:-1])))
-    ukeys = rkey[starts]
-    runs = np.diff(starts, append=nr)
-    pieces, size = {a: [] for a in out_schema}, 0
-    for b in range(0, nl, _BLOCK):
-        block = slice(b, min(b + _BLOCK, nl))
-        lkey = _keys([lc[block] for lc in lkeyed], radices, block.stop - b, tables)
-        pos = np.searchsorted(ukeys, lkey)
-        np.minimum(pos, len(ukeys) - 1, out=pos)
-        counts = runs[pos]
-        counts[ukeys[pos] != lkey] = 0
-        ridx = _gather_index(starts, pos, counts)
-        size += len(ridx)
-        for a, col in right_only.items():
-            pieces[a].append(col[ridx])
-        del ridx  # before the left columns grow, so the peak stays one column over
-        for a, i in lpos.items():
-            pieces[a].append(np.repeat(lcols[i][block], counts))
-        meter.check_deadline()
-    cols = []
-    for a in out_schema:
-        p = pieces.pop(a)
-        cols.append(p[0] if len(p) == 1 else np.concatenate(p))
-    return out_schema, tuple(cols), size
+
+    def __init__(self, lschema, ldtypes, right, radix: dict[Attribute, int], record: int):
+        rsch, rcols, nr = right
+        lpos = {a: i for i, a in enumerate(lschema)}
+        rpos = {a: i for i, a in enumerate(rsch)}
+        self.schema = tuple(sorted(lpos.keys() | rpos.keys()))
+        self.left_attrs, self.right_attrs, self.right_size = lschema, rsch, nr
+        self.left_size = self.size = 0
+        self.record = record
+        self.buffers: dict[int, np.ndarray] = {}
+        # An attribute of one value adds nothing to the key.
+        shared = [a for a in lschema if a in rpos and radix[a] > 1]
+        self.keyed = [lpos[a] for a in shared]
+        self.radices = [radix[a] for a in shared]
+        self.tables = {}
+        rkey = _keys([rcols[rpos[a]] for a in shared], self.radices, nr, self.tables)
+        order = np.argsort(rkey, kind="stable")
+        rkey = rkey[order]
+        # Each output column's source: a left column's position, or a sorted right column.
+        self.sources = [(lpos[a], None) if a in lpos else (None, rcols[rpos[a]][order])
+                        for a in self.schema]
+        self.dtypes = [ldtypes[i] if col is None else col.dtype for i, col in self.sources]
+        if not nr:
+            return  # ``probe`` reads nothing more
+        self.steps = np.arange(0, dtype=_rank_dtype(nr))
+        # Where each distinct right key's run of sorted right rows starts, and
+        # its length, after an entry 0 for a key the right side lacks.
+        starts = np.flatnonzero(np.concatenate(([True], rkey[1:] != rkey[:-1])))
+        ukeys = rkey[starts]
+        self.starts = np.concatenate(([0], starts))
+        self.counts = np.concatenate(([0], np.diff(starts, append=nr)))
+        span = math.prod(self.radices)
+        if span <= _DIRECT and span - 1 <= _MAX_KEY:
+            self.slot = np.zeros(span, dtype=_rank_dtype(len(ukeys) + 1))
+            self.slot[ukeys] = np.arange(1, len(ukeys) + 1)
+        else:
+            self.slot, self.ukeys = None, ukeys.astype(np.int64)
+
+    def _buffer(self, k: int, dtype, n: int) -> np.ndarray:
+        """The first ``n`` entries of this join's ``k``-th scratch array,
+        grown (up to ``_BLOCK`` entries) when a chunk needs more."""
+        buf = self.buffers.get(k)
+        if buf is None or len(buf) < n:
+            size = n if buf is None else min(max(n, 2 * len(buf)), _BLOCK)
+            buf = self.buffers[k] = np.empty(size, dtype=dtype)
+        return buf[:n]
+
+    def probe(self, cols, n: int):
+        """Yield this join's output for one left chunk of ``n`` rows, as
+        (columns, row count) chunks of at most ``_BLOCK`` rows each.
+
+        The chunk's keys and its slot lookups go to this join's own
+        buffers, and only the left rows that hit a run are gathered.  A
+        run may be cut between output chunks, so one left row's matches
+        can fill many of them.
+        """
+        self.left_size += n
+        if not self.right_size:
+            return
+        key = _keys([cols[i] for i in self.keyed], self.radices, n, self.tables,
+                    self._buffer(0, np.int64, n))
+        if self.slot is not None:
+            run = np.take(self.slot, key, out=self._buffer(1, self.slot.dtype, n), mode="clip")
+            hit = np.flatnonzero(run)
+            run = run[hit]
+        else:
+            pos = np.searchsorted(self.ukeys, key)
+            found = np.take(self.ukeys, pos, out=self._buffer(1, np.int64, n), mode="clip")
+            hit = np.flatnonzero(found == key)
+            run = pos[hit] + 1
+        lo, counts = self.starts[run], self.counts[run]
+        ends = np.cumsum(counts)  # one past each hit's last output row
+        total = int(ends[-1]) if len(ends) else 0
+        for o in range(0, total, _BLOCK):
+            e = min(o + _BLOCK, total)
+            if e - o == total:
+                yield self._rows(cols, hit, lo, counts, total), total
+                return
+            # The hits whose runs meet output rows o..e-1, cut to them.
+            i, j = int(np.searchsorted(ends, o, "right")), int(np.searchsorted(ends, e)) + 1
+            part_lo, part_counts = lo[i:j].copy(), counts[i:j].copy()
+            skip = o - (ends[i] - counts[i])
+            part_lo[0] += skip
+            part_counts[0] -= skip
+            part_counts[-1] -= ends[j - 1] - e
+            yield self._rows(cols, hit[i:j], part_lo, part_counts, e - o), e - o
+
+    def _rows(self, cols, hit, lo, counts, w: int):
+        """The ``w`` output rows of the left rows ``hit`` of one chunk, each
+        matching the ``counts`` right rows from ``lo`` on."""
+        self.size += w
+        if len(self.steps) < w:
+            self.steps = np.arange(min(max(w, 2 * len(self.steps)), _BLOCK), dtype=self.steps.dtype)
+        idx = None
+        out = []
+        for i, col in self.sources:
+            if col is None:
+                out.append(np.repeat(cols[i][hit], counts))
+                continue
+            if idx is None:
+                idx = _gather_index(lo, counts, self.steps)
+            out.append(col[idx])  # casts idx piecewise, where np.take copies it whole to intp
+        return tuple(out)
+
+
+def _drain(pipe, records: list, meter: CostMeter):
+    """Run a pipeline, (source triple, joins), to one (schema, rank
+    columns, row count) triple, and write each join's ``JoinRecord``.
+
+    The source's chunks of ``_BLOCK`` rows pass through the joins depth
+    first, on one explicit stack of chunk iterators, so a chunk reaches
+    the end before the next is made and no intermediate is held whole.
+    ``meter``'s deadline is checked after each chunk a join yields,
+    after each chunk it finishes and at the end.
+    """
+    source, joins = pipe
+    if not joins:
+        return source
+    _, cols, n = source
+    pieces = [[] for _ in joins[-1].schema]
+    todo = [((tuple(c[b:b + _BLOCK] for c in cols), min(_BLOCK, n - b))
+             for b in range(0, n, _BLOCK))]
+    while todo:
+        depth = len(todo)
+        chunk = next(todo[-1], None)
+        if chunk is None:
+            todo.pop()
+        elif depth <= len(joins):
+            todo.append(joins[depth - 1].probe(*chunk))
+        else:
+            for p, c in zip(pieces, chunk[0]):
+                p.append(c)
+        if depth > 1 or chunk is None:
+            meter.check_deadline()
+    for j in joins:
+        records[j.record] = JoinRecord(j.left_attrs, j.right_attrs, j.left_size, j.right_size, j.size)
+    last = joins[-1]
+    cols = tuple(np.concatenate(p) if p else np.empty(0, dtype=t) for p, t in zip(pieces, last.dtypes))
+    return last.schema, cols, last.size
 
 
 def _evaluate(p: PlanTree, bindings: Sequence[Relation], meter: CostMeter
               ) -> tuple[Relation, PlanTrace]:
-    """Run ``p``'s walk on a stack of (schema, rank columns, row count)
-    results, and decode the last one back to values.
+    """Run ``p``'s walk on a stack of pipelines, each a source (schema,
+    rank columns, row count) triple and the joins its rows stream
+    through, and decode the result back to values.
 
-    ``meter``'s deadline is checked after each join as well as inside it,
-    so a join that returns early on an empty side is no escape."""
+    A join's right side, a projection and the result are drained to a
+    triple; a left side only gains a join.  Each join's record takes the
+    join's post-order slot, filled when its pipeline drains."""
     global np
     import numpy as np
 
@@ -313,17 +427,16 @@ def _evaluate(p: PlanTree, bindings: Sequence[Relation], meter: CostMeter
         if node.is_leaf:
             if not 0 <= node.ref < len(leaves):
                 raise PlanError(f"plan leaf #{node.ref} names no atom")
-            stack.append(leaves[node.ref])
+            stack.append((leaves[node.ref], []))
         else:
-            right = stack.pop()
-            left = stack.pop()
-            out = _merge_join(left, right, radix, meter)
-            records.append(JoinRecord(left[0], right[0], left[2], right[2], out[2]))
-            stack.append(out)
-            meter.check_deadline()
+            right = _drain(stack.pop(), records, meter)
+            (schema, cols, _), joins = stack[-1]
+            head = (joins[-1].schema, joins[-1].dtypes) if joins else (schema, [c.dtype for c in cols])
+            joins.append(_Join(*head, right, radix, len(records)))
+            records.append(None)
         if node.keep is not None:
-            stack[-1] = _project(*stack[-1], node.keep)
-    schema, cols, n = stack.pop()
+            stack[-1] = (_project(*_drain(stack[-1], records, meter), node.keep), [])
+    schema, cols, n = _drain(stack.pop(), records, meter)
     values = [domains[a][c].tolist() for a, c in zip(schema, cols)]
     rows = tuple(zip(*values)) if cols else ((),) * n
     return Relation(schema, rows), PlanTrace(records)
@@ -335,11 +448,9 @@ def execute_plan(p: PlanTree, bindings: Sequence[Relation],
 
     Join-only plans (no projections anywhere) must reference distinct
     atoms; join-project plans may revisit them.  ``meter``'s deadline is
-    checked after each probe block of ``_BLOCK`` left rows and after
-    each join; numpy cannot be interrupted inside a block, so the plan
-    can overrun its budget by at most one block of one two-way join,
-    whose own output can still be large (one left row may match every
-    right row).
+    checked after each chunk that a join yields or finishes; numpy cannot
+    be interrupted inside a chunk, so the plan can overrun its budget by
+    at most one chunk of ``_BLOCK`` output rows.
     """
     if not p.has_projection():
         refs = p.leaf_refs()

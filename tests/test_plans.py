@@ -215,6 +215,21 @@ def test_key_space_overflow_guard(monkeypatch):
         assert any(tables), max_key
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_direct_address_and_binary_search_probes_agree(seed, monkeypatch):
+    """With ``_DIRECT`` at 0 every join binary-searches its right side's
+    distinct keys instead of reading a slot table: every plan answers with
+    the same output and trace, at chunks of 1, 2 and 7 rows too."""
+    q = random_instance(seed, max_m=4, max_rows=8)
+    plans = all_join_plans(len(q.relations))
+    default = [execute_plan(p, q.relations, CostMeter()) for p in plans]
+    monkeypatch.setattr(agmjoin.plans, "_DIRECT", 0)
+    for block in (1, 2, 7, 1 << 16):
+        monkeypatch.setattr(agmjoin.plans, "_BLOCK", block)
+        for p, run in zip(plans, default):
+            assert execute_plan(p, q.relations, CostMeter()) == run, (seed, block, repr(p))
+
+
 @pytest.mark.parametrize("v", [2**62 - 1, 2**62, 2**63 - 1, 2**63, 2**64])
 def test_one_shared_attribute_up_to_the_largest_int64_joins(v):
     """The packed key of one shared attribute is the value's rank, so a
@@ -272,11 +287,38 @@ def test_an_expired_deadline_stops_a_join_after_its_first_probe_block(monkeypatc
     assert packed == [3, 2]  # the right side's keys, then one block's
 
 
+def test_an_expired_deadline_stops_a_join_after_its_first_output_chunk(monkeypatch):
+    """One left row matches ten right rows.  In chunks of two rows, an
+    expired deadline is seen after the first output chunk, before the
+    rest of that row's run is gathered."""
+    monkeypatch.setattr(agmjoin.plans, "_BLOCK", 2)
+    gathered = []
+
+    def gather(*args):
+        idx = gather_index(*args)
+        gathered.append(len(idx))
+        return idx
+
+    gather_index = agmjoin.plans._gather_index
+    monkeypatch.setattr(agmjoin.plans, "_gather_index", gather)
+    r = relation([A, B], [(0, 0)])
+    s = relation([B, C], [(0, c) for c in range(10)])
+    out, trace = execute_plan(join(leaf(0), leaf(1)), [r, s], CostMeter())
+    assert len(out) == 10 and gathered == [2] * 5
+    gathered.clear()
+    m = CostMeter()
+    m.start_deadline(0)
+    time.sleep(0.01)
+    with pytest.raises(TimeBudgetExceeded):
+        execute_plan(join(leaf(0), leaf(1)), [r, s], m)
+    assert gathered == [2]
+
+
 def test_plan_memory_peaks_near_the_largest_intermediate():
-    """On triangle-bad m=1000 both plans build a 1,003,001-row intermediate
-    of three columns, 24 MB if they were int64; as uint16 ranks, with the
-    gather index summed in place, the traced peak of a whole run stays
-    within half of that."""
+    """On triangle-bad m=1000 both plans compute a 1,003,001-row
+    intermediate of three columns, 24 MB if it were held as int64
+    columns; it streams through the last join in chunks and is never held
+    whole, and the traced peak of a whole run stays within half of that."""
     q = gen_triangle_bad(1000).query
     runs = [lambda: agm_join_project_traced(q, CostMeter()),
             lambda: execute_plan(join(join(leaf(0), leaf(1)), leaf(2)), q.relations, CostMeter())]
@@ -290,6 +332,38 @@ def test_plan_memory_peaks_near_the_largest_intermediate():
             tracemalloc.stop()
         assert trace.intermediate_max == 1_003_001
         assert peak <= 0.5 * 1_003_001 * 3 * 8
+
+
+def traced_peak(run):
+    """The tracemalloc peak of ``run()`` after one untraced warm-up run,
+    and the run's result."""
+    run()
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_plan_memory_does_not_grow_with_the_intermediate():
+    """Both plans stream the triangle-bad intermediate through the last
+    join, so their traced peak at m=3000 (a 9,009,001-row intermediate)
+    stays within 1.5 times the peak at m=1000 (1,003,001 rows), which
+    stays within 4 MiB."""
+    peaks = {}
+    for m in (1000, 3000):
+        q = gen_triangle_bad(m).query
+        runs = [lambda: agm_join_project_traced(q, CostMeter()),
+                lambda: execute_plan(join(join(leaf(0), leaf(1)), leaf(2)), q.relations,
+                                     CostMeter())]
+        for k, run in enumerate(runs):
+            peaks[m, k], (out, trace) = traced_peak(run)
+            assert trace.intermediate_max == (m + 1) ** 2 + m
+            assert len(out) == 3 * m + 1
+    for k in range(2):
+        assert peaks[1000, k] <= 4 * 2**20, peaks
+        assert peaks[3000, k] <= 1.5 * peaks[1000, k], peaks
 
 
 @pytest.mark.parametrize("d, dtype", [(255, "uint8"), (256, "uint8"), (257, "uint16"),
@@ -318,6 +392,41 @@ def test_rank_dtypes_switch_at_their_boundaries(monkeypatch, d, dtype):
     for block in (1, 2, 7):
         monkeypatch.setattr(agmjoin.plans, "_BLOCK", block)
         assert [run() for run in runs] == default, block
+
+
+@pytest.mark.parametrize("nr, dtype", [(255, "uint8"), (256, "uint8"), (257, "uint16"),
+                                       (65_535, "uint16"), (65_536, "uint16"),
+                                       (65_537, "uint32")])
+def test_gather_index_dtypes_switch_at_their_boundaries(monkeypatch, nr, dtype):
+    """A right side of ``nr`` rows is gathered through an index in the
+    narrowest unsigned dtype that holds its row count.  Left rows that
+    match its first, middle and last runs, in an order whose index steps
+    back and wraps around, answer as leapfrog does, with the same trace
+    at chunks of 1, 2 and 7 rows."""
+    last = (nr - 1) // 2
+    r = relation([A, B], [(0, last), (1, 0), (2, last // 2), (3, last), (4, last + 1)])
+    s = relation([B, C], [(i // 2, i) for i in range(nr)])
+    q = join_query([r, s])
+    want = run_join(q, leapfrog_strategy()).output
+    assert len(want) == 8 - 2 * (nr % 2)
+    dtypes = set()
+
+    def gather(lo, counts, steps):
+        dtypes.add(str(steps.dtype))
+        return gather_index(lo, counts, steps)
+
+    gather_index = agmjoin.plans._gather_index
+    monkeypatch.setattr(agmjoin.plans, "_gather_index", gather)
+    pairwise = lambda: execute_plan(join(leaf(0), leaf(1)), q.relations, CostMeter())  # noqa: E731
+    runs = [pairwise, lambda: agm_join_project_traced(q, CostMeter())]
+    default = [run() for run in runs]
+    assert [out for out, _ in default] == [want, want]
+    for block in (1, 2, 7):
+        monkeypatch.setattr(agmjoin.plans, "_BLOCK", block)
+        assert [run() for run in runs] == default, block
+    dtypes.clear()
+    pairwise()
+    assert dtypes == {dtype}
 
 
 @pytest.mark.parametrize("seed", range(12))
