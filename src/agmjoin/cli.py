@@ -26,9 +26,11 @@ Conventions, fixed so output is diffable:
   bench marks the cell "timeout" and leaves its probes, advances, emits,
   intermediate_max and total_ops empty, whatever the algorithm.  A numpy
   plan checks it after each chunk that a two-way join yields or
-  finishes, so it can overrun by at most one chunk of ``_BLOCK`` (65,536)
-  output rows.  bench marks an oracle cell with an obviously hopeless
-  candidate space "skipped".
+  finishes and before each join that extends a left spine, so it can
+  overrun by one chunk of at most ``_BLOCK`` (65,536) output rows, or by
+  one sort of a join's right side or of a projection's input.  bench
+  marks an oracle cell with an obviously hopeless candidate space
+  "skipped".
 
 The exponent fit is least squares of log(total_ops) against log(param)
 over the largest half of the parameters (rounded up), which is where

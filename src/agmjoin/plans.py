@@ -14,12 +14,15 @@ rows, and the join's output streams on, in chunks of at most ``_BLOCK``
 rows, into the next join up the left spine (the pipelining of a
 left-deep tree in a Volcano-style engine).  Only a join's right side, a
 projection's input and the result are drained to whole columns.  Each
-join sorts and keys its right side once; a left key finds its run of
-matches by direct address in a slot table where the key span is small,
-and by binary search elsewhere.  On triangle-bad with m=1000 a whole
-plan run peaks at about 3.5 MiB under tracemalloc, 2 MB of it the last
-join's slot table, and at m=3000, whose intermediate is nine times
-larger, no higher.  So a ``JoinRecord`` counts the rows a join
+join sorts and keys its right side once, and a left key finds its run
+of matches by binary search.  On triangle-bad with m=1000 a whole plan
+run peaks at about 2.1 MiB under tracemalloc, and at m=3000, whose
+intermediate is nine times larger, no higher.  What a spine holds at
+once is every join's prepared right side (its sorted right-only
+columns, distinct keys and run bounds), plus, at each join whose output
+for one input chunk overflows a chunk, that input chunk's matching
+rows: a 99-join spine of 65,536-row joins holds about 0.5 MB per join.
+So a ``JoinRecord`` counts the rows a join
 computed, not rows held at once.  The point of the accounting is the
 quantity a plan cannot avoid computing — the cardinality of each
 intermediate result — so a run returns a ``PlanTrace``, the tuple of
@@ -43,7 +46,6 @@ import time or memory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -55,7 +57,6 @@ np = None  # bound to numpy by ``_evaluate``, the one import site
 
 _MAX_KEY = 2**63 - 1  # the largest int64
 _BLOCK = 1 << 16  # rows per chunk that streams into or out of a join
-_DIRECT = 1 << 21  # the largest key span a join probes by direct address
 
 
 @dataclass(frozen=True)
@@ -195,9 +196,8 @@ def _project(schema, cols, n: int, keep: tuple[Attribute, ...]):
 
 
 def _keys(cols: Sequence[np.ndarray], radices: Sequence[int], n: int,
-          tables: dict[int, np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-    """Pack ``cols`` into one int64 key per row, written into ``out`` if
-    given; without it, a lone column is its own key.
+          tables: dict[int, np.ndarray]) -> np.ndarray:
+    """Pack ``cols`` into one int64 key per row; a lone column is its own key.
 
     Where one more radix would take the key space past ``_MAX_KEY``, the
     partial key is re-ranked first.  The right side's call, which comes
@@ -207,14 +207,11 @@ def _keys(cols: Sequence[np.ndarray], radices: Sequence[int], n: int,
     one rank past them.  Keys stay int64: numpy widens uint64 mixed with
     int64 to float64.
     """
-    if len(cols) == 1 and out is None:
-        return cols[0]
-    key = np.empty(n, dtype=np.int64) if out is None else out
     if not cols:
-        key.fill(0)
-        return key
-    key[...] = cols[0]
-    span = radices[0]
+        return np.zeros(n, dtype=np.int64)
+    if len(cols) == 1:
+        return cols[0]
+    key, span = cols[0].astype(np.int64), radices[0]
     for i in range(1, len(cols)):
         if span * radices[i] - 1 > _MAX_KEY:
             if i not in tables:
@@ -232,21 +229,20 @@ def _keys(cols: Sequence[np.ndarray], radices: Sequence[int], n: int,
     return key
 
 
-def _gather_index(lo, counts, steps) -> np.ndarray:
+def _gather_index(lo, counts, dtype) -> np.ndarray:
     """The sorted right row behind each output row of one chunk.
 
     Run j's matches are the ``counts[j]`` rows from ``lo[j]`` on, so
     output row k of run j reads row lo[j] - first[j] + k, first[j] the
-    run's first output row: one repeat of each run's offset, plus
-    ``steps`` (0, 1, 2, ... in the same dtype), summed in place.  That
-    dtype is the narrowest of uint8, uint16 and uint32 that holds the
-    right side's row indices (int64 past that); a negative offset wraps,
-    and the sum wraps back exactly, as every index is below the right
-    side's row count.
+    run's first output row: one repeat of each run's offset, plus 0, 1,
+    2, ..., summed in place.  ``dtype`` is the narrowest of uint8, uint16
+    and uint32 that holds the right side's row indices (int64 past
+    that); a negative offset wraps, and the sum wraps back exactly, as
+    every index is below the right side's row count.
     """
     first = np.cumsum(counts) - counts
-    idx = np.repeat((lo - first).astype(steps.dtype), counts)
-    idx += steps[: len(idx)]
+    idx = np.repeat((lo - first).astype(dtype), counts)
+    idx += np.arange(len(idx), dtype=dtype)
     return idx
 
 
@@ -257,15 +253,14 @@ class _Join:
     side, a (schema, rank columns, row count) triple; ``radix`` holds
     each attribute's domain size.  The right side's composite join keys
     are sorted once, with its right-only columns in the same order, and
-    its distinct keys mark the runs of equal keys.  Where the key span
-    (the product of the key radices) is at most ``_DIRECT``, the
-    ``slot`` table maps each key to 1 + its run's rank (0 where the right
-    side lacks it), so a left key finds its run by one gather; sparser
-    spans binary-search the distinct keys.  With no shared attribute
-    every key is 0, so the cross product is the same code.  Every output
-    column keeps its input's dtype.  ``left_size`` and ``size`` count the
-    rows that stream in and out, and ``record`` is the join's slot in
-    the plan's records.
+    its distinct keys mark the runs of equal keys; a left key finds its
+    run by binary search.  With no shared attribute every key is 0, so
+    the cross product is the same code.  Every output column keeps its
+    input's dtype, and the run bounds take the narrowest dtype that
+    holds the right side's row count, as a pipeline holds every join's
+    state at once.  ``left_size`` and ``size`` count the rows that
+    stream in and out, and ``record`` is the join's slot in the plan's
+    records.
     """
 
     def __init__(self, lschema, ldtypes, right, radix: dict[Attribute, int], record: int):
@@ -276,7 +271,6 @@ class _Join:
         self.left_attrs, self.right_attrs, self.right_size = lschema, rsch, nr
         self.left_size = self.size = 0
         self.record = record
-        self.buffers: dict[int, np.ndarray] = {}
         # An attribute of one value adds nothing to the key.
         shared = [a for a in lschema if a in rpos and radix[a] > 1]
         self.keyed = [lpos[a] for a in shared]
@@ -291,60 +285,47 @@ class _Join:
         self.dtypes = [ldtypes[i] if col is None else col.dtype for i, col in self.sources]
         if not nr:
             return  # ``probe`` reads nothing more
-        self.steps = np.arange(0, dtype=_rank_dtype(nr))
-        # Where each distinct right key's run of sorted right rows starts, and
-        # its length, after an entry 0 for a key the right side lacks.
+        self.index_dtype = _rank_dtype(nr)
+        # Each distinct right key, and where its run of sorted right rows
+        # starts; the run ends where the next one starts, the last at nr.
         starts = np.flatnonzero(np.concatenate(([True], rkey[1:] != rkey[:-1])))
-        ukeys = rkey[starts]
-        self.starts = np.concatenate(([0], starts))
-        self.counts = np.concatenate(([0], np.diff(starts, append=nr)))
-        span = math.prod(self.radices)
-        if span <= _DIRECT and span - 1 <= _MAX_KEY:
-            self.slot = np.zeros(span, dtype=_rank_dtype(len(ukeys) + 1))
-            self.slot[ukeys] = np.arange(1, len(ukeys) + 1)
-        else:
-            self.slot, self.ukeys = None, ukeys.astype(np.int64)
-
-    def _buffer(self, k: int, dtype, n: int) -> np.ndarray:
-        """The first ``n`` entries of this join's ``k``-th scratch array,
-        grown (up to ``_BLOCK`` entries) when a chunk needs more."""
-        buf = self.buffers.get(k)
-        if buf is None or len(buf) < n:
-            size = n if buf is None else min(max(n, 2 * len(buf)), _BLOCK)
-            buf = self.buffers[k] = np.empty(size, dtype=dtype)
-        return buf[:n]
+        self.ukeys = rkey[starts]
+        self.bounds = np.append(starts, nr).astype(_rank_dtype(nr + 1))
 
     def probe(self, cols, n: int):
         """Yield this join's output for one left chunk of ``n`` rows, as
         (columns, row count) chunks of at most ``_BLOCK`` rows each.
 
-        The chunk's keys and its slot lookups go to this join's own
-        buffers, and only the left rows that hit a run are gathered.  A
-        run may be cut between output chunks, so one left row's matches
-        can fill many of them.
+        Only the left rows that hit a run are kept.  A run may be cut
+        between output chunks, so one left row's matches can fill many of
+        them; while those go up the spine, this frame holds the hit rows
+        and their runs.  Where the output fits in one chunk, the frame
+        keeps nothing once it has yielded it, so a deep spine holds a
+        chunk only at the joins whose output for one input chunk
+        overflows a chunk.
         """
         self.left_size += n
         if not self.right_size:
             return
-        key = _keys([cols[i] for i in self.keyed], self.radices, n, self.tables,
-                    self._buffer(0, np.int64, n))
-        if self.slot is not None:
-            run = np.take(self.slot, key, out=self._buffer(1, self.slot.dtype, n), mode="clip")
-            hit = np.flatnonzero(run)
-            run = run[hit]
-        else:
-            pos = np.searchsorted(self.ukeys, key)
-            found = np.take(self.ukeys, pos, out=self._buffer(1, np.int64, n), mode="clip")
-            hit = np.flatnonzero(found == key)
-            run = pos[hit] + 1
-        lo, counts = self.starts[run], self.counts[run]
+        key = _keys([cols[i] for i in self.keyed], self.radices, n, self.tables)
+        pos = np.searchsorted(self.ukeys, key)
+        np.minimum(pos, len(self.ukeys) - 1, out=pos)
+        hit = np.flatnonzero(self.ukeys[pos] == key)
+        pos = pos[hit]
+        lo = self.bounds[pos]
+        counts = self.bounds[1:][pos] - lo
+        cols = [c[hit] for c in cols]
+        del key, pos, hit
         ends = np.cumsum(counts)  # one past each hit's last output row
         total = int(ends[-1]) if len(ends) else 0
+        if total <= _BLOCK:
+            if total:
+                out = [(self._rows(cols, lo, counts, total), total)]
+                del cols, lo, counts, ends  # the suspended frame keeps none of these,
+                yield out.pop()  # nor, once popped, the output
+            return
         for o in range(0, total, _BLOCK):
             e = min(o + _BLOCK, total)
-            if e - o == total:
-                yield self._rows(cols, hit, lo, counts, total), total
-                return
             # The hits whose runs meet output rows o..e-1, cut to them.
             i, j = int(np.searchsorted(ends, o, "right")), int(np.searchsorted(ends, e)) + 1
             part_lo, part_counts = lo[i:j].copy(), counts[i:j].copy()
@@ -352,22 +333,20 @@ class _Join:
             part_lo[0] += skip
             part_counts[0] -= skip
             part_counts[-1] -= ends[j - 1] - e
-            yield self._rows(cols, hit[i:j], part_lo, part_counts, e - o), e - o
+            yield self._rows([c[i:j] for c in cols], part_lo, part_counts, e - o), e - o
 
-    def _rows(self, cols, hit, lo, counts, w: int):
-        """The ``w`` output rows of the left rows ``hit`` of one chunk, each
+    def _rows(self, cols, lo, counts, w: int):
+        """The ``w`` output rows of the hit left rows ``cols``, each
         matching the ``counts`` right rows from ``lo`` on."""
         self.size += w
-        if len(self.steps) < w:
-            self.steps = np.arange(min(max(w, 2 * len(self.steps)), _BLOCK), dtype=self.steps.dtype)
         idx = None
         out = []
         for i, col in self.sources:
             if col is None:
-                out.append(np.repeat(cols[i][hit], counts))
+                out.append(np.repeat(cols[i], counts))
                 continue
             if idx is None:
-                idx = _gather_index(lo, counts, self.steps)
+                idx = _gather_index(lo, counts, self.index_dtype)
             out.append(col[idx])  # casts idx piecewise, where np.take copies it whole to intp
         return tuple(out)
 
@@ -404,8 +383,29 @@ def _drain(pipe, records: list, meter: CostMeter):
     for j in joins:
         records[j.record] = JoinRecord(j.left_attrs, j.right_attrs, j.left_size, j.right_size, j.size)
     last = joins[-1]
-    cols = tuple(np.concatenate(p) if p else np.empty(0, dtype=t) for p, t in zip(pieces, last.dtypes))
-    return last.schema, cols, last.size
+    cols = []
+    for p, t in zip(pieces, last.dtypes):
+        cols.append(np.empty(0, dtype=t) if not p else p[0] if len(p) == 1 else np.concatenate(p))
+    return last.schema, tuple(cols), last.size
+
+
+def _add_join(stack: list, radix: dict[Attribute, int], records: list, meter: CostMeter):
+    """Drain the pipeline on top of ``stack``, a join's right side, and
+    add the join to the left spine below it, in the join's record slot.
+
+    ``meter``'s deadline is checked before a join that extends a spine,
+    so an expired budget stops a long spine before it builds the rest
+    of its joins.  A function of its own, so that no local of the
+    caller's keeps a spine's joins or a right side alive."""
+    right = _drain(stack.pop(), records, meter)
+    (schema, cols, _), joins = stack[-1]
+    if joins:
+        meter.check_deadline()
+        head = joins[-1].schema, joins[-1].dtypes
+    else:
+        head = schema, [c.dtype for c in cols]
+    joins.append(_Join(*head, right, radix, len(records)))
+    records.append(None)
 
 
 def _evaluate(p: PlanTree, bindings: Sequence[Relation], meter: CostMeter
@@ -429,11 +429,7 @@ def _evaluate(p: PlanTree, bindings: Sequence[Relation], meter: CostMeter
                 raise PlanError(f"plan leaf #{node.ref} names no atom")
             stack.append((leaves[node.ref], []))
         else:
-            right = _drain(stack.pop(), records, meter)
-            (schema, cols, _), joins = stack[-1]
-            head = (joins[-1].schema, joins[-1].dtypes) if joins else (schema, [c.dtype for c in cols])
-            joins.append(_Join(*head, right, radix, len(records)))
-            records.append(None)
+            _add_join(stack, radix, records, meter)
         if node.keep is not None:
             stack[-1] = (_project(*_drain(stack[-1], records, meter), node.keep), [])
     schema, cols, n = _drain(stack.pop(), records, meter)
@@ -448,9 +444,11 @@ def execute_plan(p: PlanTree, bindings: Sequence[Relation],
 
     Join-only plans (no projections anywhere) must reference distinct
     atoms; join-project plans may revisit them.  ``meter``'s deadline is
-    checked after each chunk that a join yields or finishes; numpy cannot
-    be interrupted inside a chunk, so the plan can overrun its budget by
-    at most one chunk of ``_BLOCK`` output rows.
+    checked after each chunk that a join yields or finishes and before
+    each join that extends a left spine; numpy cannot be interrupted
+    inside a chunk or a sort, so the plan can overrun its budget by one
+    chunk of at most ``_BLOCK`` output rows, or by one sort of a join's
+    right side or of a projection's input.
     """
     if not p.has_projection():
         refs = p.leaf_refs()

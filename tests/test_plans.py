@@ -215,21 +215,6 @@ def test_key_space_overflow_guard(monkeypatch):
         assert any(tables), max_key
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_direct_address_and_binary_search_probes_agree(seed, monkeypatch):
-    """With ``_DIRECT`` at 0 every join binary-searches its right side's
-    distinct keys instead of reading a slot table: every plan answers with
-    the same output and trace, at chunks of 1, 2 and 7 rows too."""
-    q = random_instance(seed, max_m=4, max_rows=8)
-    plans = all_join_plans(len(q.relations))
-    default = [execute_plan(p, q.relations, CostMeter()) for p in plans]
-    monkeypatch.setattr(agmjoin.plans, "_DIRECT", 0)
-    for block in (1, 2, 7, 1 << 16):
-        monkeypatch.setattr(agmjoin.plans, "_BLOCK", block)
-        for p, run in zip(plans, default):
-            assert execute_plan(p, q.relations, CostMeter()) == run, (seed, block, repr(p))
-
-
 @pytest.mark.parametrize("v", [2**62 - 1, 2**62, 2**63 - 1, 2**63, 2**64])
 def test_one_shared_attribute_up_to_the_largest_int64_joins(v):
     """The packed key of one shared attribute is the value's rank, so a
@@ -287,6 +272,34 @@ def test_an_expired_deadline_stops_a_join_after_its_first_probe_block(monkeypatc
     assert packed == [3, 2]  # the right side's keys, then one block's
 
 
+def test_an_expired_deadline_stops_a_left_spine_before_its_second_join(monkeypatch):
+    """A left-deep plan builds each join of its spine before any row
+    streams through them; an expired budget is seen before the second
+    join is built, not after the whole spine is."""
+    built = []
+
+    class Join(agmjoin.plans._Join):
+        def __init__(self, *args):
+            built.append(args[-1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(agmjoin.plans, "_Join", Join)
+    xs = make_attrs(*(f"X{i}" for i in range(6)))
+    rels = [relation((xs[i], xs[i + 1]), [(0, 0), (1, 1)]) for i in range(5)]
+    spine = leaf(0)
+    for i in range(1, 5):
+        spine = join(spine, leaf(i))
+    out, trace = execute_plan(spine, rels, CostMeter())
+    assert len(out) == 2 and built == [0, 1, 2, 3]
+    built.clear()
+    m = CostMeter()
+    m.start_deadline(0)
+    time.sleep(0.01)
+    with pytest.raises(TimeBudgetExceeded):
+        execute_plan(spine, rels, m)
+    assert built == [0]
+
+
 def test_an_expired_deadline_stops_a_join_after_its_first_output_chunk(monkeypatch):
     """One left row matches ten right rows.  In chunks of two rows, an
     expired deadline is seen after the first output chunk, before the
@@ -312,6 +325,42 @@ def test_an_expired_deadline_stops_a_join_after_its_first_output_chunk(monkeypat
     with pytest.raises(TimeBudgetExceeded):
         execute_plan(join(leaf(0), leaf(1)), [r, s], m)
     assert gathered == [2]
+
+
+def test_a_suspended_join_holds_only_what_its_next_output_chunk_needs(monkeypatch):
+    """While a join's output chunk moves on up the spine, its suspended
+    probe holds no array if that chunk was all of its output, and only
+    the left rows that matched if more chunks are to come; so a deep
+    spine does not hold a chunk at every join."""
+    execute_plan(leaf(0), [relation([A], [(0,)])], CostMeter())  # loads numpy
+    np = agmjoin.plans.np
+    u8 = np.uint8
+    right = ((B, C), (np.array([0, 0, 1], u8), np.array([0, 1, 2], u8)), 3)
+    # Left rows (0,0), (1,1), (2,2), (3,0): the third matches nothing.
+    left = (np.array([0, 1, 2, 3], u8), np.array([0, 1, 2, 0], u8))
+
+    def arrays(probe):
+        held = []
+        for v in probe.gi_frame.f_locals.values():
+            held += [x for x in (v if isinstance(v, (list, tuple)) else [v])
+                     if isinstance(x, np.ndarray)]
+        return held
+
+    def join_left():
+        return agmjoin.plans._Join((A, B), [u8, u8], right, {A: 4, B: 3, C: 3}, 0)
+
+    probe = join_left().probe(left, 4)
+    cols, w = next(probe)
+    assert w == 5 and arrays(probe) == []
+    assert next(probe, None) is None
+    monkeypatch.setattr(agmjoin.plans, "_BLOCK", 2)
+    probe = join_left().probe(left, 4)
+    chunks = [next(probe)]
+    assert max(len(a) for a in arrays(probe)) == 3  # the three left rows that matched
+    chunks += list(probe)
+    assert [w for _, w in chunks] == [2, 2, 1]
+    assert [c.tolist() for c in np.concatenate([c for c, _ in chunks], axis=1)] == \
+        [c.tolist() for c in cols]
 
 
 def test_plan_memory_peaks_near_the_largest_intermediate():
@@ -411,9 +460,9 @@ def test_gather_index_dtypes_switch_at_their_boundaries(monkeypatch, nr, dtype):
     assert len(want) == 8 - 2 * (nr % 2)
     dtypes = set()
 
-    def gather(lo, counts, steps):
-        dtypes.add(str(steps.dtype))
-        return gather_index(lo, counts, steps)
+    def gather(lo, counts, dtype):
+        dtypes.add(dtype.__name__)
+        return gather_index(lo, counts, dtype)
 
     gather_index = agmjoin.plans._gather_index
     monkeypatch.setattr(agmjoin.plans, "_gather_index", gather)
