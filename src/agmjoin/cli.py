@@ -28,7 +28,8 @@ Conventions, fixed so output is diffable:
   plan checks it after each chunk that a two-way join yields or
   finishes and before each join that extends a left spine, so it can
   overrun by one chunk of at most ``_BLOCK`` (65,536) output rows, or by
-  one sort of a join's right side or of a projection's input.  bench
+  one sort of a join's right side or of a projection's input, or one
+  slot-table build of at most 2 MiB.  bench
   marks an oracle cell with an obviously hopeless candidate space
   "skipped".
 

@@ -14,15 +14,21 @@ rows, and the join's output streams on, in chunks of at most ``_BLOCK``
 rows, into the next join up the left spine (the pipelining of a
 left-deep tree in a Volcano-style engine).  Only a join's right side, a
 projection's input and the result are drained to whole columns.  Each
-join sorts and keys its right side once, and a left key finds its run
-of matches by binary search.  On triangle-bad with m=1000 a whole plan
-run peaks at about 2.1 MiB under tracemalloc, and at m=3000, whose
-intermediate is nine times larger, no higher.  What a spine holds at
-once is every join's prepared right side (its sorted right-only
-columns, distinct keys and run bounds), plus, at each join whose output
-for one input chunk overflows a chunk, that input chunk's matching
-rows: a 99-join spine of 65,536-row joins holds about 0.5 MB per join.
-So a ``JoinRecord`` counts the rows a join
+join sorts and keys its right side once.  A left key finds its run of
+matches by binary search over the right side's distinct keys, or, once
+the join has probed span / 256 rows where its key span fits a slot
+table of at most 2 MiB, by direct address: one gather from a table of
+key → 1 + run rank, built on demand, so a small left side never builds
+one.  On triangle-bad with m=1000 a whole plan run peaks at about 3.1
+MiB under tracemalloc, 2 MB of it the last join's slot table, and at
+m=3000, whose intermediate is nine times larger, no higher.  What a
+spine holds at once is every join's prepared right side (its sorted
+right-only columns, distinct keys, run bounds and slot table, if
+built), plus, at each join whose output for one input chunk overflows
+a chunk, that input chunk's matching rows: a 99-join spine of
+65,536-row joins peaks at about 126 MB under tracemalloc, 25 MB of it
+the joins' 256 KB slot tables.  So a ``JoinRecord``
+counts the rows a join
 computed, not rows held at once.  The point of the accounting is the
 quantity a plan cannot avoid computing — the cardinality of each
 intermediate result — so a run returns a ``PlanTrace``, the tuple of
@@ -46,7 +52,9 @@ import time or memory.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PlanError
@@ -229,6 +237,13 @@ def _keys(cols: Sequence[np.ndarray], radices: Sequence[int], n: int,
     return key
 
 
+def _table_cap() -> int:
+    """The most bytes a join's slot table may take: what one chunk's
+    binary search allocates, 8 bytes a row each for its packed keys, its
+    positions, the keys they read and its hit list."""
+    return 32 * _BLOCK
+
+
 def _gather_index(lo, counts, dtype) -> np.ndarray:
     """The sorted right row behind each output row of one chunk.
 
@@ -251,11 +266,17 @@ class _Join:
 
     Built once from the left side's schema and dtypes and the whole right
     side, a (schema, rank columns, row count) triple; ``radix`` holds
-    each attribute's domain size.  The right side's composite join keys
-    are sorted once, with its right-only columns in the same order, and
-    its distinct keys mark the runs of equal keys; a left key finds its
-    run by binary search.  With no shared attribute every key is 0, so
-    the cross product is the same code.  Every output column keeps its
+    each attribute's domain size.  Every schema is sorted, so the output
+    schema merges the right-only attributes into the left schema, each
+    at its bisection point, and no per-attribute work spans the left
+    side's width.  The right side's composite join keys are sorted once,
+    with its right-only columns in the same order, and its distinct keys
+    mark the runs of equal keys.  A left key finds its run by binary
+    search, or by one gather from a slot table, built once the join has
+    probed span / 256 rows, if the key needed no re-rank table and its
+    span (the product of its radices) times the table's item size is
+    within ``_table_cap()``.  With no shared attribute every key is 0
+    and the span 1, so the cross product is the same code.  Every output column keeps its
     input's dtype, and the run bounds take the narrowest dtype that
     holds the right side's row count, as a pipeline holds every join's
     state at once.  ``left_size`` and ``size`` count the rows that
@@ -265,24 +286,30 @@ class _Join:
 
     def __init__(self, lschema, ldtypes, right, radix: dict[Attribute, int], record: int):
         rsch, rcols, nr = right
-        lpos = {a: i for i, a in enumerate(lschema)}
-        rpos = {a: i for i, a in enumerate(rsch)}
-        self.schema = tuple(sorted(lpos.keys() | rpos.keys()))
         self.left_attrs, self.right_attrs, self.right_size = lschema, rsch, nr
         self.left_size = self.size = 0
         self.record = record
+        # Each right attribute's position in the left schema, or where it goes in.
+        at = [bisect_left(lschema, a) for a in rsch]
+        shared = [i < len(lschema) and lschema[i] == a for i, a in zip(at, rsch)]
         # An attribute of one value adds nothing to the key.
-        shared = [a for a in lschema if a in rpos and radix[a] > 1]
-        self.keyed = [lpos[a] for a in shared]
-        self.radices = [radix[a] for a in shared]
+        keyed = [k for k, a in enumerate(rsch) if shared[k] and radix[a] > 1]
+        self.keyed = [at[k] for k in keyed]
+        self.radices = [radix[rsch[k]] for k in keyed]
         self.tables = {}
-        rkey = _keys([rcols[rpos[a]] for a in shared], self.radices, nr, self.tables)
+        rkey = _keys([rcols[k] for k in keyed], self.radices, nr, self.tables)
         order = np.argsort(rkey, kind="stable")
         rkey = rkey[order]
-        # Each output column's source: a left column's position, or a sorted right column.
-        self.sources = [(lpos[a], None) if a in lpos else (None, rcols[rpos[a]][order])
-                        for a in self.schema]
-        self.dtypes = [ldtypes[i] if col is None else col.dtype for i, col in self.sources]
+        # Each right-only column, sorted, at its output position: the left
+        # columns before it plus the right-only columns before it.
+        only = [k for k in range(len(rsch)) if not shared[k]]
+        self.inserts = [(at[k] + j, rcols[k][order]) for j, k in enumerate(only)]
+        schema, self.dtypes = list(lschema), list(ldtypes)
+        for (p, col), k in zip(self.inserts, only):
+            schema.insert(p, rsch[k])
+            self.dtypes.insert(p, col.dtype)
+        self.schema = tuple(schema)
+        self.span = self.slots = None  # the slot table's length, and the table once built
         if not nr:
             return  # ``probe`` reads nothing more
         self.index_dtype = _rank_dtype(nr)
@@ -291,6 +318,11 @@ class _Join:
         starts = np.flatnonzero(np.concatenate(([True], rkey[1:] != rkey[:-1])))
         self.ukeys = rkey[starts]
         self.bounds = np.append(starts, nr).astype(_rank_dtype(nr + 1))
+        self.slot_dtype = _rank_dtype(len(starts) + 1)
+        # A key with no re-rank table spans the product of its radices.
+        span = prod(self.radices)
+        if not self.tables and span * np.dtype(self.slot_dtype).itemsize <= _table_cap():
+            self.span = span
 
     def probe(self, cols, n: int):
         """Yield this join's output for one left chunk of ``n`` rows, as
@@ -308,14 +340,24 @@ class _Join:
         if not self.right_size:
             return
         key = _keys([cols[i] for i in self.keyed], self.radices, n, self.tables)
-        pos = np.searchsorted(self.ukeys, key)
-        np.minimum(pos, len(self.ukeys) - 1, out=pos)
-        hit = np.flatnonzero(self.ukeys[pos] == key)
-        pos = pos[hit]
-        lo = self.bounds[pos]
-        counts = self.bounds[1:][pos] - lo
-        cols = [c[hit] for c in cols]
-        del key, pos, hit
+        if self.slots is None and self.span is not None and 256 * self.left_size >= self.span:
+            # Each key's slot: 1 + the rank of its run, or 0 where it has none.
+            self.slots = np.zeros(self.span, dtype=self.slot_dtype)
+            self.slots[self.ukeys] = np.arange(1, len(self.ukeys) + 1, dtype=self.slot_dtype)
+        if self.slots is not None:
+            run = self.slots[key]
+            hit = np.flatnonzero(run)
+            run = run[hit] - 1
+        else:
+            run = np.searchsorted(self.ukeys, key)
+            np.minimum(run, len(self.ukeys) - 1, out=run)
+            hit = np.flatnonzero(self.ukeys[run] == key)
+            run = run[hit]
+        lo = self.bounds[run]
+        counts = self.bounds[1:][run] - lo
+        if len(hit) < n:
+            cols = [c[hit] for c in cols]
+        del key, run, hit
         ends = np.cumsum(counts)  # one past each hit's last output row
         total = int(ends[-1]) if len(ends) else 0
         if total <= _BLOCK:
@@ -339,15 +381,13 @@ class _Join:
         """The ``w`` output rows of the hit left rows ``cols``, each
         matching the ``counts`` right rows from ``lo`` on."""
         self.size += w
-        idx = None
-        out = []
-        for i, col in self.sources:
-            if col is None:
-                out.append(np.repeat(cols[i], counts))
-                continue
-            if idx is None:
-                idx = _gather_index(lo, counts, self.index_dtype)
-            out.append(col[idx])  # casts idx piecewise, where np.take copies it whole to intp
+        if w == len(counts):  # each hit matches one right row, the one at ``lo``
+            out, idx = list(cols), lo
+        else:
+            out = [np.repeat(c, counts) for c in cols]
+            idx = _gather_index(lo, counts, self.index_dtype) if self.inserts else None
+        for p, col in self.inserts:
+            out.insert(p, col[idx])  # casts idx piecewise, where np.take copies it whole to intp
         return tuple(out)
 
 
@@ -448,7 +488,8 @@ def execute_plan(p: PlanTree, bindings: Sequence[Relation],
     each join that extends a left spine; numpy cannot be interrupted
     inside a chunk or a sort, so the plan can overrun its budget by one
     chunk of at most ``_BLOCK`` output rows, or by one sort of a join's
-    right side or of a projection's input.
+    right side or of a projection's input, or one slot-table build of at
+    most 2 MiB.
     """
     if not p.has_projection():
         refs = p.leaf_refs()

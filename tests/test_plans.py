@@ -395,6 +395,19 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
+def record_joins(monkeypatch):
+    """Every ``plans._Join`` built from now on, in order of construction."""
+    joins = []
+
+    class Join(agmjoin.plans._Join):
+        def __init__(self, *args):
+            super().__init__(*args)
+            joins.append(self)
+
+    monkeypatch.setattr(agmjoin.plans, "_Join", Join)
+    return joins
+
+
 def test_plan_memory_does_not_grow_with_the_intermediate():
     """Both plans stream the triangle-bad intermediate through the last
     join, so their traced peak at m=3000 (a 9,009,001-row intermediate)
@@ -413,6 +426,40 @@ def test_plan_memory_does_not_grow_with_the_intermediate():
     for k in range(2):
         assert peaks[1000, k] <= 4 * 2**20, peaks
         assert peaks[3000, k] <= 1.5 * peaks[1000, k], peaks
+
+
+def test_a_slot_table_just_under_its_cap_keeps_the_plan_memory_bound(monkeypatch):
+    """On triangle-bad m=1022 the last join's (A, C) key spans 1023^2 =
+    1,046,529 values, whose uint16 slot table is just under its 2 MiB cap:
+    each plan builds it, and a whole run still peaks within 4 MiB."""
+    q = gen_triangle_bad(1022).query
+    joins = record_joins(monkeypatch)
+    runs = [lambda: agm_join_project_traced(q, CostMeter()),
+            lambda: execute_plan(join(join(leaf(0), leaf(1)), leaf(2)), q.relations, CostMeter())]
+    for run in runs:
+        joins.clear()
+        peak, (out, trace) = traced_peak(run)
+        assert trace.intermediate_max == 1023**2 + 1022 and len(out) == 3 * 1022 + 1
+        last = joins[-1]
+        assert last.span == 1_046_529 and last.slots.nbytes == 2 * 1_046_529
+        assert last.slots.nbytes <= agmjoin.plans._table_cap() == 2 * 2**20
+        assert peak <= 4 * 2**20, peak
+
+
+def test_a_small_left_side_builds_no_slot_table(monkeypatch):
+    """Two left rows against a key span of 1,000,000, whose slot table
+    (2 MB of uint16) is within its cap: the join binary-searches, as two
+    rows are far below span / 256, holds no table and peaks far below
+    one table's bytes."""
+    xs = list(range(1000))
+    bindings = [relation([A, B], [(0, 0), (999, 999)]), relation([A, B], zip(xs, xs))]
+    joins = record_joins(monkeypatch)
+    peak, (out, trace) = traced_peak(
+        lambda: execute_plan(join(leaf(0), leaf(1)), bindings, CostMeter()))
+    assert out == bindings[0] and trace.intermediate_max == 2
+    j = joins[-1]
+    assert j.span == 1000**2 and j.left_size == 2 and j.slots is None
+    assert peak < 2 * 1000**2 / 8, peak
 
 
 @pytest.mark.parametrize("d, dtype", [(255, "uint8"), (256, "uint8"), (257, "uint16"),
@@ -476,6 +523,62 @@ def test_gather_index_dtypes_switch_at_their_boundaries(monkeypatch, nr, dtype):
     dtypes.clear()
     pairwise()
     assert dtypes == {dtype}
+
+
+def probe_cases():
+    """(name, bindings, max key): one-column and composite keys, keys
+    that need re-rank tables (under a max key of 3), an empty right side,
+    a cross product and random instances."""
+    r = relation([A, B], [(i, i % 3) for i in range(9)])
+    s = relation([B, C], [(0, 0), (1, 1), (1, 2), (2, 2), (4, 4)])
+    t = relation([A, B, C], [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 0, 1), (4, 1, 1)])
+    u = relation([A, B, D], [(0, 0, 5), (1, 1, 6), (1, 1, 7), (3, 0, 5), (8, 2, 5)])
+    v = relation([C, D], [(c, d) for c in range(3) for d in range(5, 8)])
+    cases = [("one column", [r, s], None), ("composite", [t, u, v], None),
+             ("re-ranked", [t, u, v], 3), ("empty right side", [r, relation([B, C], [])], None),
+             ("cross product", [relation([A], [(0,), (1,)]), v], None)]
+    cases += [(f"random {seed}", random_instance(seed, max_m=4, max_rows=10).relations, None)
+              for seed in range(6)]
+    return cases
+
+
+@pytest.mark.parametrize("name, bindings, max_key", probe_cases(),
+                         ids=[c[0] for c in probe_cases()])
+def test_direct_address_and_binary_search_probes_agree(monkeypatch, name, bindings, max_key):
+    """With the slot table's cap at 0 every key is binary-searched; with
+    it unbounded a join builds its table once it has probed span / 256
+    rows, unless its key needed a re-rank table.  At chunks of 1, 2 and
+    7 rows, every plan and the join-project plan answer as leapfrog
+    does under both, with identical traces."""
+    if max_key is not None:
+        monkeypatch.setattr(agmjoin.plans, "_MAX_KEY", max_key)
+    q = join_query(bindings)
+    want = run_join(q, leapfrog_strategy()).output
+    runs = [lambda p=p: execute_plan(p, q.relations, CostMeter())
+            for p in all_join_plans(len(q.relations))]
+    runs.append(lambda: agm_join_project_traced(q, CostMeter()))
+    joins = record_joins(monkeypatch)
+    for block in (1, 2, 7):
+        monkeypatch.setattr(agmjoin.plans, "_BLOCK", block)
+        traces = {}
+        for cap in (0, 1 << 62):
+            monkeypatch.setattr(agmjoin.plans, "_table_cap", lambda cap=cap: cap)
+            joins.clear()
+            for k, run in enumerate(runs):
+                out, trace = run()
+                assert out == want, (name, block, cap, k)
+                assert traces.setdefault(k, trace) == trace, (name, block, cap, k)
+            for j in joins:
+                if not cap or not j.right_size or j.tables:
+                    assert j.span is None and j.slots is None
+                else:
+                    assert (j.slots is not None) == (256 * j.left_size >= j.span), (name, block)
+            if all(q.relations):  # so the join-project plan's first join probes
+                assert any(j.slots is not None for j in joins) == bool(cap), (name, block)
+        if max_key is not None:
+            assert any(j.tables for j in joins), name
+        if name == "cross product":
+            assert joins[0].span == 1 and joins[0].slots is not None
 
 
 @pytest.mark.parametrize("seed", range(12))
