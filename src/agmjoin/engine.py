@@ -25,21 +25,25 @@ result sizes.
 
 A run is planned once and then executed.  Everything but the groups
 and the scan-or-probe test follows from the query, the strategy and
-the cover, so ``_compile`` works it out once per subproblem: the split,
-each relation's trie order and re-seat, how each extender reaches its
-narrowed node, the output permutation, and the two-choices weights as
-floats.  ``_run`` executes a plan node on trie nodes (key ranges
-``(level, lo, hi)``) alone, as a trie iterator is a position and
-nothing more; it descends, intersects and filters, and meters exactly
-that.  The exact ``Fraction`` weights and the ``Attribute`` objects
-exist only at compile time.  A split's I side is compiled with it; J
-and probe sides on first use, so a run builds a re-ordered trie only
-when a subproblem that needs it is entered.
+the cover, so ``_compile`` works it out once per subproblem, on first
+use: the split, each relation's trie order and re-seat, how each
+relation reaches its narrowed node, the output permutation, and the
+two-choices weights as floats.  Attribute and relation sets are bit
+masks, and the run keeps one trie node (a key range ``(level, lo,
+hi)``) and one trie per relation, as Leapfrog Triejoin keeps one
+iterator per relation.  A split sets and restores only the relations
+meeting both its sides, which it finds through the side with fewer
+attributes; the others pass down inside a mask.  So a path of n atoms
+compiles and runs in O(n) Python steps.  ``_run`` descends, intersects
+and filters, and meters exactly that.  The exact ``Fraction`` weights
+and the ``Attribute`` objects exist only at compile time, and a run
+builds a re-ordered trie only when a subproblem that needs it is
+entered.
 
 A one-attribute level runs inside its parent split, as the nested
 intersections of generic join and Leapfrog Triejoin do.  A one-attribute
 I side is the intersection itself, and it reports where it found each
-key, so a group opens each extender's child range at that index (the
+key, so a group opens each relation's child range at that index (the
 trie iterator's ``open``) instead of searching for it again.  A
 one-attribute J side extends each group by the values its intersection
 yields.  Each step is metered as the step it replaces: an inlined base
@@ -50,14 +54,14 @@ Two groups that reach the same J nodes get the same J result, so a split
 computes it once and reuses it, as Minesweeper and trie-join caching
 avoid re-solving a subproblem.  The compile knows the attributes bound
 above each subproblem and gives each split one of three modes: once per
-call, when no extender's relation has an I attribute, so every group of
-a call reaches the call's own J nodes; a memo for the run keyed by the
-extenders' node offsets, when some bound or I attribute is in no
-extender's relation, so groups that differ only there meet; otherwise
-none, and no key is built.  A reuse is charged one probe, the membership
-test of its lookup, and counted in ``CostMeter.reuses``.  The memo holds
-only lists that metered misses built, so it needs no cap, and it goes
-with the plan when the run ends.
+call, when no J relation has an I attribute, so every group of a call
+reaches the call's own J nodes; a memo for the run keyed by the node
+offsets of the J relations that meet a bound or I attribute, when some
+bound or I attribute is in no J relation, so groups that differ only
+there meet; otherwise none, and no key is built.  A reuse is charged
+one probe, the membership test of its lookup, and counted in
+``CostMeter.reuses``.  The memo holds only lists that metered misses
+built, so it needs no cap, and it goes with the plan when the run ends.
 
 The outer loop over partial tuples reads only immutable tries, so it
 could run in parallel with per-worker meters merged by summation;
@@ -71,9 +75,9 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bounds import FractionalCover, is_cover, min_cover_lp
 from .errors import InfeasibleCoverError, InvalidPartitionError, SchemaError
@@ -131,25 +135,51 @@ class JoinRun:
     cover: FractionalCover
 
 
-# A slot is one relation inside a subproblem: (edge, trie, depth).  The
-# first ``depth`` attributes of ``trie.order`` are bound by the enclosing
-# groups, so the slot's node sits on level ``depth`` of that trie, and the
-# subproblem's attributes of that edge come next, in global order.
-_Slot = tuple[int, TrieIndex, int]
-_Weights = Sequence[Fraction] | Mapping[int, Fraction]
+_ONCE = object()  # every group of a call reaches the same J nodes
+
+
+def _bits(m: int) -> Iterator[int]:
+    """The positions of the set bits of ``m``, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _rank(m: int, p: int) -> int:
+    """The index of bit ``p`` among the set bits of ``m``."""
+    return (m & ((1 << p) - 1)).bit_count()
 
 
 class _Ctx:
-    """Per-invocation state: the query, the meter, and the trie cache."""
+    """Per-run state: the query, the meter, the cover, the trie cache,
+    each relation's current trie, and the query's shape as bit masks.
+    Attribute p is the p-th of the global order; ``masks[e]`` holds edge
+    e's attributes and ``meets[p]`` the edges holding p.  ``ranks`` holds
+    nprr's edge classes, heaviest cover weight first: rescaling by one
+    positive factor keeps that order in every probe sub-plan."""
 
-    __slots__ = ("q", "meter", "edge_sets", "tries", "permuted")
+    __slots__ = ("q", "meter", "weights", "attrs", "at", "masks", "meets", "ranks", "tries",
+                 "trie_of", "permuted")
 
-    def __init__(self, q: JoinQuery, meter: CostMeter):
-        self.q = q
-        self.meter = meter
-        self.edge_sets = [frozenset(e) for e in q.hypergraph.edges]
+    def __init__(self, q: JoinQuery, attrs: tuple[Attribute, ...], meter: CostMeter,
+                 weights: Sequence[Fraction]):
+        self.q, self.attrs, self.meter, self.weights = q, attrs, meter, weights
+        self.at = {a: p for p, a in enumerate(self.attrs)}
+        self.masks = [self.mask(e) for e in q.hypergraph.edges]
+        self.meets = [0] * len(self.attrs)
+        classes: dict[Fraction, int] = {}
+        for e, m in enumerate(self.masks):
+            for p in _bits(m):
+                self.meets[p] |= 1 << e
+            classes[weights[e]] = classes.get(weights[e], 0) | 1 << e
+        self.ranks = [classes[w] for w in sorted(classes, reverse=True)]
         self.tries: dict[tuple[int, tuple[Attribute, ...]], TrieIndex] = {}
+        self.trie_of = [self.trie_for(e, r.schema) for e, r in enumerate(q.relations)]
         self.permuted = False  # some split compiled so far has a perm
+
+    def mask(self, attrs: Iterable[Attribute]) -> int:
+        return sum(1 << self.at[a] for a in attrs)
 
     def trie_for(self, edge: int, order: tuple[Attribute, ...]) -> TrieIndex:
         got = self.tries.get((edge, order))
@@ -160,89 +190,82 @@ class _Ctx:
         return got
 
 
-_BASE = object()  # one attribute left: a k-way intersection of the slots' child lists
-_ONCE = object()  # every group of a call reaches the same J nodes
-
-
 class _Split:
     """A subproblem split into I and J.
 
-    ``seats`` lists the slots whose trie must be swapped for one that
-    leads with their I then J attributes, as (slot, old offsets, new
-    offsets, new level); see ``_seat``.  ``extenders`` are the slots
-    meeting J, each with the index of its node among the I side's when
-    I is one attribute and the slot meets it (the group opens that
-    node's child), else None.  ``descents`` holds (extender, group-tuple
-    positions) for the extenders that must descend a group's values,
-    which happens only below a multi-attribute I; ``n_open`` counts the
-    opened extenders.  ``perm`` maps a group tuple
-    plus a J row to an output row, None when that is plain
-    concatenation.  The I sub-plan is compiled here; the J sub-plan on
-    first use, from ``j_args``.  A subproblem's attributes are in global
-    order, so a slot's I and J attributes are its edge's, sorted.
+    The compile's arguments describe the subproblem as bit masks: ``v``
+    its attributes and ``bound`` those bound above; ``rels`` its
+    relations and ``nar`` the relations narrowed by a bound attribute.
+    Relation e's node sits on level ``depth`` (its bound attribute count)
+    of ``ctx.trie_of[e]``, with its attributes of ``v`` next, in global
+    order.  ``both`` lists the relations meeting I and J, whose nodes the
+    split alone sets.  Below a one-attribute I a group opens each at the
+    index where I's intersection found its key, and ``both`` holds the
+    edge and its place among I's nodes; below a multi-attribute I a
+    group descends its values, and ``both`` holds the edge and the
+    values' group-tuple positions.  ``seats`` lists those of ``both``
+    whose trie must be swapped for one that leads with their I then J
+    attributes, as (edge, old trie, new trie, old offsets, new offsets,
+    new level); see ``_seat``.  ``perm`` maps a group tuple plus a J row
+    to an output row, None when I is a prefix of ``v``.  The sub-plans
+    are compiled on first use, from ``i_args`` and ``j_args``.
 
     ``reuse`` says where two groups can reach the same J nodes, and so
-    the same J result.  An extender's nodes depend only on the values
-    its relation has of ``bound`` (the attributes bound above this
-    subproblem) and of I.  ``_ONCE`` when no extender's relation has an
-    I attribute: every group of a call reaches the call's own nodes.
-    Else a dict, the run's memo of J results keyed by the extenders'
-    node offsets, when some attribute of ``bound`` or I is in no
-    extender's relation, so groups that differ only there meet.  An
-    extender's level is fixed per plan node, and a level's nodes are
-    disjoint, nonempty child ranges (or one root), so ``lo`` names the
-    node.  Else None: each group reaches nodes of its own.
+    the same J result.  Only ``keyed``, the J relations meeting I or a
+    bound attribute, have nodes that can differ between groups; the
+    others sit on their roots.  ``_ONCE`` when no J relation meets I:
+    every group of a call reaches the call's own nodes.  Else a dict, the
+    run's memo of J results keyed by the ``keyed`` nodes' offsets, when
+    some bound or I attribute is in no J relation, so groups that differ
+    only there meet.  A relation's level is fixed per plan node, and a
+    level's nodes are disjoint, nonempty child ranges (or one root), so
+    ``lo`` names the node.  Else None: each group reaches nodes of its own.
     """
 
-    __slots__ = ("seats", "i_slots", "extenders", "descents", "n_open", "perm", "i_plan",
-                 "j_plan", "j_args", "reuse")
+    __slots__ = ("both", "seats", "keyed", "reuse", "perm", "i_plan", "i_args", "j_plan",
+                 "j_args")
 
-    def __init__(self, ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
-                 i_attrs: tuple[Attribute, ...], i_blocks, j_blocks, weights: _Weights,
-                 bound: frozenset[Attribute]):
-        i_set = frozenset(i_attrs)
-        j_attrs = tuple(a for a in attrs if a not in i_set)
-        j_set = frozenset(j_attrs)
-        pos = {a: k for k, a in enumerate(i_attrs)}  # an I attribute's place in a group
-        seats, i_slots, i_sub, extenders, descents, j_sub = [], [], [], [], [], []
-        for k, (edge, trie, depth) in enumerate(slots):
-            es = ctx.edge_sets[edge]
-            fi, fj = tuple(sorted(es & i_set)), tuple(sorted(es & j_set))
-            if fi:
-                front = fi + fj
-                rest = trie.order[depth:]
-                if rest[: len(front)] != front:
-                    order = trie.order[:depth] + front + tuple(a for a in rest if a not in front)
-                    new = ctx.trie_for(edge, order)
-                    seats.append((k, *_seat(trie, new, depth)))
-                    trie = new
-                i_slots.append(k)
-                i_sub.append((edge, trie, depth))
-            if fj:
-                opened = None
-                if fi and len(i_attrs) == 1:  # the I side's intersect finds its key
-                    opened = len(i_slots) - 1
-                elif fi:
-                    descents.append((len(extenders), [pos[a] for a in fi]))
-                extenders.append((k, opened))
-                j_sub.append((edge, trie, depth + len(fi)))
-        self.seats, self.i_slots, self.extenders, self.descents = seats, i_slots, extenders, descents
-        self.n_open = sum(opened is not None for _, opened in extenders)
+    def __init__(self, ctx: _Ctx, v: int, rels: int, nar: int, bound: int, i: int,
+                 blocks: tuple[int, ...] | None, scale: Fraction):
+        masks, j = ctx.masks, v ^ i
+        by_i = i.bit_count() <= j.bit_count()
+        near = 0  # the relations meeting the side with fewer attributes
+        for p in _bits(i if by_i else j):
+            near |= ctx.meets[p]
+        near &= rels
+        cross, self.both, self.seats = 0, [], []  # cross: the mask of both
+        for x, e in enumerate(_bits(near)):
+            m = masks[e]
+            fi, fj = m & i, m & j
+            if not (fi and fj):
+                continue
+            cross |= 1 << e
+            if (fj & -fj) < fi:  # a J attribute comes first: lead with the I ones
+                trie, depth = ctx.trie_of[e], (m & bound).bit_count()
+                lead = tuple(ctx.attrs[p] for p in chain(_bits(fi), _bits(fj)))
+                new = ctx.trie_for(e, trie.order[:depth] + lead + trie.order[depth + len(lead):])
+                self.seats.append((e, trie, new, *_seat(trie, new, depth)))
+            # by_i holds when I is one attribute, so x is e's place among I's nodes
+            self.both.append((e, [_rank(i, p) for p in _bits(fi)] if i & (i - 1) else x))
+        only = near ^ cross  # the relations meeting the smaller side alone
+        i_rels, j_rels = (near, rels ^ only) if by_i else (rels ^ only, near)
+        self.keyed = list(_bits(j_rels & (nar | cross)))
+        met = 0  # the bound and I attributes in some J relation
+        for e in self.keyed:
+            met |= masks[e]
+        self.reuse = _ONCE if not cross else {} if (bound | i) & ~met else None
         self.perm = None
-        if i_attrs + j_attrs != attrs:  # a group plus a J row is not in global order
-            at = {a: k for k, a in enumerate(i_attrs + j_attrs)}
-            self.perm = itemgetter(*[at[a] for a in attrs])
+        if (j & -j) < i:  # a J attribute precedes an I one: a group plus a J row is out of order
+            # The larger side's places in t + row keep their order; put the smaller's among them.
+            n_i = i.bit_count()
+            idx = list(range(n_i, v.bit_count())) if by_i else list(range(n_i))
+            for x, p in enumerate(_bits(i if by_i else j), 0 if by_i else n_i):
+                idx.insert(_rank(v, p), x)
+            self.perm = itemgetter(*idx)
             ctx.permuted = True
-        j_rels = set().union(*(ctx.edge_sets[slots[k][0]] for k, _ in extenders))
-        if not self.n_open and not descents:  # no extender meets I
-            self.reuse = _ONCE
-        elif not j_rels.issuperset(bound) or not j_rels.issuperset(i_attrs):
-            self.reuse = {}
-        else:
-            self.reuse = None
-        self.i_plan = _compile(ctx, i_sub, i_attrs, i_blocks, weights, bound)
-        self.j_plan = None
-        self.j_args = (j_sub, j_attrs, j_blocks, weights, bound | i_set)
+        self.i_plan = self.j_plan = None
+        self.i_args = (i, i_rels, nar, bound, None if blocks is None else (), scale)
+        self.j_args = (j, j_rels, nar | cross, bound | i, blocks, scale)
 
 
 def _seat(old: TrieIndex, new: TrieIndex, depth: int) -> tuple[list[int], list[int], Level]:
@@ -263,144 +286,146 @@ class _Tail:
     """The nprr two-choices step for a subproblem inside edge J.
 
     ``sizing`` is None when the scan is forced (no other relation, or
-    x_J = 1); otherwise it holds, per other slot, (slot, width, weight)
-    with the weight x_F / (1 - x_J) as a float, and ``log_p`` is
+    x_J = 1); otherwise it holds, per other relation, (edge, width,
+    weight) with the weight x_F / (1 - x_J) as a float, and ``log_p`` is
     log2 |R_J| (None for an empty R_J).  ``scan`` holds each other
-    slot's positions in a J leaf, and ``row_scan`` the same positions in
-    a row of J's trie, which holds the ``d`` bound values first.
-    ``probe`` is the sub-plan joining the other slots, compiled on first
-    use from ``probe_args`` under the tail's own ``bound``.
+    relation's positions in a J leaf, and ``row_scan`` the same positions
+    in a row of J's trie, which holds the ``d`` bound values first.
+    ``probe`` is the sub-plan joining the other relations, compiled on
+    first use from ``probe_args``, whose cover is rescaled by 1 / (1 - x_J).
     """
 
-    __slots__ = ("j", "k", "d", "log_p", "sizing", "scan", "row_scan", "others", "probe",
-                 "probe_args")
+    __slots__ = ("j", "k", "d", "log_p", "sizing", "scan", "row_scan", "probe", "probe_args")
 
-    def __init__(self, ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
-                 j_edge: int, weights: _Weights, bound: frozenset[Attribute]):
-        self.j = next(k for k, s in enumerate(slots) if s[0] == j_edge)
-        self.k = len(attrs)
-        self.d = d = slots[self.j][2]
-        self.others = [k for k, s in enumerate(slots) if s[0] != j_edge]
-        pos = {a: i for i, a in enumerate(attrs)}
-        es = ctx.edge_sets
-        self.scan = [(k, sorted(pos[a] for a in es[slots[k][0]] if a in pos)) for k in self.others]
-        self.row_scan = [(k, [i + d for i in idxs]) for k, idxs in self.scan]
+    def __init__(self, ctx: _Ctx, v: int, rels: int, nar: int, bound: int, j_edge: int,
+                 scale: Fraction):
+        masks, weights = ctx.masks, ctx.weights
+        self.j, self.k = j_edge, v.bit_count()
+        self.d = d = (masks[j_edge] & bound).bit_count()
+        others = rels ^ (1 << j_edge)
+        self.scan = [(e, [_rank(v, p) for p in _bits(masks[e] & v)]) for e in _bits(others)]
+        self.row_scan = [(e, [i + d for i in idxs]) for e, idxs in self.scan]
         self.sizing = self.log_p = self.probe = self.probe_args = None
-        x_j = weights[j_edge]
-        if self.others and x_j < 1:
+        x_j = weights[j_edge] * scale
+        if others and x_j < 1:
             p = len(ctx.q.relations[j_edge])
             self.log_p = math.log2(p) if p else None
-            rescale = 1 / (1 - x_j)
-            rescaled = {slots[k][0]: weights[slots[k][0]] * rescale for k in self.others}
-            self.sizing = [(k, len(pos), float(rescaled[slots[k][0]])) for k, pos in self.scan]
-            self.probe_args = ([slots[k] for k in self.others], attrs, None, rescaled, bound)
+            scale /= 1 - x_j
+            self.sizing = [(e, len(idxs), float(weights[e] * scale)) for e, idxs in self.scan]
+            self.probe_args = (v, others, nar, bound, None, scale)
 
 
-def _compile(ctx: _Ctx, slots: list[_Slot], attrs: tuple[Attribute, ...],
-             blocks: tuple[tuple[Attribute, ...], ...] | None, weights: _Weights,
-             bound: frozenset[Attribute]):
-    """Plan the join of ``slots`` over ``attrs``; ``blocks`` is None for
-    nprr, else the remaining block sequence.  ``weights[e]`` is the cover
-    weight of every slot's edge, and ``bound`` the attributes that the
-    groups above have bound."""
-    if len(attrs) == 1:
-        return _BASE
-    if blocks is None:
-        j_edge = max((s[0] for s in slots), key=lambda e: (weights[e], -e))
-        jset = ctx.edge_sets[j_edge]
-        i_attrs = tuple(a for a in attrs if a not in jset)
-        if not i_attrs:
-            return _Tail(ctx, slots, attrs, j_edge, weights, bound)
-        i_blocks = j_blocks = None
-    elif len(blocks) == 1:
-        i_attrs = attrs[:1]
-        i_blocks, j_blocks = (i_attrs,), (attrs[1:],)
+def _compile(ctx: _Ctx, v: int, rels: int, nar: int, bound: int,
+             blocks: tuple[int, ...] | None, scale: Fraction):
+    """Plan the join of the relations in ``rels`` over the attributes in
+    ``v`` (see ``_Split``).  ``blocks`` is None for nprr, else the masks
+    of the remaining blocks but the last, which is peeled one attribute at
+    a time.  ``scale`` multiplies every cover weight."""
+    if not v & (v - 1):  # one attribute: a getter of the nodes whose keys to intersect
+        edges = list(_bits(rels))  # a lone node comes as a one-node slice
+        return itemgetter(*edges) if edges[1:] else itemgetter(slice(edges[0], edges[0] + 1))
+    if blocks is None:  # nprr: J is the heaviest edge, the first of equals
+        top = next(c for c in ctx.ranks if c & rels) & rels
+        j_edge = (top & -top).bit_length() - 1
+        i = v & ~ctx.masks[j_edge]
+        if not i:
+            return _Tail(ctx, v, rels, nar, bound, j_edge, scale)
+    elif not blocks:  # the last block: peel its first attribute
+        i = v & -v
     else:
-        i_attrs = blocks[0]
-        i_blocks, j_blocks = (i_attrs,), blocks[1:]
-    return _Split(ctx, slots, attrs, i_attrs, i_blocks, j_blocks, weights, bound)
+        i, blocks = blocks[0], blocks[1:]
+    return _Split(ctx, v, rels, nar, bound, i, blocks, scale)
 
 
-def _run(ctx: _Ctx, plan, nodes: Sequence[Node]) -> list[Row]:
-    """Execute ``plan`` on the slots' current trie nodes, ``nodes[k]``
-    sitting on level ``depth`` of slot k's trie."""
+def _run(ctx: _Ctx, plan, nodes: list[Node]) -> list[Row]:
+    """Execute ``plan`` on the run's one node per relation, ``nodes[e]``
+    on level ``depth`` of ``ctx.trie_of[e]``.  A split sets the nodes of
+    ``both`` for each group and restores them before it returns; a split
+    that seats does so on a copy, and holds its seated tries in
+    ``ctx.trie_of`` until it returns."""
     meter = ctx.meter
     meter.recursions += 1
     meter.check_deadline()
 
-    if plan is _BASE:
-        return list(zip(intersect(nodes, meter)))
+    if type(plan) is itemgetter:
+        return list(zip(intersect(plan(nodes), meter)))
     if type(plan) is _Tail:
         return _nprr_tail(ctx, plan, nodes)
 
-    if plan.seats:  # index preparation, unmetered like the trie builds
-        nodes = list(nodes)
-        for k, old, new, level in plan.seats:
+    trie_of = ctx.trie_of
+    if plan.seats:  # index preparation, unmetered like the builds
+        nodes = nodes.copy()
+        for e, _, trie, old, new, level in plan.seats:
             # The root's lo is old[0] = 0; a node below it is a descended key's
             # child range, never empty, so its lo is its prefix's offset alone.
-            i = bisect_left(old, nodes[k][1])
-            nodes[k] = (level, new[i], new[i + 1])
+            i = bisect_left(old, nodes[e][1])
+            nodes[e] = (level, new[i], new[i + 1])
+            trie_of[e] = trie
 
-    i_nodes = [nodes[k] for k in plan.i_slots]
-    if plan.i_plan is _BASE:  # one attribute: the intersection, and where it found each key
+    i_plan = plan.i_plan
+    if i_plan is None:
+        i_plan = plan.i_plan = _compile(ctx, *plan.i_args)
+    at = None
+    if type(i_plan) is itemgetter:  # one attribute: the intersection, and where it found each key
         meter.recursions += 1
-        vals, at = intersect(i_nodes, meter, positions=True)
+        vals, at = intersect(i_plan(nodes), meter, positions=True)
         groups = zip(vals)
     else:
-        groups = vals = _run(ctx, plan.i_plan, i_nodes)
-        at = None
-    if not vals:  # no group: J is neither compiled nor run
-        return []
-
-    # Column x yields extender x's node for each group in turn: the child
-    # range opened where the intersect found the group's key, else the
-    # node itself.
-    cols = []
-    for k, opened in plan.extenders:
-        node = nodes[k]
-        cols.append(repeat(node) if opened is None else children(node[0], at[opened]))
-    n_open, descents = plan.n_open, plan.descents
-    perm = plan.perm
-    j_plan = plan.j_plan
-    if j_plan is None:
-        j_plan = plan.j_plan = _compile(ctx, *plan.j_args)
-    base = j_plan is _BASE  # the last attribute: its values extend t
-    memo = plan.reuse
-    keyed = memo is not _ONCE
-    if not keyed:  # the call's one J result, under a constant key
-        memo = {}
+        groups = vals = _run(ctx, i_plan, nodes)
     out: list[Row] = []
-    for t, j_nodes in zip(groups, zip(*cols)):
-        meter.check_deadline()
-        meter.probes += n_open  # an opened child costs the one probe of the descent it skips
-        if descents:  # never misses: the I side joined t from each descending extender's node
-            j_nodes = list(j_nodes)
-            for x, idxs in descents:
-                j_nodes[x] = descend(j_nodes[x], [t[i] for i in idxs], meter)
-        js = None
-        if memo is not None:
-            key = tuple([node[1] for node in j_nodes]) if keyed else None
-            js = memo.get(key)
-            if js is not None:  # a lookup is a membership test: one probe
-                meter.probes += 1
-                meter.reuses += 1
-        if js is None:  # J's values (one attribute) or rows on these nodes
-            if base:
-                meter.recursions += 1
-                js = intersect(j_nodes, meter)
+    if vals:  # else J is neither compiled nor run
+        if at is None:  # each group descends its values from the relation's node
+            moves = [(e, nodes[e], idxs) for e, idxs in plan.both]
+        else:  # each yields the relation's node for each group in turn: the child range
+            # opened where the intersect found the group's key
+            moves = [(e, nodes[e], children(nodes[e][0], at[x])) for e, x in plan.both]
+        n_open = 0 if at is None else len(moves)
+        keyed, perm = plan.keyed, plan.perm
+        j_plan = plan.j_plan
+        if j_plan is None:
+            j_plan = plan.j_plan = _compile(ctx, *plan.j_args)
+        base = type(j_plan) is itemgetter  # the last attribute: its values extend t
+        memo = plan.reuse
+        once = memo is _ONCE
+        if once:  # the call's one J result, under a constant key
+            memo = {}
+        for t in groups:
+            meter.check_deadline()
+            if at is None:  # never misses: the I side joined t from each node
+                for e, node, idxs in moves:
+                    nodes[e] = descend(node, [t[i] for i in idxs], meter)
             else:
-                js = _run(ctx, j_plan, j_nodes)
+                meter.probes += n_open  # an opened child costs the one probe of its descent
+                for e, _, col in moves:
+                    nodes[e] = next(col)
+            js = None
             if memo is not None:
-                memo[key] = js
-        rows = map(t.__add__, zip(js) if base else js)
-        out += rows if perm is None else map(perm, rows)
+                key = None if once else tuple([nodes[e][1] for e in keyed])
+                js = memo.get(key)
+                if js is not None:  # a lookup is a membership test: one probe
+                    meter.probes += 1
+                    meter.reuses += 1
+            if js is None:  # J's values (one attribute) or rows on these nodes
+                if base:
+                    meter.recursions += 1
+                    js = intersect(j_plan(nodes), meter)
+                else:
+                    js = _run(ctx, j_plan, nodes)
+                if memo is not None:
+                    memo[key] = js
+            rows = map(t.__add__, zip(js) if base else js)
+            out += rows if perm is None else map(perm, rows)
+        for e, node, _ in moves:
+            nodes[e] = node
+    for e, trie, _, _, _, _ in plan.seats:
+        trie_of[e] = trie
     return out
 
 
-def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: Sequence[Node]) -> list[Row]:
+def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[Node]) -> list[Row]:
     """Two-choices solver for a subproblem lying entirely inside edge J.
 
-    Either scan the J slot and filter each tuple against the others, or
+    Either scan the J relation and filter each tuple against the others, or
     join the others and probe each result into J — whichever side the
     p-versus-q estimate says is smaller.  The scan side is sized by the
     unnarrowed log2 |R_J|, precomputed once per plan node, while the
@@ -412,7 +437,7 @@ def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: Sequence[Node]) -> list[Row]:
     cuts the prefix off the rows that survive; a projection node, whose
     trie has levels below the subproblem, streams its leaves from the
     column walk instead.  Either way the scan adds one probe per leaf it
-    reads, and ``_filter`` takes one plan (other slot) at a time.  The
+    reads, and ``_filter`` takes one plan (other relation) at a time.  The
     probe side's rows go through ``_filter`` against J as one
     multi-position plan.
     """
@@ -423,8 +448,8 @@ def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: Sequence[Node]) -> list[Row]:
         if plan.log_p is None:  # R_J is empty
             return []
         log_q = 0.0
-        for s, width, w in plan.sizing:
-            factor = count(nodes[s], width - 1)
+        for e, width, w in plan.sizing:
+            factor = count(nodes[e], width - 1)
             meter.probes += 1  # sizing lookup for the branch choice
             if factor == 0:
                 return []
@@ -433,15 +458,15 @@ def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: Sequence[Node]) -> list[Row]:
             probe = plan.probe
             if probe is None:
                 probe = plan.probe = _compile(ctx, *plan.probe_args)
-            rows = _run(ctx, probe, [nodes[s] for s in plan.others])
+            rows = _run(ctx, probe, nodes)
             return _filter(ctx, rows, len(rows), [(nj, range(k))])
     rows = leaf_rows(nj, k)
     if rows is None:  # a projection node
         n = count(nj, k - 1)
         meter.probes += n  # one leaf read per scanned tuple
-        return _filter(ctx, iter_leaves(nj, k), n, [(nodes[s], pos) for s, pos in plan.scan])
+        return _filter(ctx, iter_leaves(nj, k), n, [(nodes[e], pos) for e, pos in plan.scan])
     meter.probes += len(rows)  # one leaf read per scanned tuple
-    kept = _filter(ctx, rows, len(rows), [(nodes[s], pos) for s, pos in plan.row_scan])
+    kept = _filter(ctx, rows, len(rows), [(nodes[e], pos) for e, pos in plan.row_scan])
     d = plan.d
     return [t[d:] for t in kept] if d else kept
 
@@ -532,11 +557,13 @@ def run_join(
             raise InvalidPartitionError(
                 f"blocks {blocks} do not partition the attributes {attrs}"
             )
-    ctx = _Ctx(q, meter)
-    slots = [(e, ctx.trie_for(e, r.schema), 0) for e, r in enumerate(q.relations)]
+    ctx = _Ctx(q, attrs, meter, cover.weights)
+    if blocks is not None:
+        blocks = tuple(map(ctx.mask, blocks[:-1]))
     try:
-        plan = _compile(ctx, slots, attrs, blocks, cover.weights, frozenset())
-        rows = _run(ctx, plan, [s[1].root for s in slots])
+        plan = _compile(ctx, (1 << len(attrs)) - 1, (1 << len(q.relations)) - 1, 0, 0, blocks,
+                        Fraction(1))
+        rows = _run(ctx, plan, [t.root for t in ctx.trie_of])
     except RecursionError:  # the plan nests about one level per attribute
         raise SchemaError(f"a query of {len(attrs)} attributes nests deeper than "
                           f"Python's recursion limit ({sys.getrecursionlimit()})") from None

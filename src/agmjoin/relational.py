@@ -1,9 +1,11 @@
 """Set-semantics relations over dictionary-encoded integer values.
 
-Every query fixes a single global attribute order (order of first
-appearance in the query text).  Schemas and tuple layouts follow that
-order everywhere, so tuples can be compared positionally and output
-ordering is plain lexicographic sorting.
+Every query fixes a single global attribute order: ascending ``id``.
+``make_attrs`` numbers attributes in the order given, and a parsed
+query's variables are numbered in sorted-name order (``project_to_head``),
+so X10 comes before X2.  Schemas and tuple layouts follow that order
+everywhere, so tuples can be compared positionally and output ordering
+is plain lexicographic sorting.
 """
 
 from __future__ import annotations
