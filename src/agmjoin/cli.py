@@ -253,10 +253,11 @@ def cmd_run(args) -> int:
         print(f"error: {args.algo} exceeded its time budget", file=sys.stderr)
         return 1
 
-    head, rows = cq.head, res.output.rows  # sorted, distinct, columns in `names` order
+    head, rows = cq.head, res.output  # sorted, distinct, columns in `names` order
     if head.vars:
         if head.vars != tuple(names):  # permuted, repeated or projected: one C pass per column
-            rows = sorted(set(zip(*[map(itemgetter(names.index(v)), rows) for v in head.vars])))
+            rows = sorted(set(zip(*[map(itemgetter(names.index(v)), rows.rows)
+                                    for v in head.vars])))
         text, shown = format_relation(head.symbol, head.vars, rows), len(rows)
     else:
         shown = int(len(rows) > 0)
@@ -353,8 +354,7 @@ def cmd_gen(args) -> int:
     if isinstance(bundle.query, JoinQuery):
         names = [f"R{i}" for i in range(len(bundle.relations))]
         for name, rel in zip(names, bundle.relations):
-            write_relation_file(out / f"{name}.rel", name,
-                                [a.name for a in rel.schema], rel.rows)
+            write_relation_file(out / f"{name}.rel", name, [a.name for a in rel.schema], rel)
             files[name] = f"{name}.rel"
         query = ConjunctiveQuery(
             Atom("Q", tuple(a.name for a in bundle.query.attrs)),

@@ -8,9 +8,14 @@ Relation files are line-oriented and round-trip stable:
 
 — a single header naming the table and its columns, then one
 comma-separated tuple of decimal integers per line, UTF-8 with LF
-endings.  Written rows are sorted lexicographically and distinct: rows
-that arrive strictly increasing are written as given, in one pass;
-others are deduplicated and sorted first.
+endings.  A body whose fields are canonical integers (no leading zero,
+no sign but '-', no padding but spaces and tabs) is read by one
+``json.loads``; any other is read by ``int``, field by field, with the
+same values and errors.  Written rows are sorted lexicographically and
+distinct: a ``Relation``'s rows are written as given, with no second
+check; other rows that arrive strictly increasing are written as given
+too, and the rest are deduplicated and sorted first.  All rows are
+rendered by one ``%`` call.
 
 A query file holds one rule, plus optional dependency lines and
 comments:
@@ -27,15 +32,16 @@ the path when a relation file is read from disk.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import lt
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
 from .errors import QueryFormatError, SchemaError
-from .relational import Row
+from .relational import Relation, Row
 from .rewrite import Atom, ConjunctiveQuery, SimpleFD
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -44,6 +50,8 @@ _HEADER = re.compile(r"#\s*relation\s+(\S+)\s+schema\s+(\S+)\s*$")
 _FD_START = re.compile(r"fd\s+[A-Za-z_]")
 _FD_LINE = re.compile(r"fd\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(\d+)\s*->\s*(\d+)\s*$")
 _VALUE = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)  # an optional '-', then ASCII digits
+# deletes every character a body of comma-joined JSON integers may hold
+_JSON_INT_CHARS = str.maketrans("", "", "0123456789-, \t")
 
 
 def _fail(msg: str, line: int, col: int) -> "QueryFormatError":
@@ -84,9 +92,9 @@ def _parse_rows(text: str, cols: tuple[str, ...]) -> tuple[Row, ...]:
     """The rows of a relation file's text after its header line.
 
     Parsed in bulk: every line that is not blank once its comment is cut
-    holds ``len(cols) - 1`` commas, and ``int`` reads the fields of all
-    of them joined.  A body that fails is walked line by line, only to
-    name and word the first bad line.
+    holds ``len(cols) - 1`` commas, and the fields of all of them joined
+    are read at once (:func:`_ints`).  A body that fails is walked line
+    by line, only to name and word the first bad line.
     """
     n = len(cols)
     lines = text.split("\n")
@@ -95,16 +103,33 @@ def _parse_rows(text: str, cols: tuple[str, ...]) -> tuple[Row, ...]:
     bodies = list(filter(None, map(str.strip, lines)))
     if not bodies:
         return ()
-    flat = ",".join(bodies)
     try:
         if set(map(str.count, bodies, repeat(","))) != {n - 1}:
             raise ValueError
-        if not flat.isascii() or "_" in flat or "+" in flat:
-            raise ValueError  # int() reads these, the format does not
-        values = list(map(int, flat.split(",")))
+        values = _ints(",".join(bodies))
     except ValueError:
         raise _first_bad_row(lines, n) from None
     return tuple(zip(*[iter(values)] * n))
+
+
+def _ints(flat: str) -> list[int]:
+    """The values of the comma-separated fields of ``flat``, in order;
+    ValueError if any field is not a decimal integer the format accepts.
+
+    JSON reads only ``-?(0|[1-9][0-9]*)`` fields padded by spaces and
+    tabs, and reads them as ``int`` does, so a body of nothing but
+    digits, '-', ',', spaces and tabs is tried as one JSON array first.
+    What JSON refuses (a leading zero, a lone '-', an empty field, a
+    value past ``int``'s digit limit) falls through to ``int``.
+    """
+    if not flat.translate(_JSON_INT_CHARS):
+        try:
+            return json.loads("[" + flat + "]")
+        except ValueError:
+            pass
+    if not flat.isascii() or "_" in flat or "+" in flat:
+        raise ValueError  # int() reads these, the format does not
+    return list(map(int, flat.split(",")))
 
 
 def _first_bad_row(lines: list[str], n: int) -> QueryFormatError:
@@ -133,23 +158,33 @@ def _first_bad_row(lines: list[str], n: int) -> QueryFormatError:
     raise ValueError("the bulk parse refused rows that every line holds")
 
 
-def format_relation(name: str, cols: Sequence[str], rows: Iterable[Row]) -> str:
+def format_relation(name: str, cols: Sequence[str], rows: Relation | Iterable[Row]) -> str:
     """The relation file text: rows sorted and distinct, one line each.
 
-    Rows that arrive strictly increasing (a ``Relation``'s rows, say) are
-    written as given; any others are deduplicated and sorted first.  A
-    row whose width is not the schema's raises :class:`SchemaError`.
+    A ``Relation``'s rows were checked for width and order when it was
+    built, so only its arity is checked against ``cols`` and its rows
+    are written as given.  Other rows are checked: rows that arrive
+    strictly increasing are written as given, any others are
+    deduplicated and sorted first, and a row whose width is not the
+    schema's raises :class:`SchemaError`.
     """
-    if not isinstance(rows, (list, tuple)):
-        rows = list(rows)  # walked more than once below
-    if set(map(len, rows)) - {len(cols)}:
-        bad = next(t for t in rows if len(t) != len(cols))
-        raise SchemaError(f"relation {name}: row {bad} has width {len(bad)}, "
-                          f"schema {','.join(cols)} has width {len(cols)}")
-    if not all(map(lt, rows, islice(rows, 1, None))):
-        rows = sorted(set(rows))
+    if isinstance(rows, Relation):
+        if rows.arity != len(cols):
+            raise SchemaError(f"relation {name}: rows have width {rows.arity}, "
+                              f"schema {','.join(cols)} has width {len(cols)}")
+        rows = rows.rows
+    else:
+        if not isinstance(rows, (list, tuple)):
+            rows = list(rows)  # walked more than once below
+        if set(map(len, rows)) - {len(cols)}:
+            bad = next(t for t in rows if len(t) != len(cols))
+            raise SchemaError(f"relation {name}: row {bad} has width {len(bad)}, "
+                              f"schema {','.join(cols)} has width {len(cols)}")
+        if not all(map(lt, rows, islice(rows, 1, None))):
+            rows = sorted(set(rows))
     line = ",".join(["%s"] * len(cols)) + "\n"  # %s is str(), whatever the value's type
-    return f"# relation {name} schema {','.join(cols)}\n" + "".join(map(line.__mod__, rows))
+    body = (line * len(rows)) % tuple(chain.from_iterable(rows))
+    return f"# relation {name} schema {','.join(cols)}\n" + body
 
 
 def read_relation_file(path: Path | str) -> tuple[str, tuple[str, ...], tuple[Row, ...]]:
@@ -160,7 +195,8 @@ def read_relation_file(path: Path | str) -> tuple[str, tuple[str, ...], tuple[Ro
         raise QueryFormatError(f"{path}: {e}") from None
 
 
-def write_relation_file(path: Path | str, name: str, cols: Sequence[str], rows: Iterable[Row]) -> None:
+def write_relation_file(path: Path | str, name: str, cols: Sequence[str],
+                        rows: Relation | Iterable[Row]) -> None:
     Path(path).write_text(format_relation(name, cols, rows), encoding="utf-8", newline="\n")
 
 

@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, NamedTuple, Union
 
 from .bounds import BoundReport, FractionalCover, min_cover_lp
 from .errors import SchemaError
-from .relational import Hypergraph, JoinQuery, Relation, Row, make_attrs
+from .relational import Hypergraph, JoinQuery, Relation, Row, _columns, make_attrs
 
 
 class Atom(NamedTuple):
@@ -92,8 +92,8 @@ class BaseView:
         if self.symbol not in data:
             raise SchemaError(f"no data bound for symbol {self.symbol!r}")
         rows = tuple(data[self.symbol])
-        bad = next((t for t in rows if len(t) != self.arity), None)
-        if bad is not None:
+        if set(map(len, rows)) - {self.arity}:
+            bad = next(t for t in rows if len(t) != self.arity)
             raise SchemaError(
                 f"table {self.symbol!r} holds {len(bad)}-tuples, its atoms want {self.arity}")
         return rows
@@ -127,7 +127,7 @@ class KeepView(_Derived):
     positions: tuple[int, ...]
 
     def rows(self, data: Mapping[str, Iterable[Row]]) -> tuple[Row, ...]:
-        return tuple(tuple(t[p] for p in self.positions) for t in self.inner.rows(data))
+        return tuple(_columns(self.inner.rows(data), self.positions))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ from agmjoin import (
 settings.register_profile(
     "ci", max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-# HYPOTHESIS_PROFILE=deep: CI runs tests/test_simplex.py's reference properties under it
+# HYPOTHESIS_PROFILE=deep: CI runs tests/test_simplex.py's and tests/test_formats.py's
+# reference properties under it
 settings.register_profile("deep", max_examples=2000, parent=settings.get_profile("ci"))
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 

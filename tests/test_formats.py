@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from agmjoin import Atom, ConjunctiveQuery, QueryFormatError, SchemaError, SimpleFD
+from agmjoin import (
+    Atom,
+    ConjunctiveQuery,
+    QueryFormatError,
+    Relation,
+    SchemaError,
+    SimpleFD,
+    make_attrs,
+)
 from agmjoin.formats import (
     _parse_rows,
     format_query,
@@ -57,10 +65,12 @@ def test_parse_relation_refuses_a_value_past_pythons_digit_limit():
         parse_relation_text(f"# relation R schema A,B\nx,{long}\n")
 
 
-# field text: decimal integers past 2**64, and what int() reads but the format refuses
-_INT_TEXT = st.integers(-(2**70), 2**70).map(str)
+# field text: decimal integers past 2**64, valid ones that JSON refuses (a leading zero),
+# what int() reads but the format refuses, and what JSON reads but the format refuses
+_INT_TEXT = st.integers(-(2**70), 2**70).map(str) | st.sampled_from(["007", "-007", "00", "-0"])
 _ODD_TEXT = st.sampled_from(["+5", "1_0", "-", "", "x", "\uff13", "\u0663", "0x1", "--1",
-                             "1 2", "\xa01", "2\xa0", "\x85", "1\x1c"])
+                             "1 2", "\xa01", "2\xa0", "\x85", "1\x1c",
+                             "1.5", "1e3", "1E3", "NaN", "Infinity", "-Infinity"])
 _PAD = st.text(alphabet=" \t\x0b\x0c\r", max_size=2)
 _NOT_A_ROW = st.sampled_from(["", " ", "\t\r", "\x0b", "\r", "# a note_+\u00e9",
                               "  # 1,2,3", "\u3000", "#"])
@@ -129,11 +139,15 @@ def rows_of_one_arity(draw):
     return arity, rows
 
 
-@given(rows_of_one_arity(), st.sampled_from([list, tuple, iter]))
+@given(rows_of_one_arity(), st.sampled_from([list, tuple, iter, Relation]))
 def test_format_relation_matches_the_reference_writer(case, container):
     arity, rows = case
     cols = tuple("ABCD"[:arity])
-    text = format_relation("R", cols, container(rows))
+    if container is Relation:  # checked when built, so written with no second check
+        given_rows = Relation(make_attrs(*cols), tuple(rows))
+    else:
+        given_rows = container(rows)
+    text = format_relation("R", cols, given_rows)
     assert text == f"# relation R schema {','.join(cols)}\n" + _reference_body(rows)
 
 
@@ -142,9 +156,16 @@ def test_format_relation_rejects_rows_of_the_wrong_width(tmp_path):
         format_relation("R", ("A", "B"), [(0, 1), (1, 2, 3), (4,)])
     with pytest.raises(SchemaError, match=r"row \(4,\) has width 1"):
         format_relation("R", ("A", "B"), [(0, 1), (4,)])
+    wide = Relation(make_attrs("A", "B", "C"), ((1, 2, 3),))
+    with pytest.raises(SchemaError, match=r"relation R: rows have width 3, schema A,B has width 2"):
+        format_relation("R", ("A", "B"), wide)
+    with pytest.raises(SchemaError, match=r"rows have width 0, schema A has width 1"):
+        format_relation("R", ("A",), Relation((), ()))
     dest = tmp_path / "r.rel"
     with pytest.raises(SchemaError):
         write_relation_file(dest, "R", ("A", "B"), [(1, 2, 3)])
+    with pytest.raises(SchemaError):
+        write_relation_file(dest, "R", ("A", "B"), wide)
     assert not dest.exists()
 
 
