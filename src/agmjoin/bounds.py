@@ -37,7 +37,7 @@ from .relational import (
     project,
     semijoin,
 )
-from .simplex import LinearProgram, lexmin_minimize
+from . import simplex
 
 WeightLike = int | float | Fraction
 
@@ -133,8 +133,9 @@ def agm_bound(h: Hypergraph, sizes: Sequence[int], x: FractionalCover) -> BoundR
 def min_cover_lp(h: Hypergraph, sizes: Sequence[int]) -> BoundReport:
     """Tightest bound over the cover polyhedron.
 
-    Solved exactly by ``simplex.lexmin_minimize``, whose tableau holds
-    Python ints and whose results are rationals; among optimal vertices
+    Solved exactly by ``simplex.minimize``, read off the module at each
+    call so that a wrapper put there sees every solve.  Its tableau holds
+    Python ints and its results are rationals; among optimal vertices
     the lexicographically smallest weight vector (edge-list order) is
     returned, which makes the report deterministic.  The constraint rows
     are the 0/1 vertex-edge incidence as ints, so the tableau needs no
@@ -143,7 +144,8 @@ def min_cover_lp(h: Hypergraph, sizes: Sequence[int]) -> BoundReport:
     from the all-surplus basis with no phase 1; its ratio ties are broken
     on the weights' own reduced costs, first weight first, so the one
     pass ends at the lex-least optimal cover.  The result is certified
-    by re-evaluating its cover through ``agm_bound``.
+    by re-evaluating its cover through ``agm_bound``, so a caller needs
+    no cover check of its own.
     """
     sizes = _check_sizes(h, sizes)
     m = len(h.edges)
@@ -154,7 +156,7 @@ def min_cover_lp(h: Hypergraph, sizes: Sequence[int]) -> BoundReport:
         for i in h.edges_with(v):
             row[i] = 1
         ge.append((tuple(row), 1))
-    value, x = lexmin_minimize(LinearProgram(c, tuple(ge)))
+    value, x = simplex.minimize(simplex.LinearProgram(c, tuple(ge)))
     report = agm_bound(h, sizes, FractionalCover(x))
     assert report.log2_bound == value
     return report

@@ -435,8 +435,8 @@ def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[Node]) -> list[Row]:
     leaves as one slice of its trie's sorted rows (``leaf_rows``), filters
     those rows with every position shifted past the bound prefix, and
     cuts the prefix off the rows that survive; a projection node, whose
-    trie has levels below the subproblem, streams its leaves from the
-    column walk instead.  Either way the scan adds one probe per leaf it
+    trie has levels below the subproblem, streams its leaves from
+    ``iter_leaves`` instead.  Either way the scan adds one probe per leaf it
     reads, and ``_filter`` takes one plan (other relation) at a time.  The
     probe side's rows go through ``_filter`` against J as one
     multi-position plan.
@@ -531,8 +531,9 @@ def run_join(
     The base case (one attribute) is a k-way intersection; otherwise
     the strategy picks I, the I-projections are joined recursively into
     groups, and each group tuple is extended over the rest.  The cover
-    defaults to the tightest one from the size-bound linear program.
-    A deadline started on ``meter`` is the run's time budget.
+    defaults to the tightest one from the size-bound linear program; a
+    cover the caller gives is checked to be one.  A deadline started on
+    ``meter`` is the run's time budget.
     Returns the output with the meter, strategy and cover that produced it.
     """
     strat = strat if strat is not None else nprr_strategy()
@@ -541,11 +542,12 @@ def run_join(
         # positive stand-in keeps the cover valid (the join is empty
         # regardless), and 1 zeroes the term out.
         sizes = tuple(max(1, s) for s in q.sizes)
-        cover = min_cover_lp(q.hypergraph, sizes).cover
-    elif not isinstance(cover, FractionalCover):
-        cover = FractionalCover(tuple(cover))
-    if not is_cover(q.hypergraph, cover):
-        raise InfeasibleCoverError(f"weights {cover.weights} do not cover the query")
+        cover = min_cover_lp(q.hypergraph, sizes).cover  # certified by the LP
+    else:
+        if not isinstance(cover, FractionalCover):
+            cover = FractionalCover(tuple(cover))
+        if not is_cover(q.hypergraph, cover):
+            raise InfeasibleCoverError(f"weights {cover.weights} do not cover the query")
     meter = meter if meter is not None else CostMeter()
 
     attrs = q.attrs

@@ -143,9 +143,7 @@ def _first_bad_row(lines: list[str], n: int) -> QueryFormatError:
         if len(parts) != n:
             return _fail(f"expected {n} values, found {len(parts)}", ln, 1)
         try:
-            if not body.isascii() or "_" in body or "+" in body:
-                raise ValueError
-            list(map(int, parts))
+            _ints(body)
         except ValueError:
             for k, p in enumerate(parts):
                 col = 1 + sum(len(q) + 1 for q in parts[:k])

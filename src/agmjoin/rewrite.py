@@ -246,32 +246,31 @@ def chase(c: ConjunctiveQuery) -> ConjunctiveQuery:
     Whenever two body atoms over the same symbol share the variable at a
     dependency's source position, their target-position variables name
     the same value and are unified (the lexicographically smaller name
-    survives).  Each step removes a variable, so this terminates; the
-    result is a fixed point.
+    survives).  One pass over the body finds the next such pair
+    (``_next_forced``), so a body no dependency reaches is read once.
+    Each step removes a variable, so this terminates; the result is a
+    fixed point, the same whichever forced pair goes first.
     """
-    fds_by_symbol: dict[str, list[SimpleFD]] = {}
-    for fd in c.fds:
-        fds_by_symbol.setdefault(fd.symbol, []).append(fd)
-
-    changed = True
-    while changed:
-        changed = False
-        for i, a in enumerate(c.body):
-            for b in c.body[i + 1 :]:
-                if a.symbol != b.symbol:
-                    continue
-                for fd in fds_by_symbol.get(a.symbol, ()):
-                    s, t = fd.source - 1, fd.target - 1
-                    if a.vars[s] == b.vars[s] and a.vars[t] != b.vars[t]:
-                        keep, drop = sorted((a.vars[t], b.vars[t]))
-                        c = _substitute(c, drop, keep)
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
+    fds_by_symbol: dict[str, list[tuple[int, int, int]]] = {}
+    for k, fd in enumerate(c.fds):
+        fds_by_symbol.setdefault(fd.symbol, []).append((k, fd.source - 1, fd.target - 1))
+    while pair := _next_forced(c.body, fds_by_symbol):
+        keep, drop = pair
+        c = _substitute(c, drop, keep)
     return c
+
+
+def _next_forced(body: tuple[Atom, ...], fds_by_symbol: Mapping[str, list[tuple[int, int, int]]]
+                 ) -> list[str] | None:
+    """The first forced pair of distinct variables, sorted, or None: each
+    atom files its target variable under (dependency, source variable)."""
+    filed: dict[tuple[int, str], str] = {}
+    for a in body:
+        for k, s, t in fds_by_symbol.get(a.symbol, ()):
+            y = filed.setdefault((k, a.vars[s]), a.vars[t])
+            if y != a.vars[t]:
+                return sorted((y, a.vars[t]))
+    return None
 
 
 # --------------------------------------------------------------------------

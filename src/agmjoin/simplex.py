@@ -20,7 +20,7 @@ for.  The cover programs this package solves have a handful of
 variables, so a dense tableau is the right tool.  Costs are never
 negative, so the all-surplus basis is dual feasible: no phase 1.
 
-The lex-least optimum comes from the same loop by the lexicographic
+``minimize`` returns the lex-least optimum, by the lexicographic ratio
 rule (Dantzig, Orden and Wolfe, Pacific J. Math. 1955): columns that
 tie on c's ratio are compared on their ratios for the cost x_0, then
 x_1, and so on.  That is the dual simplex on c + eps e_0 + eps^2 e_1 +
@@ -103,15 +103,16 @@ def _lex_costs(rows: list[list[int]], where: dict[int, int], den: int, n: int, j
     return [((den if j == i else 0) - (rows[where[i]][j] if i in where else 0)) * f for i in range(n)]
 
 
-def _solve(lp: LinearProgram, lex: bool) -> tuple[Fraction, Vector]:
-    """Dual simplex from the surplus basis: (optimal value, basic optimal point).
+def minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
+    """Dual simplex from the surplus basis: (optimal value, lex-least optimal point).
 
     Columns are the n variables, then one surplus per row, then the
     right-hand side; every row has one basic column.  Row k starts as
     -a_k.x + s_k = -b_k with s_k basic and the objective row is c, which
     is dual feasible because c >= 0.  Each pivot keeps every reduced
     cost >= 0; the tableau is optimal once no right-hand side is
-    negative.  ``lex`` breaks ratio ties by the lexicographic rule.
+    negative.  Ratio ties go by the lexicographic rule of the module
+    docstring, so the point is the lex-least optimum, a basic one.
     """
     n = len(lp.c)
     m = len(lp.ge_rows)
@@ -128,9 +129,9 @@ def _solve(lp: LinearProgram, lex: bool) -> tuple[Fraction, Vector]:
         r = min(infeasible, key=basis.__getitem__)
         row = rows[r]
         # the least ratio obj[j] / -row[j] keeps every reduced cost >= 0; a tie
-        # keeps the lowest j, or under ``lex`` goes to the least ratios for x_0, x_1, ...
+        # goes to the least ratios for x_0, x_1, ...
         enter = -1
-        where = None  # basic column -> row, built at this pivot's first tie under ``lex``
+        where = None  # basic column -> row, built at this pivot's first tie
         for j in range(n + m):
             a = row[j]
             if a >= 0:
@@ -138,7 +139,7 @@ def _solve(lp: LinearProgram, lex: bool) -> tuple[Fraction, Vector]:
             if enter >= 0:
                 e = row[enter]
                 u, v = obj[j] * e, obj[enter] * a
-                if lex and u == v:
+                if u == v:
                     where = where or {b: i for i, b in enumerate(basis)}
                     u, v = _lex_costs(rows, where, den, n, j, e), _lex_costs(rows, where, den, n, enter, a)
                 if u <= v:
@@ -152,17 +153,3 @@ def _solve(lp: LinearProgram, lex: bool) -> tuple[Fraction, Vector]:
         if j < n:
             x[j] = Fraction(row[-1], den)
     return Fraction(-obj[-1], den * cs), tuple(x)
-
-
-def minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
-    """Solve the program, returning (optimal value, a basic optimal point)."""
-    return _solve(lp, lex=False)
-
-
-def lexmin_minimize(lp: LinearProgram) -> tuple[Fraction, Vector]:
-    """Optimal value plus the lexicographically smallest optimal point.
-
-    The same dual simplex, its ratio ties broken by the lexicographic
-    rule of the module docstring.
-    """
-    return _solve(lp, lex=True)

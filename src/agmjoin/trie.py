@@ -45,7 +45,7 @@ base level adds the one recursion of the subproblem it skips, and an
 opened child the one probe of the one-level descent it skips.  So every
 count is that of one subproblem per level and one descent per child.
 Reading a node's leaves is metered by its caller, at one probe per leaf,
-whether they come as a slice of the rows or from the column walk.
+whether they come as a slice of the rows or from a descent.
 
 A split whose groups reach the same J nodes computes J on the first and
 reuses it: once per call when no J relation has an I attribute, or
@@ -61,8 +61,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SchemaError, TimeBudgetExceeded
@@ -203,26 +202,18 @@ def leaf_rows(node: Node, depth: int) -> Sequence[Row] | None:
 def iter_leaves(node: Node, depth: int) -> Iterator[Row]:
     """Enumerate the suffix tuples below ``node`` in lexicographic order.
 
-    Each level's column repeats a key once per leaf below it: the
-    difference of its leaf bounds, the next level's read at its offsets.
-    This column walk is the one way to read a projection node's leaves;
-    at full depth ``leaf_rows`` gives the same tuples' rows as a slice.
+    A plain descent: each key of the node, then the leaves of its child
+    range; a lone level is one slice of its keys.  This is the one way
+    to read a projection node's leaves; at full depth ``leaf_rows``
+    gives the same tuples' rows as a slice.
     """
     if depth == 0:
         return iter(((),))
-    level, lo, hi = node
-    path = []
-    for _ in range(depth - 1):
-        path.append((level, lo, hi))
-        level, lo, hi = level[2], level[1][lo], level[1][hi]
-    cols = [level[0][lo:hi]]
-    bounds, base = None, lo  # the last level's keys are one leaf each
-    for level, lo, hi in reversed(path):
-        offs = level[1][lo : hi + 1]
-        bounds = offs if bounds is None else [bounds[j - base] for j in offs]
-        base = lo
-        cols.append(chain.from_iterable(map(repeat, level[0][lo:hi], map(sub, bounds[1:], bounds))))
-    return zip(*reversed(cols))
+    (ks, offs, nxt), lo, hi = node
+    if depth == 1:
+        return zip(ks[lo:hi])
+    return ((ks[i],) + t for i in range(lo, hi)
+            for t in iter_leaves((nxt, offs[i], offs[i + 1]), depth - 1))
 
 
 def _gallop(p: int, q: int, end: int) -> int:

@@ -27,6 +27,7 @@ from agmjoin import (
     oracle_join,
     relation,
 )
+from agmjoin import simplex
 from conftest import random_instance
 
 A, B, C, D = make_attrs("A", "B", "C", "D")
@@ -47,6 +48,16 @@ def test_negative_weights_never_cover():
 
     with pytest.raises(InfeasibleCoverError):
         agm_bound(TRIANGLE, (4, 4, 4), x)
+
+
+def test_min_cover_lp_solves_through_simplex_minimize(monkeypatch):
+    # looked up at call time, so a wrapper around simplex.minimize counts every solve
+    solves = []
+    solve = simplex.minimize
+    monkeypatch.setattr(simplex, "minimize", lambda lp: solves.append(lp) or solve(lp))
+    rep = min_cover_lp(TRIANGLE, (4, 4, 4))
+    assert len(solves) == 1
+    assert rep.log2_bound == 3
 
 
 def test_is_cover_triangle():

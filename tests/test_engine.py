@@ -678,7 +678,7 @@ def test_filter_checks_the_deadline_part_way_through_a_scan(keys):
 def _checked_scans(monkeypatch):
     """Wrap the two-choices step so that every forced scan (no sizing, so
     its only work is the scan) is checked against the row-at-a-time
-    reference over the column walk's leaves: the same rows, and one probe
+    reference over ``iter_leaves``'s leaves: the same rows, and one probe
     per leaf read plus the reference's probes.  Returns a list that
     collects (bound-prefix length, leaves read, read as a slice) per scan."""
     seen = []
@@ -703,7 +703,7 @@ def _checked_scans(monkeypatch):
 
 def test_scans_at_every_depth_match_the_row_at_a_time_reference(monkeypatch):
     """c01's instances by nprr: their forced scans read slices at the root
-    and below it, and projection nodes through the column walk."""
+    and below it, and projection nodes through ``iter_leaves``."""
     seen = _checked_scans(monkeypatch)
     for seed in range(200):
         q = random_instance(seed, max_rows=30)

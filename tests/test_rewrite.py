@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from agmjoin import (
     Atom,
@@ -19,7 +21,7 @@ from agmjoin import (
     project_to_head,
 )
 from agmjoin.formats import parse_query_text
-from agmjoin.rewrite import BaseView, ExtendView, FilterView, KeepView
+from agmjoin.rewrite import BaseView, ExtendView, FilterView, KeepView, _substitute
 
 
 def cq(head_sym, head_vars, body, fds=()):
@@ -133,6 +135,86 @@ def test_chase_is_order_insensitive_here():
     c1 = cq("Q", "A", body, [SimpleFD("R", 1, 2)])
     c2 = cq("Q", "A", list(reversed(body)), [SimpleFD("R", 1, 2)])
     assert chase(c1).body == chase(c2).body == (Atom("R", ("A", "B")),)
+
+
+def pairwise_chase(c: ConjunctiveQuery) -> ConjunctiveQuery:
+    """The chase by comparing every pair of atoms, first forced pair
+    first: the reference for ``chase``."""
+    fds_by_symbol: dict[str, list[SimpleFD]] = {}
+    for fd in c.fds:
+        fds_by_symbol.setdefault(fd.symbol, []).append(fd)
+
+    changed = True
+    while changed:
+        changed = False
+        for i, a in enumerate(c.body):
+            for b in c.body[i + 1 :]:
+                if a.symbol != b.symbol:
+                    continue
+                for fd in fds_by_symbol.get(a.symbol, ()):
+                    s, t = fd.source - 1, fd.target - 1
+                    if a.vars[s] == b.vars[s] and a.vars[t] != b.vars[t]:
+                        keep, drop = sorted((a.vars[t], b.vars[t]))
+                        c = _substitute(c, drop, keep)
+                        changed = True
+                        break
+                if changed:
+                    break
+            if changed:
+                break
+    return c
+
+
+class _CountingSymbol(str):
+    """A relation symbol that counts the comparisons made with it."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        _CountingSymbol.compared += 1
+        return str.__eq__(self, other)
+
+    def __ne__(self, other):
+        _CountingSymbol.compared += 1
+        return str.__ne__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def test_chase_reads_a_body_without_dependencies_once():
+    # an n-atom path over one symbol: comparing every pair of atoms makes n(n-1)/2 comparisons
+    n = 400
+    r = _CountingSymbol("R")
+    c = ConjunctiveQuery(Atom("Q", ("X0",)),
+                         tuple(Atom(r, (f"X{i}", f"X{i + 1}")) for i in range(n)))
+    _CountingSymbol.compared = 0
+    assert chase(c) == c
+    assert _CountingSymbol.compared <= n
+
+
+_ARITY = {"R": 2, "S": 3, "T": 1}
+
+
+@st.composite
+def chase_queries(draw):
+    """Queries over three symbols and five variable names, so symbols and
+    variables repeat, under up to four dependencies."""
+    names = st.sampled_from("ABCDE")
+    body = draw(st.lists(st.sampled_from(sorted(_ARITY)).flatmap(
+        lambda sym: st.tuples(st.just(sym), st.lists(names, min_size=_ARITY[sym],
+                                                     max_size=_ARITY[sym]))),
+        min_size=1, max_size=8))
+    body_vars = sorted({v for _, vs in body for v in vs})
+    head = draw(st.lists(st.sampled_from(body_vars), max_size=4))
+    fd = st.sampled_from(["R", "S"]).flatmap(
+        lambda sym: st.tuples(st.just(sym), st.permutations(range(1, _ARITY[sym] + 1))))
+    fds = [SimpleFD(sym, p[0], p[1]) for sym, p in draw(st.lists(fd, max_size=4))]
+    return cq("Q", head, body, fds)
+
+
+@given(chase_queries())
+def test_chase_matches_the_pairwise_chase(c):
+    assert chase(c) == pairwise_chase(c)
 
 
 # ------------------------------------------------------------- fd_extend

@@ -1,16 +1,15 @@
 """The exact simplex: typed failures, equalities as row pairs, and the lex-least optimum.
 
-Two earlier implementations are kept here as references.
+An earlier implementation is kept here as the reference.
 ``fraction_minimize`` is the dual simplex on a tableau of
-``fractions.Fraction`` entries: the integer tableau in ``agmjoin.simplex``
-stands for exactly that tableau, so it must take the same pivots and
-return the same value and basic point.  ``lexmin_minimize`` re-solves
-the program with ``fraction_minimize`` from scratch once per coordinate,
-each time pinning one more optimal value as an equality (a pair of >=
-rows).  It is slow but plainly correct, and ``agmjoin.simplex``'s one
-dual simplex with the lexicographic ratio test must return exactly what
-it returns.  ``HYPOTHESIS_PROFILE=deep`` runs each property on 2,000
-programs.
+``fractions.Fraction`` entries, its ratio ties kept by the lowest
+column.  ``lexmin_minimize`` re-solves the program with
+``fraction_minimize`` from scratch once per coordinate, each time
+pinning one more optimal value as an equality (a pair of >= rows).  It
+is slow but plainly correct, and ``agmjoin.simplex.minimize``, one dual
+simplex with the lexicographic ratio test over an integer tableau, must
+return exactly what it returns.  ``HYPOTHESIS_PROFILE=deep`` runs each
+property on 2,000 programs.
 """
 
 from fractions import Fraction
@@ -19,7 +18,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from agmjoin import simplex
 from agmjoin.bounds import log2_fraction
 from agmjoin.simplex import (
     InfeasibleProgramError,
@@ -126,8 +124,6 @@ def test_minimize_raises_on_an_infeasible_program():
     lp = LinearProgram(_vec(1), ((_vec(1), F(2)), (_vec(-1), F(-1))))
     with pytest.raises(InfeasibleProgramError):
         minimize(lp)
-    with pytest.raises(InfeasibleProgramError):
-        simplex.lexmin_minimize(lp)
 
 
 def test_linear_program_rejects_a_negative_cost():
@@ -165,19 +161,19 @@ def test_lexmin_breaks_a_zero_cost_tie_lexicographically():
     # the triangle with every size 1: every cover is optimal (value 0);
     # x0 = 0 forces x1 = 1 (for B) and then x2 = 1 (for A)
     lp = _cover_lp(3, [(0, 1), (1, 2), (0, 2)], [1, 1, 1])
-    assert simplex.lexmin_minimize(lp) == (F(0), _vec(0, 1, 1))
+    assert minimize(lp) == (F(0), _vec(0, 1, 1))
 
 
 def test_lexmin_picks_the_least_of_two_optimal_vertices():
     # equal sizes on the 4-cycle: (1,0,1,0) and (0,1,0,1) both cost 2 log N
     lp = _cover_lp(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [8, 8, 8, 8])
-    assert simplex.lexmin_minimize(lp) == (F(6), _vec(0, 1, 0, 1))
+    assert minimize(lp) == (F(6), _vec(0, 1, 0, 1))
 
 
 def test_lexmin_keeps_the_minimize_value():
     lp = _cover_lp(3, [(0, 1), (1, 2), (0, 2)], [12345, 17, 10**12 + 7])
-    value, x = simplex.lexmin_minimize(lp)
-    assert value == minimize(lp)[0]
+    value, x = minimize(lp)
+    assert value == fraction_minimize(lp)[0]
     assert value == sum(ci * xi for ci, xi in zip(lp.c, x))
 
 
@@ -209,7 +205,7 @@ def cover_programs(draw):
 @example(_cover_lp(2, [(0, 1)] * 3, [8, 8, 8]))
 @example(_cover_lp(6, [(v, (v + 1) % 6) for v in range(6)], [1000] * 6))
 def test_lexmin_matches_the_reference_on_cover_programs(lp):
-    assert simplex.lexmin_minimize(lp) == lexmin_minimize(lp)
+    assert minimize(lp) == lexmin_minimize(lp)
 
 
 SMALL = st.integers(-3, 3).map(F)
@@ -236,7 +232,7 @@ def _outcome(solve, lp):
 @given(general_programs())
 def test_lexmin_matches_the_reference_on_general_programs(lp):
     """Zero costs, negative right-hand sides, equalities, infeasibility."""
-    assert _outcome(simplex.lexmin_minimize, lp) == _outcome(lexmin_minimize, lp)
+    assert _outcome(minimize, lp) == _outcome(lexmin_minimize, lp)
 
 
 # denominators 1-6 make the integer tableau scale its rows; ints ride along
@@ -272,11 +268,9 @@ def _is_exact(outcome) -> bool:
                        + _eq_rows((F(1), F(-1)), F(-1, 6))))
 @example(LinearProgram((F(1),), (((F(1, 4),), F(1, 3)), ((F(-1, 6),), F(-1, 6)))))
 def test_integer_tableau_matches_the_fraction_tableau(lp):
-    """Same optimal value and basic point as the Fraction tableau, or both infeasible."""
+    """Same optimal value and lex-least point as the Fraction tableau's
+    reference, or both infeasible."""
     got = _outcome(minimize, lp)
-    assert _is_exact(got)
-    assert got == _outcome(fraction_minimize, lp)
-    got = _outcome(simplex.lexmin_minimize, lp)
     assert _is_exact(got)
     assert got == _outcome(lexmin_minimize, lp)
 

@@ -381,9 +381,9 @@ def leaf_row_cases(draw):
 @given(leaf_row_cases())
 def test_leaf_rows_are_the_column_walk_at_full_depth(case):
     """At every node of every depth, the slice of sorted rows below it holds
-    the node's prefix and then exactly the column walk's suffixes; asked for
+    the node's prefix and then exactly ``iter_leaves``'s suffixes; asked for
     fewer levels than the node has below it (a projection), there is no
-    slice, and the column walk alone reads its leaves."""
+    slice, and ``iter_leaves`` alone reads its leaves."""
     rel, order = case
     ix = build_trie(rel, order)
     ordered = sorted(tuple(t[rel.schema.index(a)] for a in order) for t in rel.rows)
