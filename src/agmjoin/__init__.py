@@ -9,8 +9,8 @@ The package is organized bottom-up:
   two metered steps of the ``engine`` recursion: a descent along a trie
   path and a k-way intersection of sorted child lists.
 * ``simplex`` / ``bounds`` — exact covering LPs (a fraction-free
-  integer tableau with rational results), the fractional-cover size
-  bound, and the group-decomposition audit.
+  integer tableau with rational results) and the fractional-cover size
+  bound.
 * ``engine`` — the recursive join with nprr / leapfrog /
   fixed-sequence partitioning.
 * ``plans`` — classical two-way join plans and the bound-driven
@@ -29,8 +29,6 @@ from .bounds import (
     FractionalCover,
     agm_bound,
     cover,
-    decomposition_check,
-    edge_subset,
     is_cover,
     log2_fraction,
     min_cover_lp,

@@ -570,8 +570,9 @@ def run_join(
         raise SchemaError(f"a query of {len(attrs)} attributes nests deeper than "
                           f"Python's recursion limit ({sys.getrecursionlimit()})") from None
     if ctx.permuted:  # rows leave each level sorted unless a perm reorders them
-        rows.sort()  # distinct by construction; Relation still checks
-    out = Relation(attrs, tuple(rows))
+        rows.sort()
+    # Distinct by construction, of values read from q's tries: no row walk.
+    out = Relation._sorted(attrs, tuple(rows))
     meter.emits += len(out)
     return JoinRun(out, meter, strat, cover)
 

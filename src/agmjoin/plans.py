@@ -474,8 +474,10 @@ def _evaluate(p: PlanTree, bindings: Sequence[Relation], meter: CostMeter
             stack[-1] = (_project(*_drain(stack[-1], records, meter), node.keep), [])
     schema, cols, n = _drain(stack.pop(), records, meter)
     values = [domains[a][c].tolist() for a, c in zip(schema, cols)]
-    rows = tuple(zip(*values)) if cols else ((),) * n
-    return Relation(schema, rows), PlanTrace(records)
+    # Distinct by construction: joins of sets, deduplicating projections,
+    # none to zero attributes, and a zero-attribute leaf holds at most ().
+    rows = tuple(sorted(zip(*values))) if cols else ((),) * n
+    return Relation._sorted(schema, rows), PlanTrace(records)
 
 
 def execute_plan(p: PlanTree, bindings: Sequence[Relation],
@@ -522,5 +524,5 @@ def agm_join_project_traced(q: JoinQuery, meter: CostMeter) -> tuple[Relation, P
     ``meter``'s deadline is checked as in ``execute_plan``.
     """
     if any(len(r) == 0 for r in q.relations):
-        return Relation(q.attrs, ()), PlanTrace()
+        return Relation._sorted(q.attrs, ()), PlanTrace()
     return _evaluate(_agm_plan(q), q.relations, meter)

@@ -52,16 +52,20 @@ class Relation:
     ``schema`` must already be in global attribute order and ``rows``
     are stored sorted lexicographically, so equality of relations is
     plain structural equality.
+
+    ``Relation(schema, rows)`` walks the rows once: it checks each row's
+    width and values (non-negative ints, no bools), and sorts and
+    deduplicates them unless they already increase strictly.  Every row
+    from outside the package comes in this way.  ``Relation._sorted``
+    stores rows without that walk; its caller guarantees that they
+    increase strictly and hold values of relations already checked.
     """
 
     schema: tuple[Attribute, ...]
     rows: tuple[Row, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.schema)) != len(self.schema):
-            raise SchemaError(f"duplicate attribute in schema {self.schema}")
-        if any(self.schema[i] >= self.schema[i + 1] for i in range(len(self.schema) - 1)):
-            raise SchemaError(f"schema not in global attribute order: {self.schema}")
+        _check_schema(self.schema)
         arity = len(self.schema)
         rows = self.rows
         ordered = True  # strictly increasing, hence sorted and distinct
@@ -79,6 +83,17 @@ class Relation:
             prev = t
         if not ordered:
             object.__setattr__(self, "rows", tuple(sorted(set(rows))))
+
+    @classmethod
+    def _sorted(cls, schema: tuple[Attribute, ...], rows: tuple[Row, ...]) -> Relation:
+        """A relation over rows the caller built strictly increasing, each
+        of ``len(schema)`` values taken from relations already checked.
+        Only the schema is checked; the rows are stored as given."""
+        _check_schema(schema)
+        r = object.__new__(cls)
+        object.__setattr__(r, "schema", schema)
+        object.__setattr__(r, "rows", rows)
+        return r
 
     @cached_property
     def _rowset(self) -> frozenset[Row]:
@@ -104,6 +119,13 @@ class Relation:
         """Distinct values of one column, sorted."""
         i = self.position(a)
         return tuple(sorted({t[i] for t in self.rows}))
+
+
+def _check_schema(schema: tuple[Attribute, ...]) -> None:
+    if len(set(schema)) != len(schema):
+        raise SchemaError(f"duplicate attribute in schema {schema}")
+    if any(schema[i] >= schema[i + 1] for i in range(len(schema) - 1)):
+        raise SchemaError(f"schema not in global attribute order: {schema}")
 
 
 def relation(schema: Sequence[Attribute], rows: Iterable[Sequence[int]]) -> Relation:

@@ -4,24 +4,35 @@ import random
 import re
 import sys
 from itertools import islice, product
+from typing import Iterable, NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from agmjoin import (
+    Attribute,
     CostMeter,
     FractionalCover,
+    Hypergraph,
+    InfeasibleCoverError,
+    InvalidPartitionError,
     JoinQuery,
     PlanError,
     PlanTree,
     QueryFormatError,
     Relation,
     SchemaError,
+    attrs_sorted,
     descend,
     gen_random,
+    is_cover,
     join,
+    join_query,
     leaf,
     min_cover_lp,
+    oracle_join,
+    project,
+    semijoin,
 )
 
 settings.register_profile(
@@ -72,6 +83,61 @@ def random_feasible_cover(q: JoinQuery, rng: random.Random) -> FractionalCover:
     return FractionalCover(
         tuple(w + Fraction(rng.randint(0, 4), 8) for w in mixed)
     )
+
+
+def edge_subset(h: Hypergraph, attrs: Iterable[Attribute]) -> tuple[int, ...]:
+    """Indices of edges that intersect the given attribute set."""
+    s = set(attrs)
+    if not s <= set(h.vertices):
+        raise SchemaError(f"{s - set(h.vertices)} are not vertices")
+    return tuple(i for i, e in enumerate(h.edges) if s & set(e))
+
+
+class DecompositionReport(NamedTuple):
+    lhs: float
+    rhs: float
+
+    def holds(self, rel_tol: float = 1e-9) -> bool:
+        return self.lhs <= self.rhs * (1.0 + rel_tol)
+
+
+def decomposition_check(q: JoinQuery, x: FractionalCover, attrs_i: Iterable[Attribute]) -> DecompositionReport:
+    """Numerically audit the prefix-group inequality behind the engine.
+
+    With L the exact join of the projections onto I, the weighted count
+    of extensions per group, summed over L, must stay under the plain
+    bound read off the full relation sizes:
+
+        sum_{t in L} prod_{F meets J} |R_F semijoin t| ** x[F]
+            <= prod_F |R_F| ** x[F]
+
+    L is materialized through the brute-force oracle so the audit does
+    not depend on any tuned join code.  ``is_cover`` refuses weights of
+    the wrong shape.
+    """
+    h = q.hypergraph
+    if not is_cover(h, x):
+        raise InfeasibleCoverError("decomposition audit needs a genuine cover")
+    I = attrs_sorted(attrs_i)
+    all_attrs = set(q.attrs)
+    if not (set(I) < all_attrs) or not I:
+        raise InvalidPartitionError(f"I={I} must be a nonempty proper attribute subset")
+    J = attrs_sorted(all_attrs - set(I))
+    in_i = edge_subset(h, I)
+    in_j = edge_subset(h, J)
+    projected = [project(q.relations[i], set(h.edges[i]) & set(I)) for i in in_i]
+    group_rel = oracle_join(join_query(projected))
+    rhs = 1.0
+    for i, r in enumerate(q.relations):
+        rhs *= float(len(r)) ** float(x[i])
+    lhs = 0.0
+    for t in group_rel.rows:
+        binding = dict(zip(group_rel.schema, t))
+        term = 1.0
+        for i in in_j:
+            term *= float(len(semijoin(q.relations[i], binding))) ** float(x[i])
+        lhs += term
+    return DecompositionReport(lhs, rhs)
 
 
 @pytest.fixture

@@ -22,7 +22,6 @@ from agmjoin import (
     agm_join_project_traced,
     cover,
     cq_bound,
-    decomposition_check,
     evaluate_cq,
     execute_plan,
     gen_chase_witness,
@@ -42,6 +41,7 @@ from agmjoin import (
 from agmjoin.cli import fit_exponent
 from conftest import (
     all_join_plans,
+    decomposition_check,
     is_simple,
     oracle_join_by_candidate,
     random_feasible_cover,

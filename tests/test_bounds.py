@@ -17,8 +17,6 @@ from agmjoin import (
     SchemaError,
     agm_bound,
     cover,
-    decomposition_check,
-    edge_subset,
     is_cover,
     join_query,
     log2_fraction,
@@ -28,7 +26,7 @@ from agmjoin import (
     relation,
 )
 from agmjoin import simplex
-from conftest import random_instance
+from conftest import decomposition_check, edge_subset, random_instance
 
 A, B, C, D = make_attrs("A", "B", "C", "D")
 TRIANGLE = Hypergraph((A, B, C), ((A, B), (B, C), (A, C)))

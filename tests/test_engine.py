@@ -18,9 +18,11 @@ from agmjoin import (
     JoinQuery,
     Relation,
     TimeBudgetExceeded,
+    agm_join_project_traced,
     attrs_sorted,
     build_trie,
     cover,
+    execute_plan,
     fixed_sequence_strategy,
     gen_chase_witness,
     gen_clique_query,
@@ -28,7 +30,9 @@ from agmjoin import (
     gen_lw_query,
     gen_triangle_bad,
     iter_leaves,
+    join,
     join_query,
+    leaf,
     leapfrog_strategy,
     make_attrs,
     min_cover_lp,
@@ -40,10 +44,9 @@ from agmjoin import (
     run_join,
 )
 from agmjoin import engine
-from agmjoin.bounds import decomposition_check
 from agmjoin.engine import _filter, _seat
 from agmjoin.trie import leaf_rows
-from conftest import random_feasible_cover, random_instance, walk
+from conftest import decomposition_check, random_feasible_cover, random_instance, walk
 
 A, B, C, D = make_attrs("A", "B", "C", "D")
 
@@ -541,18 +544,44 @@ def test_an_expired_deadline_stops_a_run_whose_groups_reuse(strat, q):
 
 def test_permuted_rows_reach_relation_sorted(monkeypatch):
     # nprr emits chase-witness rows as (X, Y) groups plus W, so a perm
-    # reorders them; run_join sorts them before Relation checks them.
+    # reorders them; run_join sorts them before storing them unchecked.
     seen = []
-    make = engine.Relation
+    make = Relation._sorted
 
     def spy(schema, rows):
-        seen.append(list(rows) == sorted(rows))
+        seen.append(all(a < b for a, b in zip(rows, rows[1:])))
         return make(schema, rows)
 
-    monkeypatch.setattr(engine, "Relation", spy)
+    monkeypatch.setattr(Relation, "_sorted", spy)
     q = chase_witness_query(40)
     assert run_join(q, nprr_strategy()).output == oracle_join(q)
     assert seen == [True]
+
+
+def test_answers_are_built_without_a_row_walk(monkeypatch):
+    # Engines and plans build answers from checked relations, strictly
+    # increasing, so no answer passes through Relation.__post_init__.
+    cases = []
+    for q in (chase_witness_query(40), gen_triangle_bad(8).query):
+        tree = leaf(0)
+        for i in range(1, len(q.relations)):
+            tree = join(tree, leaf(i))
+        cases.append((q, tree, oracle_join(q)))
+    calls = []
+    check = Relation.__post_init__
+
+    def spy(self):
+        calls.append(self.schema)
+        check(self)
+
+    monkeypatch.setattr(Relation, "__post_init__", spy)
+    for q, tree, want in cases:
+        reversed_blocks = fixed_sequence_strategy([(a,) for a in reversed(q.attrs)])
+        for strat in (nprr_strategy(), leapfrog_strategy(), reversed_blocks):
+            assert run_join(q, strat).output == want, strat
+        assert execute_plan(tree, q.relations, CostMeter())[0] == want
+        assert agm_join_project_traced(q, CostMeter())[0] == want
+    assert calls == []
 
 
 # ---------------------------------------------------------------- the two-choices filter
