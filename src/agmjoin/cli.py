@@ -51,7 +51,13 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .engine import PartitionStrategy, leapfrog_strategy, nprr_strategy, run_join
+from .engine import (
+    PartitionStrategy,
+    leapfrog_strategy,
+    nprr_strategy,
+    run_join,
+    run_join_factorised,
+)
 from .errors import (
     GeneratorParameterError,
     PlanError,
@@ -171,7 +177,9 @@ def _oracle_candidates(q: JoinQuery) -> int:
 
 
 def _run_algo(kind: str, payload, q: JoinQuery, budget: float | None,
-              guard_oracle: bool = False) -> CellResult:
+              guard_oracle: bool = False, factorised: bool = False) -> CellResult:
+    """Run one algorithm; with ``factorised``, a trie engine's output is
+    its ``Factorised`` answer, not a ``Relation``."""
     if kind == "oracle" and guard_oracle and _oracle_candidates(q) > _ORACLE_CANDIDATE_CAP:
         return CellResult("skipped")
     meter = CostMeter()
@@ -179,7 +187,7 @@ def _run_algo(kind: str, payload, q: JoinQuery, budget: float | None,
     out = trace = None
     try:
         if kind == "wcoj":
-            out = run_join(q, payload, meter=meter).output
+            out = (run_join_factorised if factorised else run_join)(q, payload, meter=meter).output
         elif kind == "oracle":
             out = oracle_join(q, meter=meter)
         elif kind == "pairwise":
@@ -248,14 +256,16 @@ def cmd_run(args) -> int:
     full = dataclasses.replace(nq, head=Atom(nq.head.symbol, tuple(names)))
     jq = project_to_head(full).bind(data)  # a head of every body variable: the full join
     _, kind, payload = _parse_algo(args.algo)
-    res = _run_algo(kind, payload, jq, _budget(args, None))
+    head = cq.head
+    full = head.vars == tuple(names)  # the join's own rows: written from the factorised answer
+    res = _run_algo(kind, payload, jq, _budget(args, None), factorised=full)
     if res.status == "timeout":
         print(f"error: {args.algo} exceeded its time budget", file=sys.stderr)
         return 1
 
-    head, rows = cq.head, res.output  # sorted, distinct, columns in `names` order
+    rows = res.output  # sorted, distinct, columns in `names` order
     if head.vars:
-        if head.vars != tuple(names):  # permuted, repeated or projected: one C pass per column
+        if not full:  # permuted, repeated or projected: one C pass per column
             rows = sorted(set(zip(*[map(itemgetter(names.index(v)), rows.rows)
                                     for v in head.vars])))
         text, shown = format_relation(head.symbol, head.vars, rows), len(rows)

@@ -129,7 +129,7 @@ def fixed_sequence_strategy(blocks: Iterable[Iterable[Attribute]]) -> PartitionS
 class JoinRun:
     """One join execution: its output plus the accounting that produced it."""
 
-    output: Relation
+    output: Relation | Factorised
     meter: CostMeter
     strategy: PartitionStrategy
     cover: FractionalCover
@@ -315,6 +315,23 @@ class _Tail:
             self.probe_args = (v, others, nar, bound, None, scale)
 
 
+class _Part:
+    """A split call's answer, factorised.  ``pairs`` lists (group, J
+    answer) in group order, and the group's rows are ``t + r`` for each
+    row r of its J answer, reordered by ``split.perm``.  A J answer is a
+    list of rows or a ``_Part``, and one that the memo or ``_ONCE`` hands
+    to several groups is one shared object.  A pair is kept where that
+    pays: where the J answer nests, or is shared and has more than one
+    row.  Rows of the groups between are built at once and stored as one
+    pair ``((), rows)``; a split that permutes keeps its pairs only when
+    all its groups share the one J answer.  ``n`` counts the rows."""
+
+    __slots__ = ("split", "pairs", "n")
+
+    def __init__(self, split: _Split, pairs: list[tuple[Row, list[Row] | _Part]], n: int):
+        self.split, self.pairs, self.n = split, pairs, n
+
+
 def _compile(ctx: _Ctx, v: int, rels: int, nar: int, bound: int,
              blocks: tuple[int, ...] | None, scale: Fraction):
     """Plan the join of the relations in ``rels`` over the attributes in
@@ -337,9 +354,10 @@ def _compile(ctx: _Ctx, v: int, rels: int, nar: int, bound: int,
     return _Split(ctx, v, rels, nar, bound, i, blocks, scale)
 
 
-def _run(ctx: _Ctx, plan, nodes: list[Node]) -> list[Row]:
+def _run(ctx: _Ctx, plan, nodes: list[Node], keep: bool) -> list[Row] | _Part:
     """Execute ``plan`` on the run's one node per relation, ``nodes[e]``
-    on level ``depth`` of ``ctx.trie_of[e]``.  A split sets the nodes of
+    on level ``depth`` of ``ctx.trie_of[e]``, and return its answer: a
+    list of rows, or, if ``keep``, maybe a split's ``_Part``.  A split sets the nodes of
     ``both`` for each group and restores them before it returns; a split
     that seats does so on a copy, and holds its seated tries in
     ``ctx.trie_of`` until it returns."""
@@ -350,7 +368,7 @@ def _run(ctx: _Ctx, plan, nodes: list[Node]) -> list[Row]:
     if type(plan) is itemgetter:
         return list(zip(intersect(plan(nodes), meter)))
     if type(plan) is _Tail:
-        return _nprr_tail(ctx, plan, nodes)
+        return _nprr_tail(ctx, plan, nodes)  # a scan's or a probe's rows
 
     trie_of = ctx.trie_of
     if plan.seats:  # index preparation, unmetered like the builds
@@ -371,24 +389,27 @@ def _run(ctx: _Ctx, plan, nodes: list[Node]) -> list[Row]:
         vals, at = intersect(i_plan(nodes), meter, positions=True)
         groups = zip(vals)
     else:
-        groups = vals = _run(ctx, i_plan, nodes)
-    out: list[Row] = []
+        groups = vals = _run(ctx, i_plan, nodes, False)
+    flat: list[Row] = []  # rows built since the last pair
+    pairs: list[tuple[Row, list[Row] | _Part]] | None = None  # the first kept pair makes it
     if vals:  # else J is neither compiled nor run
-        if at is None:  # each group descends its values from the relation's node
-            moves = [(e, nodes[e], idxs) for e, idxs in plan.both]
-        else:  # each yields the relation's node for each group in turn: the child range
-            # opened where the intersect found the group's key
-            moves = [(e, nodes[e], children(nodes[e][0], at[x])) for e, x in plan.both]
-        n_open = 0 if at is None else len(moves)
-        keyed, perm = plan.keyed, plan.perm
+        perm = plan.perm
         j_plan = plan.j_plan
         if j_plan is None:
             j_plan = plan.j_plan = _compile(ctx, *plan.j_args)
         base = type(j_plan) is itemgetter  # the last attribute: its values extend t
         memo = plan.reuse
         once = memo is _ONCE
-        if once:  # the call's one J result, under a constant key
-            memo = {}
+        if once:  # one J answer for every group: with several groups, a product
+            memo = {} if len(vals) > 1 else None  # each group keeps the answer
+            once = memo is not None
+        if at is None:  # each group descends its values from the relation's node
+            moves = [(e, nodes[e], idxs) for e, idxs in plan.both]
+        else:  # each yields the relation's node for each group in turn: the child range
+            # opened where the intersect found the group's key
+            moves = [(e, nodes[e], children(nodes[e][0], at[x])) for e, x in plan.both]
+        n_open = 0 if at is None else len(moves)
+        keyed = plan.keyed
         for t in groups:
             meter.check_deadline()
             if at is None:  # never misses: the I side joined t from each node
@@ -398,27 +419,92 @@ def _run(ctx: _Ctx, plan, nodes: list[Node]) -> list[Row]:
                 meter.probes += n_open  # an opened child costs the one probe of its descent
                 for e, _, col in moves:
                     nodes[e] = next(col)
-            js = None
-            if memo is not None:
-                key = None if once else tuple([nodes[e][1] for e in keyed])
-                js = memo.get(key)
-                if js is not None:  # a lookup is a membership test: one probe
-                    meter.probes += 1
-                    meter.reuses += 1
-            if js is None:  # J's values (one attribute) or rows on these nodes
+            hit = None
+            if memo is None:  # no other group reaches this J answer
                 if base:
                     meter.recursions += 1
                     js = intersect(j_plan(nodes), meter)
+                    rows = map(t.__add__, zip(js))
+                    flat += rows if perm is None else map(perm, rows)
+                    continue
+                js = _run(ctx, j_plan, nodes, keep)
+            else:
+                key = None if once else tuple([nodes[e][1] for e in keyed])
+                js = hit = memo.get(key)
+                if js is not None:  # a lookup is a membership test: one probe
+                    meter.probes += 1
+                    meter.reuses += 1
+                elif base:
+                    meter.recursions += 1
+                    js = memo[key] = list(zip(intersect(j_plan(nodes), meter)))
                 else:
-                    js = _run(ctx, j_plan, nodes)
-                if memo is not None:
-                    memo[key] = js
-            rows = map(t.__add__, zip(js) if base else js)
-            out += rows if perm is None else map(perm, rows)
+                    js = memo[key] = _run(ctx, j_plan, nodes, keep)
+                if not js:
+                    continue
+            # Keep the pair where the J answer nests, or is shared and has rows to
+            # share; else build its rows.
+            if keep and (once or perm is None and (type(js) is not list or hit is not None
+                                                   and js[1:])):
+                if pairs is None:
+                    pairs = []
+                if flat:
+                    pairs.append(((), flat))
+                    flat = []
+                pairs.append((t, js))
+            else:
+                rows = map(t.__add__, js if type(js) is list else _rows(js))
+                flat += rows if perm is None else map(perm, rows)
         for e, node, _ in moves:
             nodes[e] = node
     for e, trie, _, _, _, _ in plan.seats:
         trie_of[e] = trie
+    if pairs is None:
+        return flat
+    if flat:
+        pairs.append(((), flat))
+    return _Part(plan, pairs, sum([len(js) if type(js) is list else js.n for _, js in pairs]))
+
+
+def _blocks(out: list[tuple[list[Row], list[Row]]], part: _Part, pieces: list[Row]) -> None:
+    """Append ``part``'s rows to ``out`` as blocks ``(lefts, rights)``,
+    each the rows ``l + r`` for each l in lefts, then each r in rights.
+    ``pieces`` holds the groups of the splits above, outermost first; a
+    row's prefix joins them once, where a list of rows is reached, so a
+    row is built once however deep it lies.  Groups in a row that reach
+    one shared list make one block.  A split that permutes is built
+    row by row in its own order and is one block."""
+    prefix = None  # the pieces joined, at the first pair that needs them
+    if part.split.perm is not None:
+        rows: list[Row] = []
+        for t, js in part.pairs:
+            rows += map(t.__add__, _rows(js))
+        out.append(([tuple(chain.from_iterable(pieces))], list(map(part.split.perm, rows))))
+        return
+    for t, js in part.pairs:
+        if type(js) is list:
+            if prefix is None:
+                prefix = tuple(chain.from_iterable(pieces))
+            if out and out[-1][1] is js:
+                out[-1][0].append(prefix + t)
+            else:
+                out.append(([prefix + t], js))
+        else:
+            pieces.append(t)
+            _blocks(out, js, pieces)
+            pieces.pop()
+
+
+def _rows(ans: list[Row] | _Part) -> list[Row]:
+    """An answer's rows, each built once, in the order the recursion
+    found them: sorted unless a split permutes."""
+    if type(ans) is list:
+        return ans
+    blocks: list[tuple[list[Row], list[Row]]] = []
+    _blocks(blocks, ans, [])
+    out: list[Row] = []
+    for lefts, rights in blocks:
+        for left in lefts:
+            out += map(left.__add__, rights)
     return out
 
 
@@ -458,7 +544,7 @@ def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[Node]) -> list[Row]:
             probe = plan.probe
             if probe is None:
                 probe = plan.probe = _compile(ctx, *plan.probe_args)
-            rows = _run(ctx, probe, nodes)
+            rows = _run(ctx, probe, nodes, False)
             return _filter(ctx, rows, len(rows), [(nj, range(k))])
     rows = leaf_rows(nj, k)
     if rows is None:  # a projection node
@@ -520,22 +606,71 @@ def _filter(ctx: _Ctx, rows: Iterable[Row], n: int,
     return rows if isinstance(rows, list) else list(rows)
 
 
-def run_join(
+class Factorised:
+    """A join's answer, factorised: the d-representation of Olteanu and
+    Závodný (TODS 2015) that the recursion builds.  A split's answer is
+    a list of (group, J answer) pairs, and a J answer that several groups
+    reach is stored once.  ``len`` is the row count; ``rows`` flattens,
+    and ``blocks`` gives the sorted rows as products for a writer to
+    render without building them."""
+
+    __slots__ = ("schema", "_root", "_permuted")
+
+    def __init__(self, schema: tuple[Attribute, ...], root: list[Row] | _Part, permuted: bool):
+        self.schema, self._root, self._permuted = schema, root, permuted
+
+    @property
+    def arity(self) -> int:
+        return len(self.schema)
+
+    def __len__(self) -> int:
+        root = self._root
+        return len(root) if type(root) is list else root.n
+
+    def _product(self) -> tuple[list[Row], list[Row]] | None:
+        """The sorted J rows and groups of a root split that permutes
+        and whose groups all share one J answer whose attributes all
+        come first: every J row then every group is the sorted order."""
+        root = self._root
+        if type(root) is list:
+            return None
+        (_, first), i, j = root.pairs[0], root.split.i_args[0], root.split.j_args[0]
+        if j > i & -i or any(js is not first for _, js in root.pairs):
+            return None
+        return sorted(_rows(first)), sorted([t for t, _ in root.pairs])
+
+    def blocks(self) -> list[tuple[list[Row], list[Row]]]:
+        """The rows in sorted order as blocks ``(lefts, rights)``, each
+        the rows ``l + r`` for each l in lefts, then each r in rights."""
+        root = self._root
+        if not self._permuted:
+            if type(root) is list:
+                return [([()], root)] if root else []
+            out: list[tuple[list[Row], list[Row]]] = []
+            _blocks(out, root, [])
+            return out
+        product = self._product()
+        return [product] if product is not None else [([()], sorted(_rows(root)))]
+
+    def rows(self) -> list[Row]:
+        """The rows, sorted, each built once."""
+        if not self._permuted:
+            return _rows(self._root)
+        product = self._product()
+        if product is None:
+            return sorted(_rows(self._root))
+        js, groups = product
+        return [r + t for r in js for t in groups]
+
+
+def run_join_factorised(
     q: JoinQuery,
     strat: PartitionStrategy | None = None,
     cover: FractionalCover | None = None,
     meter: CostMeter | None = None,
 ) -> JoinRun:
-    """Join all relations of ``q`` exactly, metering the work done.
-
-    The base case (one attribute) is a k-way intersection; otherwise
-    the strategy picks I, the I-projections are joined recursively into
-    groups, and each group tuple is extended over the rest.  The cover
-    defaults to the tightest one from the size-bound linear program; a
-    cover the caller gives is checked to be one.  A deadline started on
-    ``meter`` is the run's time budget.
-    Returns the output with the meter, strategy and cover that produced it.
-    """
+    """``run_join`` without the flatten: the run's ``output`` is the
+    ``Factorised`` answer that the recursion built."""
     strat = strat if strat is not None else nprr_strategy()
     if cover is None:
         # Empty relations would put log2(0) in the LP objective; any
@@ -565,14 +700,33 @@ def run_join(
     try:
         plan = _compile(ctx, (1 << len(attrs)) - 1, (1 << len(q.relations)) - 1, 0, 0, blocks,
                         Fraction(1))
-        rows = _run(ctx, plan, [t.root for t in ctx.trie_of])
+        out = Factorised(attrs, _run(ctx, plan, [t.root for t in ctx.trie_of], True),
+                         ctx.permuted)
     except RecursionError:  # the plan nests about one level per attribute
         raise SchemaError(f"a query of {len(attrs)} attributes nests deeper than "
                           f"Python's recursion limit ({sys.getrecursionlimit()})") from None
-    if ctx.permuted:  # rows leave each level sorted unless a perm reorders them
-        rows.sort()
-    # Distinct by construction, of values read from q's tries: no row walk.
-    out = Relation._sorted(attrs, tuple(rows))
     meter.emits += len(out)
     return JoinRun(out, meter, strat, cover)
 
+
+def run_join(
+    q: JoinQuery,
+    strat: PartitionStrategy | None = None,
+    cover: FractionalCover | None = None,
+    meter: CostMeter | None = None,
+) -> JoinRun:
+    """Join all relations of ``q`` exactly, metering the work done.
+
+    The base case (one attribute) is a k-way intersection; otherwise
+    the strategy picks I, the I-projections are joined recursively into
+    groups, and each group tuple is extended over the rest.  The cover
+    defaults to the tightest one from the size-bound linear program; a
+    cover the caller gives is checked to be one.  A deadline started on
+    ``meter`` is the run's time budget.
+    Returns the output with the meter, strategy and cover that produced it.
+    """
+    run = run_join_factorised(q, strat, cover, meter)
+    ans = run.output  # its parts nest less deeply than the run did, so this flatten fits
+    # Distinct by construction, of values read from q's tries: no row walk.
+    out = Relation._sorted(ans.schema, tuple(ans.rows()))
+    return JoinRun(out, run.meter, run.strategy, run.cover)

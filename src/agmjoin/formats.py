@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
 from .errors import QueryFormatError, SchemaError
+from .engine import Factorised
 from .relational import Relation, Row
 from .rewrite import Atom, ConjunctiveQuery, SimpleFD
 
@@ -156,20 +157,24 @@ def _first_bad_row(lines: list[str], n: int) -> QueryFormatError:
     raise ValueError("the bulk parse refused rows that every line holds")
 
 
-def format_relation(name: str, cols: Sequence[str], rows: Relation | Iterable[Row]) -> str:
+def format_relation(name: str, cols: Sequence[str],
+                    rows: Relation | Factorised | Iterable[Row]) -> str:
     """The relation file text: rows sorted and distinct, one line each.
 
     A ``Relation``'s rows were checked for width and order when it was
     built, so only its arity is checked against ``cols`` and its rows
-    are written as given.  Other rows are checked: rows that arrive
-    strictly increasing are written as given, any others are
-    deduplicated and sorted first, and a row whose width is not the
-    schema's raises :class:`SchemaError`.
+    are written as given; a ``Factorised`` join answer is rendered from
+    its blocks without building its rows (:func:`_render`).  Other rows
+    are checked: rows that arrive strictly increasing are written as
+    given, any others are deduplicated and sorted first, and a row whose
+    width is not the schema's raises :class:`SchemaError`.
     """
-    if isinstance(rows, Relation):
+    if isinstance(rows, (Relation, Factorised)):
         if rows.arity != len(cols):
             raise SchemaError(f"relation {name}: rows have width {rows.arity}, "
                               f"schema {','.join(cols)} has width {len(cols)}")
+        if isinstance(rows, Factorised):
+            return f"# relation {name} schema {','.join(cols)}\n" + _render(rows.blocks())
         rows = rows.rows
     else:
         if not isinstance(rows, (list, tuple)):
@@ -183,6 +188,43 @@ def format_relation(name: str, cols: Sequence[str], rows: Relation | Iterable[Ro
     line = ",".join(["%s"] * len(cols)) + "\n"  # %s is str(), whatever the value's type
     body = (line * len(rows)) % tuple(chain.from_iterable(rows))
     return f"# relation {name} schema {','.join(cols)}\n" + body
+
+
+def _line(width: int) -> str:
+    return ",".join(["%s"] * width) + "\n"  # %s is str(), whatever the value's type
+
+
+def _render(blocks: list[tuple[list[Row], list[Row]]]) -> str:
+    """The lines of a join answer's blocks, each block the rows ``l + r``
+    for each l in lefts, then each r in rights.  Where a block repeats
+    rights of more than one row, their text is made once and each left's
+    text is put before every line of it by ``str.replace``; the rows of
+    every other block are built and go through one ``%`` call."""
+    parts: list[str] = []
+    pending: list[Row] = []
+    texts: dict[int, str] = {}  # the text of each repeated rights list, by id
+
+    def flush() -> None:
+        if pending:
+            parts.append(_line(len(pending[0])) * len(pending) % tuple(chain.from_iterable(pending)))
+            pending.clear()
+
+    for lefts, rights in blocks:
+        if len(lefts) < 2 or len(rights) < 2:
+            for left in lefts:
+                pending += map(left.__add__, rights)
+            continue
+        flush()
+        body = texts.get(id(rights))
+        if body is None:  # its lines, the last without its newline
+            body = texts[id(rights)] = (_line(len(rights[0])) * len(rights)
+                                        % tuple(chain.from_iterable(rights)))[:-1]
+        head = "%s," * len(lefts[0])
+        for left in lefts:
+            p = head % left
+            parts += (p, body.replace("\n", "\n" + p), "\n")
+    flush()
+    return "".join(parts)
 
 
 def read_relation_file(path: Path | str) -> tuple[str, tuple[str, ...], tuple[Row, ...]]:

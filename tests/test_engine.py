@@ -97,12 +97,12 @@ def _check_every_split(monkeypatch):
     counts = [0, 0]
     run = engine._run
 
-    def checked_run(ctx, plan, nodes):
+    def checked_run(ctx, plan, nodes, keep):
         if isinstance(plan, engine._Split):
             counts[0] += 1
             _check_group_inequality(plan, nodes)
             counts[1] += 1
-        return run(ctx, plan, nodes)
+        return run(ctx, plan, nodes, keep)
 
     monkeypatch.setattr(engine, "_run", checked_run)
     return splits, counts
