@@ -79,9 +79,7 @@ from .relational import (
     join_query,
     make_attrs,
     oracle_join,
-    project,
     relation,
-    semijoin,
 )
 from .rewrite import (
     Atom,

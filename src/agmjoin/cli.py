@@ -253,8 +253,8 @@ def cmd_run(args) -> int:
     data = load_data_dir(args.data, {a.symbol for a in cq.body})  # other tables: header only
     nq = normalize(dataclasses.replace(cq, fds=()))  # dependencies never change run semantics
     names = sorted({v for a in nq.body for v in a.vars})
-    full = dataclasses.replace(nq, head=Atom(nq.head.symbol, tuple(names)))
-    jq = project_to_head(full).bind(data)  # a head of every body variable: the full join
+    every = dataclasses.replace(nq, head=Atom(nq.head.symbol, tuple(names)))
+    jq = project_to_head(every).bind(data)  # a head of every body variable: the full join
     _, kind, payload = _parse_algo(args.algo)
     head = cq.head
     full = head.vars == tuple(names)  # the join's own rows: written from the factorised answer

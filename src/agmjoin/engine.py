@@ -63,6 +63,18 @@ one probe, the membership test of its lookup, and counted in
 ``CostMeter.reuses``.  The memo holds only lists that metered misses
 built, so it needs no cap, and it goes with the plan when the run ends.
 
+A split's answer stays factorised where that pays, a d-representation
+(Olteanu and Závodný, TODS 2015): it keeps (group, J answer) pairs where
+a J answer nests, is shared, or has rows wider than ``_WIDE``, and
+builds the rows of the other groups at once.  A split that permutes
+keeps its pairs only while every group reaches one shared J answer, a
+product.  ``run_join`` flattens the answer once at the top, building
+each row once, after the groups of every level above it, and sorting
+only when a split permutes; a product whose J attributes come first is
+laid out J-major instead, with no sort.  ``run_join_factorised``
+returns the answer unflattened, and its ``blocks`` let a writer render
+a shared J answer once for all the groups that reach it.
+
 The outer loop over partial tuples reads only immutable tries, so it
 could run in parallel with per-worker meters merged by summation;
 execution here is single-threaded and deterministic.
@@ -136,6 +148,10 @@ class JoinRun:
 
 
 _ONCE = object()  # every group of a call reaches the same J nodes
+# A J row of more attributes than this is kept in a pair, not copied into
+# a row at each level above: on an n-atom path that copying is O(n^2).
+# Narrower rows are built at once, which is cheaper than a pair.
+_WIDE = 32
 
 
 def _bits(m: int) -> Iterator[int]:
@@ -321,10 +337,11 @@ class _Part:
     row r of its J answer, reordered by ``split.perm``.  A J answer is a
     list of rows or a ``_Part``, and one that the memo or ``_ONCE`` hands
     to several groups is one shared object.  A pair is kept where that
-    pays: where the J answer nests, or is shared and has more than one
-    row.  Rows of the groups between are built at once and stored as one
-    pair ``((), rows)``; a split that permutes keeps its pairs only when
-    all its groups share the one J answer.  ``n`` counts the rows."""
+    pays: where the J answer nests, has rows wider than ``_WIDE``, or is
+    shared and has more than one row.  Rows of the groups between are
+    built at once and stored as one pair ``((), rows)``; a split that
+    permutes keeps its pairs only when all its groups share the one J
+    answer.  ``n`` counts the rows."""
 
     __slots__ = ("split", "pairs", "n")
 
@@ -357,10 +374,10 @@ def _compile(ctx: _Ctx, v: int, rels: int, nar: int, bound: int,
 def _run(ctx: _Ctx, plan, nodes: list[Node], keep: bool) -> list[Row] | _Part:
     """Execute ``plan`` on the run's one node per relation, ``nodes[e]``
     on level ``depth`` of ``ctx.trie_of[e]``, and return its answer: a
-    list of rows, or, if ``keep``, maybe a split's ``_Part``.  A split sets the nodes of
-    ``both`` for each group and restores them before it returns; a split
-    that seats does so on a copy, and holds its seated tries in
-    ``ctx.trie_of`` until it returns."""
+    list of rows, or, if ``keep``, maybe a split's ``_Part``.  A split
+    sets the nodes of ``both`` for each group and restores them before
+    it returns; a split that seats does so on a copy, and holds its
+    seated tries in ``ctx.trie_of`` until it returns."""
     meter = ctx.meter
     meter.recursions += 1
     meter.check_deadline()
@@ -401,7 +418,7 @@ def _run(ctx: _Ctx, plan, nodes: list[Node], keep: bool) -> list[Row] | _Part:
         memo = plan.reuse
         once = memo is _ONCE
         if once:  # one J answer for every group: with several groups, a product
-            memo = {} if len(vals) > 1 else None  # each group keeps the answer
+            memo = {} if len(vals) > 1 else None  # one group has nothing to share
             once = memo is not None
         if at is None:  # each group descends its values from the relation's node
             moves = [(e, nodes[e], idxs) for e, idxs in plan.both]
@@ -410,6 +427,12 @@ def _run(ctx: _Ctx, plan, nodes: list[Node], keep: bool) -> list[Row] | _Part:
             moves = [(e, nodes[e], children(nodes[e][0], at[x])) for e, x in plan.both]
         n_open = 0 if at is None else len(moves)
         keyed = plan.keyed
+        # Where the answer may stay factorised: a split that permutes keeps its
+        # pairs only for a product; one that does not keeps every pair when
+        # every group shares the J answer or its rows are wide.
+        product = keep and perm is not None and memo is not None
+        pack = keep and perm is None
+        always = pack and (once or not base and plan.j_args[0].bit_count() > _WIDE)
         for t in groups:
             meter.check_deadline()
             if at is None:  # never misses: the I side joined t from each node
@@ -441,19 +464,30 @@ def _run(ctx: _Ctx, plan, nodes: list[Node], keep: bool) -> list[Row] | _Part:
                     js = memo[key] = _run(ctx, j_plan, nodes, keep)
                 if not js:
                     continue
-            # Keep the pair where the J answer nests, or is shared and has rows to
-            # share; else build its rows.
-            if keep and (once or perm is None and (type(js) is not list or hit is not None
-                                                   and js[1:])):
+            if product and not flat:
+                # Pairs while every group reaches one shared J answer; at the first
+                # group that does not, the pairs so far become rows.
+                if pairs is None:
+                    pairs = [(t, js)]
+                    continue
+                if js is pairs[0][1]:
+                    pairs.append((t, js))
+                    continue
+                for u, ks in pairs:
+                    flat += map(perm, map(u.__add__, _rows(ks)))
+                pairs = None
+            elif pack and (always or type(js) is not list or hit is not None and js[1:]):
+                # The pair, where the J answer nests or is shared and has rows to
+                # share; else its rows.
                 if pairs is None:
                     pairs = []
                 if flat:
                     pairs.append(((), flat))
                     flat = []
                 pairs.append((t, js))
-            else:
-                rows = map(t.__add__, js if type(js) is list else _rows(js))
-                flat += rows if perm is None else map(perm, rows)
+                continue
+            rows = map(t.__add__, js if type(js) is list else _rows(js))
+            flat += rows if perm is None else map(perm, rows)
         for e, node, _ in moves:
             nodes[e] = node
     for e, trie, _, _, _, _ in plan.seats:
@@ -465,33 +499,38 @@ def _run(ctx: _Ctx, plan, nodes: list[Node], keep: bool) -> list[Row] | _Part:
     return _Part(plan, pairs, sum([len(js) if type(js) is list else js.n for _, js in pairs]))
 
 
-def _blocks(out: list[tuple[list[Row], list[Row]]], part: _Part, pieces: list[Row]) -> None:
+def _blocks(out: list[tuple[list[Row], list[Row]]], part: _Part) -> None:
     """Append ``part``'s rows to ``out`` as blocks ``(lefts, rights)``,
     each the rows ``l + r`` for each l in lefts, then each r in rights.
-    ``pieces`` holds the groups of the splits above, outermost first; a
-    row's prefix joins them once, where a list of rows is reached, so a
-    row is built once however deep it lies.  Groups in a row that reach
-    one shared list make one block.  A split that permutes is built
-    row by row in its own order and is one block."""
-    prefix = None  # the pieces joined, at the first pair that needs them
-    if part.split.perm is not None:
-        rows: list[Row] = []
-        for t, js in part.pairs:
-            rows += map(t.__add__, _rows(js))
-        out.append(([tuple(chain.from_iterable(pieces))], list(map(part.split.perm, rows))))
-        return
-    for t, js in part.pairs:
-        if type(js) is list:
+    The walk keeps the groups of the parts above, outermost first, and
+    joins them once per part, where a list of rows is reached, so a row
+    is built once however deep it lies.  Groups in a row that reach one
+    shared list make one block.  A part whose split permutes is built row
+    by row in its own order and is one block."""
+    pieces: list[Row] = []  # the group of each part on the stack but the first
+    stack = [iter(part.pairs)]
+    prefixes: list[Row | None] = [()]  # each part's pieces joined, once a list needs them
+    while stack:
+        for t, js in stack[-1]:
+            if type(js) is not list and js.split.perm is None:
+                pieces.append(t)
+                stack.append(iter(js.pairs))
+                prefixes.append(None)
+                break
+            prefix = prefixes[-1]
             if prefix is None:
-                prefix = tuple(chain.from_iterable(pieces))
-            if out and out[-1][1] is js:
+                prefix = prefixes[-1] = tuple(chain.from_iterable(pieces))
+            if type(js) is not list:
+                out.append(([prefix + t], _rows(js)))
+            elif out and out[-1][1] is js:
                 out[-1][0].append(prefix + t)
             else:
                 out.append(([prefix + t], js))
         else:
-            pieces.append(t)
-            _blocks(out, js, pieces)
-            pieces.pop()
+            stack.pop()
+            prefixes.pop()
+            if pieces:
+                pieces.pop()
 
 
 def _rows(ans: list[Row] | _Part) -> list[Row]:
@@ -499,9 +538,13 @@ def _rows(ans: list[Row] | _Part) -> list[Row]:
     found them: sorted unless a split permutes."""
     if type(ans) is list:
         return ans
-    blocks: list[tuple[list[Row], list[Row]]] = []
-    _blocks(blocks, ans, [])
     out: list[Row] = []
+    if ans.split.perm is not None:  # it kept its pairs for a product
+        for t, js in ans.pairs:
+            out += map(t.__add__, _rows(js))
+        return list(map(ans.split.perm, out))
+    blocks: list[tuple[list[Row], list[Row]]] = []
+    _blocks(blocks, ans)
     for lefts, rights in blocks:
         for left in lefts:
             out += map(left.__add__, rights)
@@ -647,7 +690,7 @@ class Factorised:
             if type(root) is list:
                 return [([()], root)] if root else []
             out: list[tuple[list[Row], list[Row]]] = []
-            _blocks(out, root, [])
+            _blocks(out, root)
             return out
         product = self._product()
         return [product] if product is not None else [([()], sorted(_rows(root)))]
@@ -726,7 +769,7 @@ def run_join(
     Returns the output with the meter, strategy and cover that produced it.
     """
     run = run_join_factorised(q, strat, cover, meter)
-    ans = run.output  # its parts nest less deeply than the run did, so this flatten fits
+    ans = run.output  # a loop walks its parts, recursing only at splits that permute: it fits
     # Distinct by construction, of values read from q's tries: no row walk.
     out = Relation._sorted(ans.schema, tuple(ans.rows()))
     return JoinRun(out, run.meter, run.strategy, run.cover)

@@ -121,16 +121,24 @@ def _ints(flat: str) -> list[int]:
     tabs, and reads them as ``int`` does, so a body of nothing but
     digits, '-', ',', spaces and tabs is tried as one JSON array first.
     What JSON refuses (a leading zero, a lone '-', an empty field, a
-    value past ``int``'s digit limit) falls through to ``int``.
+    value past ``int``'s digit limit) falls through to ``int``: from the
+    field JSON refused on, when it names one, so the fields before it
+    are read by JSON again rather than by ``int``.
     """
+    head: list[int] = []
     if not flat.translate(_JSON_INT_CHARS):
         try:
             return json.loads("[" + flat + "]")
-        except ValueError:
+        except json.JSONDecodeError as e:
+            # e.pos counts the '[': the fields before the comma ahead of it are JSON's
+            cut = flat.rfind(",", 0, e.pos - 1)
+            if cut > 0:
+                head, flat = json.loads("[" + flat[:cut] + "]"), flat[cut + 1:]
+        except ValueError:  # a value past the digit limit
             pass
     if not flat.isascii() or "_" in flat or "+" in flat:
         raise ValueError  # int() reads these, the format does not
-    return list(map(int, flat.split(",")))
+    return head + list(map(int, flat.split(",")))
 
 
 def _first_bad_row(lines: list[str], n: int) -> QueryFormatError:
@@ -174,7 +182,8 @@ def format_relation(name: str, cols: Sequence[str],
             raise SchemaError(f"relation {name}: rows have width {rows.arity}, "
                               f"schema {','.join(cols)} has width {len(cols)}")
         if isinstance(rows, Factorised):
-            return f"# relation {name} schema {','.join(cols)}\n" + _render(rows.blocks())
+            return f"# relation {name} schema {','.join(cols)}\n" + _render(rows.blocks(),
+                                                                             len(cols))
         rows = rows.rows
     else:
         if not isinstance(rows, (list, tuple)):
@@ -185,16 +194,16 @@ def format_relation(name: str, cols: Sequence[str],
                               f"schema {','.join(cols)} has width {len(cols)}")
         if not all(map(lt, rows, islice(rows, 1, None))):
             rows = sorted(set(rows))
-    line = ",".join(["%s"] * len(cols)) + "\n"  # %s is str(), whatever the value's type
-    body = (line * len(rows)) % tuple(chain.from_iterable(rows))
-    return f"# relation {name} schema {','.join(cols)}\n" + body
+    return f"# relation {name} schema {','.join(cols)}\n" + _lines(rows, len(cols))
 
 
-def _line(width: int) -> str:
-    return ",".join(["%s"] * width) + "\n"  # %s is str(), whatever the value's type
+def _lines(rows: Sequence[Row], width: int) -> str:
+    """The text of ``rows`` of ``width`` values, one line each, by one ``%`` call."""
+    line = ",".join(["%s"] * width) + "\n"  # %s is str(), whatever the value's type
+    return (line * len(rows)) % tuple(chain.from_iterable(rows))
 
 
-def _render(blocks: list[tuple[list[Row], list[Row]]]) -> str:
+def _render(blocks: list[tuple[list[Row], list[Row]]], width: int) -> str:
     """The lines of a join answer's blocks, each block the rows ``l + r``
     for each l in lefts, then each r in rights.  Where a block repeats
     rights of more than one row, their text is made once and each left's
@@ -206,7 +215,7 @@ def _render(blocks: list[tuple[list[Row], list[Row]]]) -> str:
 
     def flush() -> None:
         if pending:
-            parts.append(_line(len(pending[0])) * len(pending) % tuple(chain.from_iterable(pending)))
+            parts.append(_lines(pending, width))
             pending.clear()
 
     for lefts, rights in blocks:
@@ -217,8 +226,7 @@ def _render(blocks: list[tuple[list[Row], list[Row]]]) -> str:
         flush()
         body = texts.get(id(rights))
         if body is None:  # its lines, the last without its newline
-            body = texts[id(rights)] = (_line(len(rights[0])) * len(rights)
-                                        % tuple(chain.from_iterable(rights)))[:-1]
+            body = texts[id(rights)] = _lines(rights, width - len(lefts[0]))[:-1]
         head = "%s," * len(lefts[0])
         for left in lefts:
             p = head % left

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, islice, product
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import SchemaError
 
@@ -148,28 +148,6 @@ def _columns(rows: Sequence[Sequence[int]], idx: Sequence[int]) -> Iterable[Row]
     if idx:
         return zip(map(itemgetter(idx[0]), rows))  # itemgetter(i) alone gives no tuple
     return [()] * len(rows)
-
-
-def project(r: Relation, attrs: Iterable[Attribute]) -> Relation:
-    """Projection with duplicate elimination; result follows global order."""
-    target = attrs_sorted(attrs)
-    missing = [a for a in target if a not in r.schema]
-    if missing:
-        raise SchemaError(f"cannot project onto {missing}: not in {r.schema}")
-    idx = tuple(r.schema.index(a) for a in target)
-    return Relation(target, tuple({tuple(t[i] for i in idx) for t in r.rows}))
-
-
-def semijoin(r: Relation, t: Mapping[Attribute, int]) -> Relation:
-    """Rows of ``r`` that agree with ``t`` on the shared attributes.
-
-    Attributes of ``t`` outside ``r.schema`` impose no constraint, so a
-    disjoint binding returns ``r`` unchanged.
-    """
-    items = [(r.schema.index(a), v) for a, v in t.items() if a in r.schema]
-    if not items:
-        return r
-    return Relation(r.schema, tuple(u for u in r.rows if all(u[i] == v for i, v in items)))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import random
 import re
 import sys
 from itertools import islice, product
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -31,9 +31,8 @@ from agmjoin import (
     leaf,
     min_cover_lp,
     oracle_join,
-    project,
-    semijoin,
 )
+
 
 settings.register_profile(
     "ci", max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -83,6 +82,28 @@ def random_feasible_cover(q: JoinQuery, rng: random.Random) -> FractionalCover:
     return FractionalCover(
         tuple(w + Fraction(rng.randint(0, 4), 8) for w in mixed)
     )
+
+
+def project(r: Relation, attrs: Iterable[Attribute]) -> Relation:
+    """Projection with duplicate elimination; result follows global order."""
+    target = attrs_sorted(attrs)
+    missing = [a for a in target if a not in r.schema]
+    if missing:
+        raise SchemaError(f"cannot project onto {missing}: not in {r.schema}")
+    idx = tuple(r.schema.index(a) for a in target)
+    return Relation(target, tuple({tuple(t[i] for i in idx) for t in r.rows}))
+
+
+def semijoin(r: Relation, t: Mapping[Attribute, int]) -> Relation:
+    """Rows of ``r`` that agree with ``t`` on the shared attributes.
+
+    Attributes of ``t`` outside ``r.schema`` impose no constraint, so a
+    disjoint binding returns ``r`` unchanged.
+    """
+    items = [(r.schema.index(a), v) for a, v in t.items() if a in r.schema]
+    if not items:
+        return r
+    return Relation(r.schema, tuple(u for u in r.rows if all(u[i] == v for i, v in items)))
 
 
 def edge_subset(h: Hypergraph, attrs: Iterable[Attribute]) -> tuple[int, ...]:

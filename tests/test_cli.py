@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
@@ -534,6 +536,59 @@ def test_run_head_bytes_are_pinned(head_dir, tmp_path, capsys, head, algo):
         assert err.splitlines()[1].split(",")[1] == str(out.count("\n") - 1)
 
 
+@st.composite
+def _cq_files(draw):
+    """Up to three tables of arity 1-3 over values 0-2, and a query of one to
+    four atoms over W, X, Y, Z: a symbol or a variable may repeat, and the
+    head is the sorted body variables, a permutation of them, or any list of
+    them (projecting, repeating or empty).  So few values make groups that
+    share a J answer, which the factorised writer renders once."""
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    tables = {f"R{i}": (k, draw(st.lists(st.tuples(*[st.integers(0, 2)] * k), max_size=12)))
+              for i, k in enumerate(arities)}
+    body = []
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(arities) - 1))
+        body.append((f"R{i}", draw(st.lists(st.sampled_from("WXYZ"), min_size=arities[i],
+                                             max_size=arities[i]))))
+    names = sorted({v for _, vs in body for v in vs})
+    head = draw(st.one_of(st.just(names), st.permutations(names),
+                          st.lists(st.sampled_from(names), max_size=4)))
+    return tables, body, head
+
+
+@given(_cq_files())
+def test_run_writes_the_reference_answer_under_every_algorithm(case):
+    # `run`'s stdout, byte for byte, is the text of evaluate_cq's answer.  A full,
+    # sorted head is written from the engines' factorised answer; any other
+    # head from the projected rows.
+    import tempfile
+
+    from agmjoin import evaluate_cq
+
+    tables, body, head = case
+    text = "Q(%s) :- %s.\n" % (",".join(head), ", ".join(f"{s}({','.join(vs)})" for s, vs in body))
+    with tempfile.TemporaryDirectory() as d:
+        for name, (k, rows) in tables.items():
+            write_relation_file(Path(d) / f"{name}.rel", name, [f"c{i}" for i in range(k)], rows)
+        (Path(d) / "query.txt").write_text(text)
+        cq = read_query_file(Path(d) / "query.txt")
+        ans = evaluate_cq(cq, {name: rows for name, (_, rows) in tables.items()})
+        if head:
+            want = "# relation Q schema %s\n" % ",".join(head) + "".join(
+                ",".join(map(str, r)) + "\n" for r in sorted(ans))
+        else:
+            want = f"# boolean query Q: 1 = nonempty\n{int(bool(ans))}\n"
+        n = len(normalize(cq).body)  # a pairwise plan joins two atoms or more
+        orders = [f"pairwise:{'-'.join(map(str, reversed(range(n))))}"] if n > 1 else []
+        for algo in ("nprr", "leapfrog", "oracle", "agm-plan", *orders):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["run", str(Path(d) / "query.txt"), d, "--algo", algo])
+            assert code == 0, (algo, text, err.getvalue())
+            assert out.getvalue() == want, (algo, text)
+
+
 # Run in a fresh interpreter: this test process may have loaded numpy already.
 # Prints, after each step, the step and whether numpy is loaded.
 _NUMPY_STEPS = r"""
@@ -878,3 +933,49 @@ def test_failures_exit_with_their_documented_code(tmp_path, capsys, argv, code):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------- factorised answers
+
+
+def _entries(ans, seen):
+    """The pairs and rows a factorised answer stores, each shared object once."""
+    if id(ans) in seen:
+        return 0
+    seen.add(id(ans))
+    if type(ans) is list:
+        return len(ans)
+    return len(ans.pairs) + sum(_entries(js, seen) for _, js in ans.pairs)
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_the_product_probe_is_stored_factorised(tmp_path, capsys, monkeypatch, n):
+    # R = {(a,0)}, S = {(0,c)}: n^2 answers, one shared list of n C values;
+    # the first group, whose lookup missed, holds its n rows built.
+    from agmjoin.engine import run_join_factorised
+    from agmjoin.formats import format_relation
+    from agmjoin.relational import Relation, join_query, make_attrs, relation
+
+    a, b, c = make_attrs("A", "B", "C")
+    q = join_query([relation([a, b], [(x, 0) for x in range(n)]),
+                    relation([b, c], [(0, y) for y in range(n)])])
+    ans = run_join_factorised(q, agmjoin.leapfrog_strategy()).output
+    assert len(ans) == n * n
+    assert _entries(ans._root, set()) <= 4 * n  # not n * n
+    flat = run_join(q, agmjoin.leapfrog_strategy()).output
+    assert format_relation("Q", "ABC", ans) == format_relation("Q", "ABC", flat)
+
+    write_relation_file(tmp_path / "R.rel", "R", ["A", "B"], [(x, 0) for x in range(n)])
+    write_relation_file(tmp_path / "S.rel", "S", ["B", "C"], [(0, y) for y in range(n)])
+    (tmp_path / "q.txt").write_text("Q(A,B,C) :- R(A,B), S(B,C).\n")
+    built = []
+    check, stored = Relation.__post_init__, Relation._sorted
+    monkeypatch.setattr(Relation, "__post_init__",
+                        lambda self: (built.append(self.arity), check(self))[1])
+    monkeypatch.setattr(Relation, "_sorted",
+                        classmethod(lambda cls, s, r: (built.append(len(s)), stored(s, r))[1]))
+    for algo in ("leapfrog", "nprr"):
+        code, out, _ = run_cli(capsys, str(tmp_path / "q.txt"), str(tmp_path),
+                               "--algo", algo)
+        assert code == 0 and out == format_relation("Q", "ABC", flat)
+    assert 3 not in built  # the inputs are built; the full-head answer is not

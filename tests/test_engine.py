@@ -584,6 +584,40 @@ def test_answers_are_built_without_a_row_walk(monkeypatch):
     assert calls == []
 
 
+def _product_cases():
+    w, x, y = make_attrs("W", "X", "Y")
+    return {
+        # As in chase-witness, nprr's cover puts 1 on T(W) and S(X, Y), so it joins
+        # I = {X, Y} and extends each group by the W values of R(W, X) and T(W):
+        # every group reaches the one R node of X = 0, so the split is a product,
+        # its J attribute first, laid out J-major with no sort
+        "product": [relation([w, x], [(1, 0), (2, 0), (3, 9)]), relation([w], [(1,), (2,)]),
+                    relation([x, y], [(0, 5), (0, 6)])],
+        # the group of X = 1 reaches other W values: the pairs kept so far become rows
+        "spilled": [relation([w, x], [(1, 0), (2, 0), (1, 1), (3, 1), (4, 9), (5, 9)]),
+                    relation([w], [(1,), (2,), (3,)]),
+                    relation([x, y], [(0, 5), (0, 6), (1, 7)])],
+        # J = {W, Y} on both sides of I = {X}: a product, but not in J-major order
+        "interleaved": [relation([w, y], [(1, 5), (2, 6), (2, 7)]), relation([x], [(0,), (3,)])],
+    }
+
+
+@pytest.mark.parametrize("case", ["product", "spilled", "interleaved"])
+@pytest.mark.parametrize("strat", [nprr_strategy(), leapfrog_strategy()], ids=["nprr", "leapfrog"])
+def test_products_and_their_fallbacks_match_the_oracle(case, strat):
+    from agmjoin.engine import run_join_factorised
+    from agmjoin.formats import format_relation
+
+    q = join_query(_product_cases()[case])
+    want = oracle_join(q)
+    assert run_join(q, strat).output == want
+    ans = run_join_factorised(q, strat).output
+    assert len(ans) == len(want)
+    assert format_relation("Q", "WXY", ans) == format_relation("Q", "WXY", want)
+    if strat.kind == "nprr":  # the shapes described above
+        assert (ans._product() is not None) == (case == "product")
+
+
 # ---------------------------------------------------------------- the two-choices filter
 
 

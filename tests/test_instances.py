@@ -14,7 +14,7 @@ from agmjoin import (
     oracle_join,
     run_join,
 )
-from conftest import is_simple
+from conftest import is_simple, project
 
 
 def test_triangle_bad_shape():
@@ -77,8 +77,6 @@ def test_lw_bad_two_relations_cross_product():
 
 
 def test_lw_bad_every_projection_is_simple():
-    from agmjoin import project
-
     b = gen_lw_bad(4, 7)
     r = b.query.relations[0]
     for keep in ((r.schema[0],), r.schema[:2], r.schema):

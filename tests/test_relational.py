@@ -14,10 +14,9 @@ from agmjoin import (
     make_attrs,
     min_cover_lp,
     oracle_join,
-    project,
     relation,
-    semijoin,
 )
+from conftest import project, semijoin
 
 A, B, C, D = make_attrs("A", "B", "C", "D")
 
