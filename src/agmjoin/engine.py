@@ -65,15 +65,15 @@ built, so it needs no cap, and it goes with the plan when the run ends.
 
 A split's answer stays factorised where that pays, a d-representation
 (Olteanu and Závodný, TODS 2015): it keeps (group, J answer) pairs where
-a J answer nests, is shared, or has rows wider than ``_WIDE``, and
-builds the rows of the other groups at once.  A split that permutes
-keeps its pairs only while every group reaches one shared J answer, a
-product.  ``run_join`` flattens the answer once at the top, building
-each row once, after the groups of every level above it, and sorting
-only when a split permutes; a product whose J attributes come first is
-laid out J-major instead, with no sort.  ``run_join_factorised``
-returns the answer unflattened, and its ``blocks`` let a writer render
-a shared J answer once for all the groups that reach it.
+a J answer nests or has rows wider than ``_WIDE``, and builds the rows
+of the other groups at once.  ``run_join`` flattens the answer once at
+the top, building each row once, after the groups of every level above
+it, and sorting only when a split permutes.  ``run_join_factorised``
+also keeps a pair where a J answer is shared, and a permuting split's
+pairs while every group reaches one shared J answer, a product; its
+``blocks`` let a writer render a shared J answer once for all the
+groups that reach it, and lay out a product whose J attributes come
+first J-major, with no sort.
 
 The outer loop over partial tuples reads only immutable tries, so it
 could run in parallel with per-worker meters merged by summation;
@@ -337,11 +337,12 @@ class _Part:
     row r of its J answer, reordered by ``split.perm``.  A J answer is a
     list of rows or a ``_Part``, and one that the memo or ``_ONCE`` hands
     to several groups is one shared object.  A pair is kept where that
-    pays: where the J answer nests, has rows wider than ``_WIDE``, or is
-    shared and has more than one row.  Rows of the groups between are
-    built at once and stored as one pair ``((), rows)``; a split that
-    permutes keeps its pairs only when all its groups share the one J
-    answer.  ``n`` counts the rows."""
+    pays: where the J answer nests, has rows wider than ``_WIDE``, or,
+    with ``keep`` 2 (see ``_run``), is shared and has more than one row.
+    Rows of the groups between are built at once and stored as one pair
+    ``((), rows)``; a split that permutes keeps its pairs only with
+    ``keep`` 2 and when all its groups share the one J answer.  ``n``
+    counts the rows."""
 
     __slots__ = ("split", "pairs", "n")
 
@@ -371,10 +372,13 @@ def _compile(ctx: _Ctx, v: int, rels: int, nar: int, bound: int,
     return _Split(ctx, v, rels, nar, bound, i, blocks, scale)
 
 
-def _run(ctx: _Ctx, plan, nodes: list[Node], keep: bool) -> list[Row] | _Part:
+def _run(ctx: _Ctx, plan, nodes: list[Node], keep: int) -> list[Row] | _Part:
     """Execute ``plan`` on the run's one node per relation, ``nodes[e]``
     on level ``depth`` of ``ctx.trie_of[e]``, and return its answer: a
-    list of rows, or, if ``keep``, maybe a split's ``_Part``.  A split
+    list of rows, or, if ``keep``, maybe a split's ``_Part``: with
+    ``keep`` 1 where a J answer nests or is wide, which saves copying
+    rows that a flatten builds once; with 2 also where it is shared, or
+    a product, which saves a writer rendering its text again.  A split
     sets the nodes of ``both`` for each group and restores them before
     it returns; a split that seats does so on a copy, and holds its
     seated tries in ``ctx.trie_of`` until it returns."""
@@ -406,7 +410,7 @@ def _run(ctx: _Ctx, plan, nodes: list[Node], keep: bool) -> list[Row] | _Part:
         vals, at = intersect(i_plan(nodes), meter, positions=True)
         groups = zip(vals)
     else:
-        groups = vals = _run(ctx, i_plan, nodes, False)
+        groups = vals = _run(ctx, i_plan, nodes, 0)
     flat: list[Row] = []  # rows built since the last pair
     pairs: list[tuple[Row, list[Row] | _Part]] | None = None  # the first kept pair makes it
     if vals:  # else J is neither compiled nor run
@@ -430,9 +434,10 @@ def _run(ctx: _Ctx, plan, nodes: list[Node], keep: bool) -> list[Row] | _Part:
         # Where the answer may stay factorised: a split that permutes keeps its
         # pairs only for a product; one that does not keeps every pair when
         # every group shares the J answer or its rows are wide.
-        product = keep and perm is not None and memo is not None
+        product = keep > 1 and perm is not None and memo is not None
         pack = keep and perm is None
-        always = pack and (once or not base and plan.j_args[0].bit_count() > _WIDE)
+        shared = keep > 1 and memo is not None
+        always = pack and (shared and once or not base and plan.j_args[0].bit_count() > _WIDE)
         for t in groups:
             meter.check_deadline()
             if at is None:  # never misses: the I side joined t from each node
@@ -476,7 +481,8 @@ def _run(ctx: _Ctx, plan, nodes: list[Node], keep: bool) -> list[Row] | _Part:
                 for u, ks in pairs:
                     flat += map(perm, map(u.__add__, _rows(ks)))
                 pairs = None
-            elif pack and (always or type(js) is not list or hit is not None and js[1:]):
+            elif pack and (always or type(js) is not list or shared and hit is not None
+                                                        and js[1:]):
                 # The pair, where the J answer nests or is shared and has rows to
                 # share; else its rows.
                 if pairs is None:
@@ -587,7 +593,7 @@ def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[Node]) -> list[Row]:
             probe = plan.probe
             if probe is None:
                 probe = plan.probe = _compile(ctx, *plan.probe_args)
-            rows = _run(ctx, probe, nodes, False)
+            rows = _run(ctx, probe, nodes, 0)
             return _filter(ctx, rows, len(rows), [(nj, range(k))])
     rows = leaf_rows(nj, k)
     if rows is None:  # a projection node
@@ -713,7 +719,15 @@ def run_join_factorised(
     meter: CostMeter | None = None,
 ) -> JoinRun:
     """``run_join`` without the flatten: the run's ``output`` is the
-    ``Factorised`` answer that the recursion built."""
+    ``Factorised`` answer that the recursion built, a J answer that
+    groups share stored once for a writer to render once."""
+    return _join(q, strat, cover, meter, 2)
+
+
+def _join(q: JoinQuery, strat: PartitionStrategy | None, cover: FractionalCover | None,
+          meter: CostMeter | None, keep: int) -> JoinRun:
+    """Run the join; its output is the ``Factorised`` answer that ``_run``
+    builds with ``keep``."""
     strat = strat if strat is not None else nprr_strategy()
     if cover is None:
         # Empty relations would put log2(0) in the LP objective; any
@@ -743,7 +757,7 @@ def run_join_factorised(
     try:
         plan = _compile(ctx, (1 << len(attrs)) - 1, (1 << len(q.relations)) - 1, 0, 0, blocks,
                         Fraction(1))
-        out = Factorised(attrs, _run(ctx, plan, [t.root for t in ctx.trie_of], True),
+        out = Factorised(attrs, _run(ctx, plan, [t.root for t in ctx.trie_of], keep),
                          ctx.permuted)
     except RecursionError:  # the plan nests about one level per attribute
         raise SchemaError(f"a query of {len(attrs)} attributes nests deeper than "
@@ -768,7 +782,7 @@ def run_join(
     ``meter`` is the run's time budget.
     Returns the output with the meter, strategy and cover that produced it.
     """
-    run = run_join_factorised(q, strat, cover, meter)
+    run = _join(q, strat, cover, meter, 1)  # a pair only where it saves building a row twice
     ans = run.output  # a loop walks its parts, recursing only at splits that permute: it fits
     # Distinct by construction, of values read from q's tries: no row walk.
     out = Relation._sorted(ans.schema, tuple(ans.rows()))
