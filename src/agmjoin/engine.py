@@ -63,17 +63,17 @@ one probe, the membership test of its lookup, and counted in
 ``CostMeter.reuses``.  The memo holds only lists that metered misses
 built, so it needs no cap, and it goes with the plan when the run ends.
 
-A split's answer stays factorised where that pays, a d-representation
-(Olteanu and Závodný, TODS 2015): it keeps (group, J answer) pairs where
-a J answer nests or has rows wider than ``_WIDE``, and builds the rows
-of the other groups at once.  ``run_join`` flattens the answer once at
-the top, building each row once, after the groups of every level above
-it, and sorting only when a split permutes.  ``run_join_factorised``
-also keeps a pair where a J answer is shared, and a permuting split's
-pairs while every group reaches one shared J answer, a product; its
-``blocks`` let a writer render a shared J answer once for all the
-groups that reach it, and lay out a product whose J attributes come
-first J-major, with no sort.
+``run_join`` builds every answer row at the level that finds it and
+sorts them only when a split permutes.  ``run_join_factorised`` keeps
+the answer factorised where a J answer is shared, a d-representation
+(Olteanu and Závodný, TODS 2015): a split keeps (group, J answer) pairs
+where the memo or ``_ONCE`` hands several groups one J answer of more
+than one row, or where a J answer nests, and a permuting split keeps
+its pairs while every group reaches one shared J answer, a product.
+Its output, a ``relational.Factorised``, lists the sorted rows as
+blocks, so a writer renders a shared J answer once for all the groups
+that reach it, and lays out a product whose J attributes come first
+J-major, with no sort.
 
 The outer loop over partial tuples reads only immutable tries, so it
 could run in parallel with per-worker meters merged by summation;
@@ -93,7 +93,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .bounds import FractionalCover, is_cover, min_cover_lp
 from .errors import InfeasibleCoverError, InvalidPartitionError, SchemaError
-from .relational import Attribute, JoinQuery, Relation, Row
+from .relational import Attribute, Factorised, JoinQuery, Relation, Row
 from .trie import (
     CostMeter,
     Level,
@@ -148,10 +148,6 @@ class JoinRun:
 
 
 _ONCE = object()  # every group of a call reaches the same J nodes
-# A J row of more attributes than this is kept in a pair, not copied into
-# a row at each level above: on an n-atom path that copying is O(n^2).
-# Narrower rows are built at once, which is cheaper than a pair.
-_WIDE = 32
 
 
 def _bits(m: int) -> Iterator[int]:
@@ -336,13 +332,11 @@ class _Part:
     answer) in group order, and the group's rows are ``t + r`` for each
     row r of its J answer, reordered by ``split.perm``.  A J answer is a
     list of rows or a ``_Part``, and one that the memo or ``_ONCE`` hands
-    to several groups is one shared object.  A pair is kept where that
-    pays: where the J answer nests, has rows wider than ``_WIDE``, or,
-    with ``keep`` 2 (see ``_run``), is shared and has more than one row.
-    Rows of the groups between are built at once and stored as one pair
-    ``((), rows)``; a split that permutes keeps its pairs only with
-    ``keep`` 2 and when all its groups share the one J answer.  ``n``
-    counts the rows."""
+    to several groups is one shared object.  A pair is kept where the J
+    answer nests, or is shared and has more than one row; rows of the
+    groups between are built at once and stored as one pair ``((),
+    rows)``.  A split that permutes keeps its pairs only when all its
+    groups share the one J answer.  ``n`` counts the rows."""
 
     __slots__ = ("split", "pairs", "n")
 
@@ -372,13 +366,11 @@ def _compile(ctx: _Ctx, v: int, rels: int, nar: int, bound: int,
     return _Split(ctx, v, rels, nar, bound, i, blocks, scale)
 
 
-def _run(ctx: _Ctx, plan, nodes: list[Node], keep: int) -> list[Row] | _Part:
+def _run(ctx: _Ctx, plan, nodes: list[Node], keep: bool) -> list[Row] | _Part:
     """Execute ``plan`` on the run's one node per relation, ``nodes[e]``
     on level ``depth`` of ``ctx.trie_of[e]``, and return its answer: a
-    list of rows, or, if ``keep``, maybe a split's ``_Part``: with
-    ``keep`` 1 where a J answer nests or is wide, which saves copying
-    rows that a flatten builds once; with 2 also where it is shared, or
-    a product, which saves a writer rendering its text again.  A split
+    list of rows, or, with ``keep``, maybe a split's ``_Part`` where a J
+    answer is shared or a product, so a writer renders its text once.  A split
     sets the nodes of ``both`` for each group and restores them before
     it returns; a split that seats does so on a copy, and holds its
     seated tries in ``ctx.trie_of`` until it returns."""
@@ -410,7 +402,7 @@ def _run(ctx: _Ctx, plan, nodes: list[Node], keep: int) -> list[Row] | _Part:
         vals, at = intersect(i_plan(nodes), meter, positions=True)
         groups = zip(vals)
     else:
-        groups = vals = _run(ctx, i_plan, nodes, 0)
+        groups = vals = _run(ctx, i_plan, nodes, False)
     flat: list[Row] = []  # rows built since the last pair
     pairs: list[tuple[Row, list[Row] | _Part]] | None = None  # the first kept pair makes it
     if vals:  # else J is neither compiled nor run
@@ -431,13 +423,11 @@ def _run(ctx: _Ctx, plan, nodes: list[Node], keep: int) -> list[Row] | _Part:
             moves = [(e, nodes[e], children(nodes[e][0], at[x])) for e, x in plan.both]
         n_open = 0 if at is None else len(moves)
         keyed = plan.keyed
-        # Where the answer may stay factorised: a split that permutes keeps its
-        # pairs only for a product; one that does not keeps every pair when
-        # every group shares the J answer or its rows are wide.
-        product = keep > 1 and perm is not None and memo is not None
+        # Where the answer stays factorised: a split that permutes keeps its
+        # pairs only for a product; one that does not keeps a pair where the J
+        # answer nests or is shared, and every pair when all groups share it.
+        product = keep and perm is not None and memo is not None
         pack = keep and perm is None
-        shared = keep > 1 and memo is not None
-        always = pack and (shared and once or not base and plan.j_args[0].bit_count() > _WIDE)
         for t in groups:
             meter.check_deadline()
             if at is None:  # never misses: the I side joined t from each node
@@ -481,8 +471,7 @@ def _run(ctx: _Ctx, plan, nodes: list[Node], keep: int) -> list[Row] | _Part:
                 for u, ks in pairs:
                     flat += map(perm, map(u.__add__, _rows(ks)))
                 pairs = None
-            elif pack and (always or type(js) is not list or shared and hit is not None
-                                                        and js[1:]):
+            elif pack and (once or type(js) is not list or hit is not None and js[1:]):
                 # The pair, where the J answer nests or is shared and has rows to
                 # share; else its rows.
                 if pairs is None:
@@ -593,7 +582,7 @@ def _nprr_tail(ctx: _Ctx, plan: _Tail, nodes: list[Node]) -> list[Row]:
             probe = plan.probe
             if probe is None:
                 probe = plan.probe = _compile(ctx, *plan.probe_args)
-            rows = _run(ctx, probe, nodes, 0)
+            rows = _run(ctx, probe, nodes, False)
             return _filter(ctx, rows, len(rows), [(nj, range(k))])
     rows = leaf_rows(nj, k)
     if rows is None:  # a projection node
@@ -655,61 +644,43 @@ def _filter(ctx: _Ctx, rows: Iterable[Row], n: int,
     return rows if isinstance(rows, list) else list(rows)
 
 
-class Factorised:
-    """A join's answer, factorised: the d-representation of Olteanu and
-    Závodný (TODS 2015) that the recursion builds.  A split's answer is
-    a list of (group, J answer) pairs, and a J answer that several groups
-    reach is stored once.  ``len`` is the row count; ``rows`` flattens,
-    and ``blocks`` gives the sorted rows as products for a writer to
-    render without building them."""
+def _factorised(attrs: tuple[Attribute, ...], ans: list[Row] | _Part,
+                permuted: bool) -> Factorised:
+    """``ans``, which ``_run`` built with ``keep``, as sorted blocks.  With
+    no split that permutes, the answer is in order as found.  Else a root
+    split whose groups all share one J answer whose attributes all come
+    first is one block, its sorted J rows as lefts and its sorted groups
+    as rights; any other answer is flattened and sorted."""
+    if type(ans) is list:
+        return Factorised(attrs, [([()], sorted(ans) if permuted else ans)], len(ans))
+    if not permuted:
+        blocks: list[tuple[list[Row], list[Row]]] = []
+        _blocks(blocks, ans)
+        return Factorised(attrs, blocks, ans.n)
+    (_, first), i, j = ans.pairs[0], ans.split.i_args[0], ans.split.j_args[0]
+    if j < i & -i and all(js is first for _, js in ans.pairs):
+        return Factorised(attrs, [(sorted(_rows(first)), sorted([t for t, _ in ans.pairs]))],
+                          ans.n)
+    return Factorised(attrs, [([()], sorted(_rows(ans)))], ans.n)
 
-    __slots__ = ("schema", "_root", "_permuted")
 
-    def __init__(self, schema: tuple[Attribute, ...], root: list[Row] | _Part, permuted: bool):
-        self.schema, self._root, self._permuted = schema, root, permuted
+def run_join(
+    q: JoinQuery,
+    strat: PartitionStrategy | None = None,
+    cover: FractionalCover | None = None,
+    meter: CostMeter | None = None,
+) -> JoinRun:
+    """Join all relations of ``q`` exactly, metering the work done.
 
-    @property
-    def arity(self) -> int:
-        return len(self.schema)
-
-    def __len__(self) -> int:
-        root = self._root
-        return len(root) if type(root) is list else root.n
-
-    def _product(self) -> tuple[list[Row], list[Row]] | None:
-        """The sorted J rows and groups of a root split that permutes
-        and whose groups all share one J answer whose attributes all
-        come first: every J row then every group is the sorted order."""
-        root = self._root
-        if type(root) is list:
-            return None
-        (_, first), i, j = root.pairs[0], root.split.i_args[0], root.split.j_args[0]
-        if j > i & -i or any(js is not first for _, js in root.pairs):
-            return None
-        return sorted(_rows(first)), sorted([t for t, _ in root.pairs])
-
-    def blocks(self) -> list[tuple[list[Row], list[Row]]]:
-        """The rows in sorted order as blocks ``(lefts, rights)``, each
-        the rows ``l + r`` for each l in lefts, then each r in rights."""
-        root = self._root
-        if not self._permuted:
-            if type(root) is list:
-                return [([()], root)] if root else []
-            out: list[tuple[list[Row], list[Row]]] = []
-            _blocks(out, root)
-            return out
-        product = self._product()
-        return [product] if product is not None else [([()], sorted(_rows(root)))]
-
-    def rows(self) -> list[Row]:
-        """The rows, sorted, each built once."""
-        if not self._permuted:
-            return _rows(self._root)
-        product = self._product()
-        if product is None:
-            return sorted(_rows(self._root))
-        js, groups = product
-        return [r + t for r in js for t in groups]
+    The base case (one attribute) is a k-way intersection; otherwise
+    the strategy picks I, the I-projections are joined recursively into
+    groups, and each group tuple is extended over the rest.  The cover
+    defaults to the tightest one from the size-bound linear program; a
+    cover the caller gives is checked to be one.  A deadline started on
+    ``meter`` is the run's time budget.
+    Returns the output with the meter, strategy and cover that produced it.
+    """
+    return _join(q, strat, cover, meter, False)
 
 
 def run_join_factorised(
@@ -718,16 +689,16 @@ def run_join_factorised(
     cover: FractionalCover | None = None,
     meter: CostMeter | None = None,
 ) -> JoinRun:
-    """``run_join`` without the flatten: the run's ``output`` is the
-    ``Factorised`` answer that the recursion built, a J answer that
-    groups share stored once for a writer to render once."""
-    return _join(q, strat, cover, meter, 2)
+    """``run_join`` whose ``output`` is a ``Factorised`` answer: a J answer
+    that several groups share is held once, so a writer renders it once,
+    and no row of a shared J answer is built per group."""
+    return _join(q, strat, cover, meter, True)
 
 
 def _join(q: JoinQuery, strat: PartitionStrategy | None, cover: FractionalCover | None,
-          meter: CostMeter | None, keep: int) -> JoinRun:
-    """Run the join; its output is the ``Factorised`` answer that ``_run``
-    builds with ``keep``."""
+          meter: CostMeter | None, keep: bool) -> JoinRun:
+    """Run the join; its output is a ``Relation``, or with ``keep`` the
+    ``Factorised`` answer."""
     strat = strat if strat is not None else nprr_strategy()
     if cover is None:
         # Empty relations would put log2(0) in the LP objective; any
@@ -757,33 +728,16 @@ def _join(q: JoinQuery, strat: PartitionStrategy | None, cover: FractionalCover 
     try:
         plan = _compile(ctx, (1 << len(attrs)) - 1, (1 << len(q.relations)) - 1, 0, 0, blocks,
                         Fraction(1))
-        out = Factorised(attrs, _run(ctx, plan, [t.root for t in ctx.trie_of], keep),
-                         ctx.permuted)
+        rows = _run(ctx, plan, [t.root for t in ctx.trie_of], keep)
+        if keep:
+            out = _factorised(attrs, rows, ctx.permuted)
     except RecursionError:  # the plan nests about one level per attribute
         raise SchemaError(f"a query of {len(attrs)} attributes nests deeper than "
                           f"Python's recursion limit ({sys.getrecursionlimit()})") from None
+    if not keep:
+        if ctx.permuted:  # rows leave each level sorted unless a perm reorders them
+            rows.sort()
+        # Distinct by construction, of values read from q's tries: no row walk.
+        out = Relation._sorted(attrs, tuple(rows))
     meter.emits += len(out)
     return JoinRun(out, meter, strat, cover)
-
-
-def run_join(
-    q: JoinQuery,
-    strat: PartitionStrategy | None = None,
-    cover: FractionalCover | None = None,
-    meter: CostMeter | None = None,
-) -> JoinRun:
-    """Join all relations of ``q`` exactly, metering the work done.
-
-    The base case (one attribute) is a k-way intersection; otherwise
-    the strategy picks I, the I-projections are joined recursively into
-    groups, and each group tuple is extended over the rest.  The cover
-    defaults to the tightest one from the size-bound linear program; a
-    cover the caller gives is checked to be one.  A deadline started on
-    ``meter`` is the run's time budget.
-    Returns the output with the meter, strategy and cover that produced it.
-    """
-    run = _join(q, strat, cover, meter, 1)  # a pair only where it saves building a row twice
-    ans = run.output  # a loop walks its parts, recursing only at splits that permute: it fits
-    # Distinct by construction, of values read from q's tries: no row walk.
-    out = Relation._sorted(ans.schema, tuple(ans.rows()))
-    return JoinRun(out, run.meter, run.strategy, run.cover)

@@ -41,8 +41,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
 from .errors import QueryFormatError, SchemaError
-from .engine import Factorised
-from .relational import Relation, Row
+from .relational import Factorised, Relation, Row
 from .rewrite import Atom, ConjunctiveQuery, SimpleFD
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -182,7 +181,7 @@ def format_relation(name: str, cols: Sequence[str],
             raise SchemaError(f"relation {name}: rows have width {rows.arity}, "
                               f"schema {','.join(cols)} has width {len(cols)}")
         if isinstance(rows, Factorised):
-            return f"# relation {name} schema {','.join(cols)}\n" + _render(rows.blocks(),
+            return f"# relation {name} schema {','.join(cols)}\n" + _render(rows.blocks,
                                                                              len(cols))
         rows = rows.rows
     else:
@@ -204,8 +203,7 @@ def _lines(rows: Sequence[Row], width: int) -> str:
 
 
 def _render(blocks: list[tuple[list[Row], list[Row]]], width: int) -> str:
-    """The lines of a join answer's blocks, each block the rows ``l + r``
-    for each l in lefts, then each r in rights.  Where a block repeats
+    """The lines of a ``Factorised`` answer's blocks.  Where a block repeats
     rights of more than one row, their text is made once and each left's
     text is put before every line of it by ``str.replace``; the rows of
     every other block are built and go through one ``%`` call."""

@@ -121,6 +121,27 @@ class Relation:
         return tuple(sorted({t[i] for t in self.rows}))
 
 
+@dataclass(frozen=True, eq=False)
+class Factorised:
+    """A join answer that is not flattened: its rows, sorted and distinct,
+    as ``blocks`` ``(lefts, rights)``, each the rows ``l + r`` for each l
+    in lefts, then each r in rights, one block after another.  A rights
+    list that several blocks hold is one object, so a writer renders its
+    text once.  ``engine.run_join_factorised`` builds it from values of
+    relations already checked; ``size`` is its row count."""
+
+    schema: tuple[Attribute, ...]
+    blocks: list[tuple[list[Row], list[Row]]]
+    size: int
+
+    @property
+    def arity(self) -> int:
+        return len(self.schema)
+
+    def __len__(self) -> int:
+        return self.size
+
+
 def _check_schema(schema: tuple[Attribute, ...]) -> None:
     if len(set(schema)) != len(schema):
         raise SchemaError(f"duplicate attribute in schema {schema}")

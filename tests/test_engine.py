@@ -614,8 +614,8 @@ def test_products_and_their_fallbacks_match_the_oracle(case, strat):
     ans = run_join_factorised(q, strat).output
     assert len(ans) == len(want)
     assert format_relation("Q", "WXY", ans) == format_relation("Q", "WXY", want)
-    if strat.kind == "nprr":  # the shapes described above
-        assert (ans._product() is not None) == (case == "product")
+    if strat.kind == "nprr":  # the shapes described above: a product is one block of J rows
+        assert (len(ans.blocks) == 1 and len(ans.blocks[0][0]) > 1) == (case == "product")
 
 
 # ---------------------------------------------------------------- the two-choices filter
